@@ -11,12 +11,11 @@ from .certifier import (CertificateReport, certify, check_boundary, check_source
                         check_transport, disturbance_gain, sweep_xi)
 from .core import (DisturbanceSignal, Grid1D, StateField, SystemCoefficients,
                    WeightField, build_grid, sample_coefficients)
-from .eigen import symmetric_eigenvalues
 from .lambertw import lambert_w_minus1
 from .lyapunov import (LyapunovTrace, build_trace, envelope_gap_norms, evaluate,
                        fit_decay_rate, gronwall_closed_form, gronwall_envelope)
 from .models import (EulerParams, SaintVenantParams, Scenario,
-                     build_linear_benchmark, euler_scenario, integrate_steady_state,
+                     build_linear_benchmark, euler_scenario,
                      linearize_euler, linearize_saint_venant, saint_venant_scenario)
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
 from .solver import (BlowupError, SimulationResult, SimulationRun, apply_boundary,
@@ -32,11 +31,11 @@ __all__ = [
     "evaluate", "gronwall_closed_form", "gronwall_envelope", "LyapunovTrace",
     "build_trace", "envelope_gap_norms", "fit_decay_rate",
     "certify", "CertificateReport", "check_transport", "check_source",
-    "check_boundary", "disturbance_gain", "sweep_xi", "symmetric_eigenvalues",
+    "check_boundary", "disturbance_gain", "sweep_xi",
     "lambert_w_minus1",
     "Scenario", "build_linear_benchmark", "SaintVenantParams",
     "linearize_saint_venant", "saint_venant_scenario", "EulerParams",
-    "linearize_euler", "euler_scenario", "integrate_steady_state",
+    "linearize_euler", "euler_scenario",
     "ScenarioSpec", "ScenarioError", "load_scenario",
     "__version__",
 ]

@@ -23,13 +23,12 @@ above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .core import Grid1D, SystemCoefficients, WeightField
-from .eigen import symmetric_eigenvalues
 
 __all__ = [
     "PD_TOL",
@@ -60,10 +59,6 @@ class Witness:
     j: int
     component: Optional[int]
     value: float
-
-    def to_dict(self) -> dict:
-        return {"condition": self.condition, "j": self.j,
-                "component": self.component, "value": self.value}
 
 
 @dataclass
@@ -168,14 +163,6 @@ def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
     return mats
 
 
-def _eigvals_2x2_closed(mats: np.ndarray) -> np.ndarray:
-    """sigma_j -/+ for a stack of symmetric 2x2 matrices."""
-    m11, m12, m22 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-    tr = m11 + m22
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * (m11 * m22 - m12 * m12), 0.0))
-    return np.stack([0.5 * (tr - disc), 0.5 * (tr + disc)], axis=1)
-
-
 def check_source(coefficients: SystemCoefficients, weights: WeightField,
                  grid: Grid1D, dt: Optional[float] = None) -> SourceCheck:
     """C2: positive semi-definiteness of the per-cell source matrices."""
@@ -184,10 +171,7 @@ def check_source(coefficients: SystemCoefficients, weights: WeightField,
     if dt <= 0:
         raise ValueError("dt must be positive")
     mats = _source_matrices(coefficients, weights, dt)
-    if coefficients.k == 2:
-        eigs = _eigvals_2x2_closed(mats)
-    else:
-        eigs = np.array([symmetric_eigenvalues(m) for m in mats])
+    eigs = np.linalg.eigvalsh(mats)
     scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
     min_eigs = eigs[:, 0]
     ok = min_eigs >= -PSD_REL_TOL * scale
@@ -224,7 +208,7 @@ def check_boundary(coefficients: SystemCoefficients, weights: WeightField,
     d_out, d_in = _boundary_diagonals(coefficients, weights)
     K = coefficients.K
     bc = np.diag(d_out) - (1.0 + xi) * K.T @ np.diag(d_in) @ K
-    eigs = symmetric_eigenvalues(bc)
+    eigs = np.linalg.eigvalsh(bc)
     scale = max(float(np.max(np.abs(bc))), 1e-300)
     passed = bool(eigs[0] >= -PSD_REL_TOL * scale)
     witness = None
@@ -250,35 +234,29 @@ def check_continuous_sampled(coefficients: SystemCoefficients, weights: WeightFi
     """Sampled convenience check of the continuous-domain conditions.
 
     Evaluates -Lambda P' - Lambda' P + Pi^T P + P Pi at the interior
-    samples (derivatives by centered differences of the sampled fields)
-    plus the continuous boundary form, and reports positive
-    (semi-)definiteness.  Informational only; the discrete conditions
+    samples (derivatives by centered differences of the sampled fields),
+    one stack of k x k matrices, and reports their positive definiteness
+    together with the C3 boundary form.  Informational only; the discrete conditions
     above are the certification authority.
     """
     lam = coefficients.lam
     p = weights.values
     dx = grid.dx
     J = coefficients.J
+    p_int = p[1:J + 1]
     lam_prime = (lam[2:J + 2] - lam[0:J]) / (2 * dx)
     if weights.is_implicit:
         signs = np.concatenate([-np.ones(coefficients.m),
                                 np.ones(coefficients.k - coefficients.m)])
-        p_prime = weights.mu * signs[None, :] * p[1:J + 1]
+        p_prime = weights.mu * signs[None, :] * p_int
     else:
         p_prime = (p[2:J + 2] - p[0:J]) / (2 * dx)
-    ok = True
-    for j in range(J):
-        q = (np.diag(-lam[j + 1] * p_prime[j] - lam_prime[j] * p[j + 1])
-             + coefficients.pi[j].T * p[j + 1][None, :]
-             + p[j + 1][:, None] * coefficients.pi[j])
-        if symmetric_eigenvalues(q)[0] <= PD_TOL:
-            ok = False
-            break
-    if ok:
-        d_out, d_in = _boundary_diagonals(coefficients, weights)
-        bc = np.diag(d_out) - (1.0 + xi) * coefficients.K.T @ np.diag(d_in) @ coefficients.K
-        ok = bool(symmetric_eigenvalues(bc)[0] >= -PSD_REL_TOL * max(np.max(np.abs(bc)), 1e-300))
-    return ok
+    pi = coefficients.pi
+    q = p_int[:, :, None] * pi + np.transpose(pi, (0, 2, 1)) * p_int[:, None, :]
+    diag = np.arange(coefficients.k)
+    q[:, diag, diag] += -lam[1:J + 1] * p_prime - lam_prime * p_int
+    return bool(np.all(np.linalg.eigvalsh(q)[:, 0] > PD_TOL)
+                and check_boundary(coefficients, weights, xi).passed)
 
 
 @dataclass
@@ -304,7 +282,7 @@ class CertificateReport:
 
     def to_dict(self) -> dict:
         def w(x):
-            return None if x is None else x.to_dict()
+            return None if x is None else asdict(x)
 
         return {
             "overall": self.overall,

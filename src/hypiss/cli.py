@@ -2,16 +2,14 @@
 
 Exit codes: ``certify`` is nonzero exactly when the certificate fails;
 ``run`` is nonzero when the solver aborts on a non-finite state or when
-the certificate fails and ``--force`` was not given.  ``HYPISS_THREADS``
-caps the worker threads used for table rows and sweep points.
+the certificate fails and ``--force`` was not given; ``table`` is nonzero
+when any row fails.  Every command runs sequentially in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -22,19 +20,6 @@ from .models import Scenario
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
 
 __all__ = ["main"]
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HYPISS_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise SystemExit(f"HYPISS_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise SystemExit("HYPISS_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _out_dir(spec: argparse.Namespace) -> Path:
@@ -125,14 +110,22 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
         return {"J": J, "error": str(exc)}
 
 
+def _is_reference(spec: ScenarioSpec) -> bool:
+    if spec.model_name != "linear2x2":
+        return False
+    try:
+        return reports.is_reference_benchmark(spec.linear_params())
+    except ScenarioError:
+        return False  # every row already reports the error
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     spec = load_scenario(args.scenario)
     j_list = _parse_j_list(args.J_list)
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(j_list))) as pool:
-        rows = list(pool.map(lambda J: _table_row(spec, J, args.cfl), j_list))
+    rows = [_table_row(spec, J, args.cfl) for J in j_list]
     reference = None
-    if reports.is_reference_benchmark(spec.raw):
+    if _is_reference(spec):
         cfl = args.cfl if args.cfl is not None else spec.raw["grid"]["cfl"]
         gaps = {J: reports.REFERENCE_GAP_NORMS.get((cfl, J)) for J in j_list}
         reference = {J: (g[0], g[1], reports.REFERENCE_ETA[J])
@@ -147,9 +140,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     scenario = load_scenario(args.scenario).build()
     xi_values = _parse_xi_range(args.xi_range)
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(xi_values))) as pool:
-        rows = list(pool.map(
-            lambda xi: certifier.sweep_xi(scenario, [xi])[0], xi_values))
+    rows = certifier.sweep_xi(scenario, xi_values)
     text = reports.write_sweep(out / "sweep.csv", out / "sweep.txt", rows)
     sys.stdout.write(text)
     return 0

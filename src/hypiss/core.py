@@ -103,8 +103,9 @@ class DisturbanceSignal:
     """Time-indexed boundary disturbance b(t) in R^k.
 
     Wraps a scalar-time callable and offers the constructors used by the
-    built-in scenarios.  ``sup_sq_running`` provides the nondecreasing
-    running supremum of |b|^2 over a sample sequence.
+    built-in scenarios.  Each constructor records its arguments in
+    ``description``; two signals are equal when they are the same object
+    or share a nonempty description.
     """
 
     def __init__(self, k: int, fn: Callable[[float], np.ndarray], description: str = ""):
@@ -118,23 +119,21 @@ class DisturbanceSignal:
             raise ValueError(f"disturbance returned shape {out.shape}, expected ({self.k},)")
         return out
 
-    def sample(self, times: Sequence[float]) -> np.ndarray:
-        return np.array([self(t) for t in times])
-
-    def sup_sq_running(self, times: Sequence[float]) -> np.ndarray:
-        """Running supremum of |b(t)|^2 over the given sample times."""
-        vals = self.sample(times)
-        return np.maximum.accumulate(np.sum(vals * vals, axis=1))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DisturbanceSignal):
+            return NotImplemented
+        return self is other or (self.description != ""
+                                 and self.description == other.description)
 
     @classmethod
     def zero(cls, k: int) -> "DisturbanceSignal":
         z = np.zeros(k)
-        return cls(k, lambda t: z, "zero")
+        return cls(k, lambda t: z, f"zero({k})")
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "DisturbanceSignal":
         v = np.asarray(values, dtype=float)
-        return cls(v.size, lambda t: v, "constant")
+        return cls(v.size, lambda t: v, f"constant({v.tolist()})")
 
     @classmethod
     def pulsed_sine(cls, k: int, amplitude: float = 0.01, cutoff: float = 5.0,
@@ -157,7 +156,8 @@ class DisturbanceSignal:
                 return pat * (amplitude * math.sin(math.pi * t) ** 2)
             return np.zeros(k)
 
-        return cls(k, fn, f"pulsed_sine(amplitude={amplitude}, cutoff={cutoff})")
+        return cls(k, fn, f"pulsed_sine(amplitude={float(amplitude)!r}, "
+                          f"cutoff={float(cutoff)!r}, pattern={pat.tolist()})")
 
     @classmethod
     def tabulated(cls, times: Sequence[float], values: Sequence[Sequence[float]]) -> "DisturbanceSignal":
@@ -173,7 +173,7 @@ class DisturbanceSignal:
         def fn(t: float) -> np.ndarray:
             return np.array([np.interp(t, ts, vs[:, i]) for i in range(k)])
 
-        return cls(k, fn, "tabulated")
+        return cls(k, fn, f"tabulated({ts.tolist()}, {vs.tolist()})")
 
 
 @dataclass
@@ -216,14 +216,15 @@ class SystemCoefficients:
             raise ValueError("coefficient array shapes inconsistent with k")
         if self.lam.shape[0] != self.pi.shape[0] + 2:
             raise ValueError("lam must be sampled at J+2 centers, pi at J interior cells")
-        if np.any(self.lam[:, :m] <= 0) or np.any(self.lam[:, m:] >= 0):
+        if np.any(self.lam == 0):
+            j = int(np.argwhere(self.lam == 0)[0][0]) - 1
+            raise ValueError(f"zero characteristic speed sampled at cell j={j}")
+        if np.any(self.lam[:, :m] < 0) or np.any(self.lam[:, m:] > 0):
             raise ValueError(
-                "speed sign pattern violated: need m positive then k-m negative "
-                "diagonal entries at every sample")
+                "speed sign pattern violated: need the m positive speeds ordered "
+                "before the k-m negative ones at every sample")
         if np.any(self.K[:m, :m] != 0) or np.any(self.K[m:, m:] != 0):
             raise ValueError("feedback matrix must have zero diagonal blocks")
-
-        self._max_abs_speed = float(np.max(np.abs(self.lam)))
 
     @property
     def J(self) -> int:
@@ -231,7 +232,7 @@ class SystemCoefficients:
 
     @property
     def max_abs_speed(self) -> float:
-        return self._max_abs_speed
+        return float(np.max(np.abs(self.lam)))
 
 
 def sample_coefficients(lambda_fn: Callable[[float], Sequence[float]],
@@ -244,22 +245,15 @@ def sample_coefficients(lambda_fn: Callable[[float], Sequence[float]],
 
     ``lambda_fn(x)`` must return the k signed diagonal speeds with a sign
     pattern that is constant in x (positive block first); a sign change or
-    a zero entry anywhere on the sampled domain is rejected.
+    a zero entry anywhere on the sampled domain is rejected.  ``m`` is the
+    number of positive speeds at the left ghost center.
     """
     xs = grid.centers
     lam = np.array([np.asarray(lambda_fn(x), dtype=float) for x in xs])
     if lam.ndim != 2:
         raise ValueError("lambda_fn must return a 1-D speed vector")
     k = lam.shape[1]
-    if np.any(lam == 0):
-        j = int(np.argwhere(lam == 0)[0][0]) - 1
-        raise ValueError(f"zero characteristic speed sampled at cell j={j}")
-    signs = lam > 0
-    if np.any(signs != signs[0]):
-        raise ValueError("speed sign pattern changes across the domain")
-    m = int(np.sum(signs[0]))
-    if not np.all(signs[0, :m]) or np.any(signs[0, m:]):
-        raise ValueError("speeds must be ordered: positive block first, negative block last")
+    m = int(np.sum(lam[0] > 0))
     pi = np.array([np.asarray(pi_fn(x), dtype=float) for x in xs[1:-1]])
     if K is None:
         K = np.zeros((k, k))
@@ -276,14 +270,12 @@ class WeightField:
 
     Either built from explicit samples or from the implicit exponential
     form diag{p+ exp(-mu x), p- exp(mu x)} evaluated at cell and ghost
-    centers.  ``mu``/``p_plus``/``p_minus`` stay populated in the implicit
-    case so the certifier can use the closed-form decay rate.
+    centers.  ``mu`` stays populated in the implicit case so the certifier
+    can use the closed-form decay rate.
     """
 
     values: np.ndarray
     mu: Optional[float] = None
-    p_plus: Optional[np.ndarray] = None
-    p_minus: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -308,7 +300,7 @@ class WeightField:
             pp[None, :] * np.exp(-mu * xs)[:, None],
             pm[None, :] * np.exp(mu * xs)[:, None],
         ])
-        return cls(values=vals, mu=mu, p_plus=pp, p_minus=pm)
+        return cls(values=vals, mu=mu)
 
     @classmethod
     def from_samples(cls, values: Sequence[Sequence[float]]) -> "WeightField":

@@ -28,13 +28,12 @@ __all__ = [
     "EulerParams",
     "linearize_euler",
     "euler_scenario",
-    "integrate_steady_state",
-    "linear_steady_state_rhs",
 ]
 
 logger = logging.getLogger(__name__)
 
 ScalarField = Union[float, Callable[[float], float]]
+StateProfile = Union[Sequence[float], Callable[[float], Sequence[float]]]
 
 
 def _as_fn(v: ScalarField) -> Callable[[float], float]:
@@ -64,34 +63,41 @@ class Scenario:
             raise ValueError("initial data must be (J, k)")
 
 
-def build_linear_benchmark(J: int, cfl: float, T: float, mu: float, xi: float,
+def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi: float,
                            kappa12: float, kappa21: float,
                            l: float = 1.0,
-                           speeds: Tuple[float, float] = (1.0, -1.0),
+                           speeds: Sequence[float] = (1.0, -1.0),
                            source: Sequence[Sequence[float]] = ((0.3, -0.1), (-0.1, 0.3)),
-                           ic: Tuple[float, float] = (-0.5, 0.5),
-                           p: Tuple[float, float] = (1.0, 1.0),
-                           m_diag: Tuple[float, float] = (1.0, 1.0),
-                           amplitude: float = 0.01,
-                           cutoff: float = 5.0) -> Scenario:
+                           ic: StateProfile = (-0.5, 0.5),
+                           p_plus: Sequence[float] = (1.0,),
+                           p_minus: Sequence[float] = (1.0,),
+                           m_diag: Sequence[float] = (1.0, 1.0),
+                           b: Optional[DisturbanceSignal] = None) -> Scenario:
     """Constant-coefficient 2x2 benchmark with a pulsed boundary disturbance.
 
     Defaults reproduce the standard test problem: speeds diag(1, -1),
     symmetric source matrix, constant initial data (-0.5, 0.5), implicit
     exponential weights with p1 = p2 = 1, and the disturbance pair
-    b1 = -b2 = amplitude * sin^2(pi t) switched off at ``cutoff``.
+    b1 = -b2 = 0.01 sin^2(pi t) switched off at t = 5.  ``ic`` is either a
+    constant state or a profile x -> state; ``mu=None`` leaves unit
+    weights in place of a table the caller supplies.
     """
     lam = np.asarray(speeds, dtype=float)
-    if not (lam[0] > 0 > lam[1]):
+    if lam.shape != (2,) or not lam[0] > 0 > lam[1]:
         raise ValueError("benchmark needs one positive and one negative speed")
     gamma = np.asarray(source, dtype=float)
     grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
-    b = DisturbanceSignal.pulsed_sine(2, amplitude=amplitude, cutoff=cutoff)
+    if b is None:
+        b = DisturbanceSignal.pulsed_sine(2)
     K = np.array([[0.0, kappa12], [kappa21, 0.0]])
     coeffs = sample_coefficients(lambda x: lam, lambda x: gamma, grid,
                                  K=K, M=np.asarray(m_diag, dtype=float), b=b)
-    weights = WeightField.implicit([p[0]], [p[1]], mu, grid)
-    initial = np.tile(np.asarray(ic, dtype=float), (J, 1))
+    weights = (WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None
+               else WeightField.from_samples(np.ones((J + 2, 2))))
+    if callable(ic):
+        initial = np.array([ic(x) for x in grid.centers[1:-1]])
+    else:
+        initial = np.tile(np.asarray(ic, dtype=float), (J, 1))
     return Scenario(name="linear2x2", grid=grid, coefficients=coeffs,
                     weights=weights, xi=xi, initial=initial)
 
@@ -291,9 +297,7 @@ class EulerParams:
 def linearize_euler(params: EulerParams, grid: Grid1D,
                     kappa: Tuple[float, float] = (0.5, 0.5),
                     m_diag: Tuple[float, float] = (1.0, 1.0),
-                    b: Optional[DisturbanceSignal] = None,
-                    gamma_override: Optional[Sequence[Sequence[float]]] = None,
-                    ) -> SystemCoefficients:
+                    b: Optional[DisturbanceSignal] = None) -> SystemCoefficients:
     """Sampled coefficients of the isothermal pipe flow.
 
     Speeds lambda1 = q*/rho* + a and lambda2 = q*/rho* - a must straddle
@@ -320,8 +324,6 @@ def linearize_euler(params: EulerParams, grid: Grid1D,
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
     def gamma(x: float) -> np.ndarray:
-        if gamma_override is not None:
-            return np.asarray(gamma_override, dtype=float)
         r = rho(x)
         l1, l2 = lam1(x), lam2(x)
         dl1, dl2 = deriv(lam1, x), deriv(lam2, x)
@@ -363,55 +365,3 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     initial = np.array([[math.cos(2.0 * math.pi * x)] * 2 for x in grid.centers[1:-1]])
     return Scenario(name="isothermal_euler", grid=grid, coefficients=coeffs,
                     weights=weights, xi=xi, initial=initial)
-
-
-def linear_steady_state_rhs(lambda_fn: Callable[[float], Sequence[float]],
-                            gamma_fn: Callable[[float], Sequence[Sequence[float]]]
-                            ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of the equilibrium ODE dw*/dx = -diag(1/lambda) Gamma w*."""
-
-    def rhs(x: float, w: np.ndarray) -> np.ndarray:
-        lam = np.asarray(lambda_fn(x), dtype=float)
-        gam = np.asarray(gamma_fn(x), dtype=float)
-        return -(gam @ w) / lam
-
-    return rhs
-
-
-def integrate_steady_state(ode_rhs: Callable[[float, np.ndarray], np.ndarray],
-                           w0: Sequence[float], grid: Grid1D) -> np.ndarray:
-    """Sample the equilibrium ODE solution at all cell and ghost centers.
-
-    ``w0`` is the value at x = 0.  A classical RK4 march with step dx/10
-    runs rightwards to x_J and leftwards to the left ghost center;
-    returns an array of shape (J+2, len(w0)).
-    """
-    w0 = np.asarray(w0, dtype=float)
-    h = grid.dx / 10.0
-
-    def rk4_to(x_from: float, x_to: float, w: np.ndarray) -> np.ndarray:
-        span = x_to - x_from
-        steps = max(1, int(round(abs(span) / h)))
-        step = span / steps
-        x = x_from
-        for _ in range(steps):
-            k1 = np.asarray(ode_rhs(x, w))
-            k2 = np.asarray(ode_rhs(x + 0.5 * step, w + 0.5 * step * k1))
-            k3 = np.asarray(ode_rhs(x + 0.5 * step, w + 0.5 * step * k2))
-            k4 = np.asarray(ode_rhs(x + step, w + step * k3))
-            w = w + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x += step
-            if not np.all(np.isfinite(w)):
-                raise RuntimeError(f"equilibrium integration blew up near x={x:.6g}")
-        return w
-
-    xs = grid.centers
-    out = np.empty((xs.size, w0.size))
-    out[0] = rk4_to(0.0, xs[0], w0)
-    w = w0
-    x_prev = 0.0
-    for i in range(1, xs.size):
-        w = rk4_to(x_prev, xs[i], w)
-        out[i] = w
-        x_prev = xs[i]
-    return out

@@ -7,13 +7,16 @@ reruns diff cleanly.
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from .core import DisturbanceSignal
 from .lyapunov import LyapunovTrace
+from .models import build_linear_benchmark
 from .solver import SimulationResult
 
 __all__ = [
@@ -25,13 +28,20 @@ __all__ = [
     "write_summary",
     "REFERENCE_GAP_NORMS",
     "REFERENCE_ETA",
+    "REFERENCE_PARAMS",
     "is_reference_benchmark",
 ]
 
 # Reference values for the standard constant-coefficient benchmark
-# (mu = 0.575, xi = 0.125, kappa12 = kappa21 = 0.5, T = 10): decay rates
-# and envelope-gap norms by (cfl, J).  The table command reports relative
-# deviations against these when the scenario matches the benchmark.
+# (REFERENCE_PARAMS): decay rates and envelope-gap norms by (cfl, J).  The
+# table command reports relative deviations against these when the
+# scenario matches the benchmark.
+REFERENCE_PARAMS = {
+    "l": 1.0, "T": 10.0, "mu": 0.575, "xi": 0.125, "kappa12": 0.5, "kappa21": 0.5,
+    "speeds": (1.0, -1.0), "source": ((0.3, -0.1), (-0.1, 0.3)), "ic": (-0.5, 0.5),
+    "p_plus": (1.0,), "p_minus": (1.0,), "m_diag": (1.0, 1.0),
+    "b": DisturbanceSignal.pulsed_sine(2, amplitude=0.01, cutoff=5.0),
+}
 REFERENCE_ETA = {200: 0.57335, 400: 0.57417, 800: 0.57459, 1600: 0.57479}
 REFERENCE_GAP_NORMS = {
     (0.75, 200): (0.23286, 0.36365),
@@ -48,8 +58,6 @@ REFERENCE_GAP_NORMS = {
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -107,8 +115,9 @@ def write_table(csv_path: Path, txt_path: Path, rows: List[dict],
         if "error" in r:
             lines.append(f"{r['J']:>6d} failed: {r['error']}")
             continue
+        mu = "n/a" if r["mu"] is None else f"{r['mu']:.4g}"
         lines.append(f"{r['J']:>6d} {r['sup_gap']:>12.5f} {r['l2_gap']:>12.5f} "
-                     f"{r['mu']:>8.4g} {r['eta']:>10.5f}")
+                     f"{mu:>8s} {r['eta']:>10.5f}")
     if reference:
         lines.append("")
         lines.append("relative deviation from benchmark reference values:")
@@ -154,33 +163,9 @@ def write_summary(path: Path, summary: dict) -> None:
                     encoding="utf-8")
 
 
-def is_reference_benchmark(raw: dict) -> bool:
-    """True when a parsed scenario matches the shipped benchmark exactly."""
-    try:
-        grid = raw["grid"]
-        model = raw["model"]
-        weights = raw["weights"]
-        boundary = raw["boundary"]
-        dist = boundary.get("disturbance", {})
-        ic = model.get("ic", [-0.5, 0.5])
-        if isinstance(ic, dict):
-            if ic.get("kind") != "constant":
-                return False
-            ic = ic["values"]
-        return (model["name"] == "linear2x2"
-                and grid["l"] == 1.0 and grid["T"] == 10.0
-                and raw["xi"] == 0.125
-                and list(model.get("speeds", [1.0, -1.0])) == [1.0, -1.0]
-                and [list(r) for r in model.get("source", [[0.3, -0.1], [-0.1, 0.3]])]
-                    == [[0.3, -0.1], [-0.1, 0.3]]
-                and list(ic) == [-0.5, 0.5]
-                and weights.get("mu") == 0.575
-                and list(weights.get("p_plus", [1.0])) == [1.0]
-                and list(weights.get("p_minus", [1.0])) == [1.0]
-                and boundary["kappa12"] == 0.5 and boundary["kappa21"] == 0.5
-                and list(boundary.get("M", [1.0, 1.0])) == [1.0, 1.0]
-                and dist.get("kind") == "pulsed_sine"
-                and dist.get("amplitude", 0.01) == 0.01
-                and dist.get("cutoff", 5.0) == 5.0)
-    except (KeyError, TypeError):
-        return False
+def is_reference_benchmark(params: dict) -> bool:
+    """True when linear-model parameters (``ScenarioSpec.linear_params``),
+    with the builder's defaults applied, are the reference parameter set."""
+    bound = inspect.signature(build_linear_benchmark).bind_partial(**params)
+    bound.apply_defaults()
+    return bound.arguments == REFERENCE_PARAMS

@@ -14,11 +14,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from .core import DisturbanceSignal, WeightField, build_grid, sample_coefficients
+from .core import DisturbanceSignal, WeightField
 from .models import (EulerParams, SaintVenantParams, Scenario,
                      build_linear_benchmark, euler_scenario,
                      saint_venant_scenario)
@@ -30,57 +30,78 @@ class ScenarioError(ValueError):
     """Unusable scenario file; the message names the offending field."""
 
 
+def _name(context: str, key: str) -> str:
+    return f"{context}.{key}" if context else key
+
+
 def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
-        raise ScenarioError(f"missing field '{context}.{key}'")
+        raise ScenarioError(f"missing field '{_name(context, key)}'")
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, context: str) -> float:
-    v = _require(mapping, key, context)
+def _number(mapping: dict, key: str, context: str, default: Optional[float] = None) -> float:
+    """A finite number field; ``default`` (when given) covers a missing key."""
+    v = mapping.get(key, default) if default is not None else _require(mapping, key, context)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"field '{context}.{key}' must be a number, got {v!r}")
+        raise ScenarioError(f"field '{_name(context, key)}' must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {v!r}")
     return float(v)
 
 
-def _ic_fn(spec: Any, context: str):
-    """Componentwise initial-data profile: constant, sine or cosine."""
+def _floats(mapping: dict, key: str, context: str) -> tuple:
+    """A finite number array field as nested tuples, so parsed values compare with ==."""
+    value = _require(mapping, key, context)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"field '{_name(context, key)}' must be an array of numbers, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {value!r}")
+    return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.reshape(-1).tolist())
+
+
+def _ic_profile(spec: Any, context: str):
+    """Componentwise initial data: a constant state, or a sine or cosine
+    profile x -> state."""
     if isinstance(spec, (list, tuple)):
         spec = {"kind": "constant", "values": list(spec)}
     if not isinstance(spec, dict):
         raise ScenarioError(f"field '{context}' must be an object or a list")
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        vals = np.asarray(_require(spec, "values", context), dtype=float)
-        return lambda x: vals
+        return _floats(spec, "values", context)
     if kind in ("sin", "cos"):
-        amp = np.asarray(_require(spec, "amplitude", context), dtype=float)
-        off = np.asarray(spec.get("offset", np.zeros_like(amp)), dtype=float)
-        freq = float(spec.get("frequency", 1.0))
+        amp = np.asarray(_floats(spec, "amplitude", context))
+        off = np.asarray(_floats(spec, "offset", context)) if "offset" in spec \
+            else np.zeros_like(amp)
+        freq = _number(spec, "frequency", context, 1.0)
         trig = math.sin if kind == "sin" else math.cos
         return lambda x: off + amp * trig(math.pi * freq * x)
     raise ScenarioError(f"unknown initial-condition kind '{kind}' in '{context}'")
 
 
 def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
+    context = "boundary.disturbance"
     if spec is None:
         return DisturbanceSignal.zero(k)
     if not isinstance(spec, dict):
-        raise ScenarioError("field 'boundary.disturbance' must be an object")
+        raise ScenarioError(f"field '{context}' must be an object")
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return DisturbanceSignal.zero(k)
     if kind == "constant":
-        return DisturbanceSignal.constant(_require(spec, "values", "boundary.disturbance"))
+        return DisturbanceSignal.constant(_floats(spec, "values", context))
     if kind == "pulsed_sine":
         return DisturbanceSignal.pulsed_sine(
-            k, amplitude=float(spec.get("amplitude", 0.01)),
-            cutoff=float(spec.get("cutoff", 5.0)),
-            pattern=spec.get("pattern"))
+            k, amplitude=_number(spec, "amplitude", context, 0.01),
+            cutoff=_number(spec, "cutoff", context, 5.0),
+            pattern=_floats(spec, "pattern", context) if "pattern" in spec else None)
     if kind == "table":
-        return DisturbanceSignal.tabulated(
-            _require(spec, "times", "boundary.disturbance"),
-            _require(spec, "values", "boundary.disturbance"))
+        return DisturbanceSignal.tabulated(_floats(spec, "times", context),
+                                           _floats(spec, "values", context))
     raise ScenarioError(f"unknown disturbance kind '{kind}'")
 
 
@@ -105,32 +126,51 @@ class ScenarioSpec:
     def model_name(self) -> str:
         return self.raw["model"]["name"]
 
+    def _common(self) -> dict:
+        """``l``, ``T``, ``xi`` and ``mu``, the last None when the file
+        tabulates the weights."""
+        grid, weights = self.raw["grid"], self.raw["weights"]
+        return {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
+                "xi": _number(self.raw, "xi", ""),
+                "mu": None if "table" in weights else _number(weights, "mu", "weights")}
+
+    def linear_params(self) -> dict:
+        """Keyword arguments of :func:`models.build_linear_benchmark`, all
+        but ``J`` and ``cfl``, for a ``linear2x2`` file.  Optional fields
+        the file leaves out are left out here too, so the builder's
+        defaults apply."""
+        model, boundary = self.raw["model"], self.raw["boundary"]
+        params = {**self._common(),
+                  "kappa12": _number(boundary, "kappa12", "boundary"),
+                  "kappa21": _number(boundary, "kappa21", "boundary"),
+                  "b": _disturbance(boundary.get("disturbance"), 2)}
+        for name, section, key in (("speeds", "model", "speeds"), ("source", "model", "source"),
+                                   ("p_plus", "weights", "p_plus"),
+                                   ("p_minus", "weights", "p_minus"),
+                                   ("m_diag", "boundary", "M")):
+            if key in self.raw[section]:
+                params[name] = _floats(self.raw[section], key, section)
+        if "ic" in model:
+            params["ic"] = _ic_profile(model["ic"], "model.ic")
+        return params
+
     def build(self, J: Optional[int] = None, cfl: Optional[float] = None) -> Scenario:
         grid_cfg = self.raw["grid"]
-        l = _number(grid_cfg, "l", "grid")
-        J = int(J if J is not None else _number(grid_cfg, "J", "grid"))
-        T = _number(grid_cfg, "T", "grid")
-        cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
-        xi = _number(self.raw, "xi", "")
         weights_cfg = self.raw["weights"]
-        boundary = self.raw["boundary"]
-        model = self.raw["model"]
-        name = model["name"]
-
-        mu = None
-        if "table" not in weights_cfg:
-            mu = _number(weights_cfg, "mu", "weights")
-
+        J = int(J if J is not None else _number(grid_cfg, "J", "grid"))
+        cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
+        name = self.model_name
         if name == "linear2x2":
-            scenario = self._build_linear(l, J, T, cfl, xi, model, weights_cfg, boundary, mu)
+            scenario = build_linear_benchmark(J=J, cfl=cfl, **self.linear_params())
+        elif "table" in weights_cfg:
+            raise ScenarioError(f"{name} scenarios need implicit weights (mu)")
         elif name == "saint_venant":
-            scenario = self._build_saint_venant(l, J, T, cfl, xi, model, weights_cfg,
-                                                boundary, mu)
+            scenario = self._build_saint_venant(J, cfl)
         else:
-            scenario = self._build_euler(l, J, T, cfl, xi, model, weights_cfg, boundary, mu)
+            scenario = self._build_euler(J, cfl)
 
         if "table" in weights_cfg:
-            table = np.asarray(weights_cfg["table"], dtype=float)
+            table = np.asarray(_floats(weights_cfg, "table", "weights"))
             if table.shape != (J + 2, scenario.coefficients.k):
                 raise ScenarioError(
                     f"weights.table must have shape (J+2, k) = ({J + 2}, "
@@ -138,81 +178,57 @@ class ScenarioSpec:
             scenario.weights = WeightField.from_samples(table)
         return scenario
 
-    def _build_linear(self, l, J, T, cfl, xi, model, weights_cfg, boundary, mu):
-        speeds = model.get("speeds", [1.0, -1.0])
-        source = model.get("source", [[0.3, -0.1], [-0.1, 0.3]])
-        ic = _ic_fn(model.get("ic", [-0.5, 0.5]), "model.ic")
-        kappa12 = _number(boundary, "kappa12", "boundary")
-        kappa21 = _number(boundary, "kappa21", "boundary")
-        m_diag = boundary.get("M", [1.0, 1.0])
-        p_plus = weights_cfg.get("p_plus", [1.0])
-        p_minus = weights_cfg.get("p_minus", [1.0])
-        lam = np.asarray(speeds, dtype=float)
-        grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
-        gamma = np.asarray(source, dtype=float)
-        b = _disturbance(boundary.get("disturbance"), lam.size)
-        K = np.array([[0.0, kappa12], [kappa21, 0.0]])
-        coeffs = sample_coefficients(lambda x: lam, lambda x: gamma, grid, K=K,
-                                     M=np.asarray(m_diag, dtype=float), b=b)
-        weights = WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None \
-            else WeightField.from_samples(np.ones((J + 2, lam.size)))
-        initial = np.array([ic(x) for x in grid.centers[1:-1]])
-        return Scenario(name="linear2x2", grid=grid, coefficients=coeffs,
-                        weights=weights, xi=xi, initial=initial)
+    def _p(self, default: Tuple[float, float]) -> Tuple[float, float]:
+        """(p+, p-) of a physical model: the first entry of each weight list."""
+        weights = self.raw["weights"]
+        return tuple(_floats(weights, key, "weights")[0] if key in weights else d
+                     for key, d in zip(("p_plus", "p_minus"), default))
 
-    def _build_saint_venant(self, l, J, T, cfl, xi, model, weights_cfg, boundary, mu):
+    def _build_saint_venant(self, J: int, cfl: float) -> Scenario:
+        model, boundary = self.raw["model"], self.raw["boundary"]
         params = SaintVenantParams(
-            g=float(model.get("g", 9.81)),
-            Cf=float(model.get("Cf", 0.1)),
-            Sb=float(model.get("Sb", 0.0459)),
-            Hstar=float(model.get("Hstar", 2.0)),
-            Vstar=float(model.get("Vstar", 3.0)),
+            g=_number(model, "g", "model", 9.81),
+            Cf=_number(model, "Cf", "model", 0.1),
+            Sb=_number(model, "Sb", "model", 0.0459),
+            Hstar=_number(model, "Hstar", "model", 2.0),
+            Vstar=_number(model, "Vstar", "model", 3.0),
             k0=model.get("k0"), kl=model.get("kl"))
         kappa = None
         if "kappa_override" in model:
-            pair = model["kappa_override"]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            kappa = _floats(model, "kappa_override", "model")
+            if len(kappa) != 2:
                 raise ScenarioError("model.kappa_override must be [kappa12, kappa21]")
-            kappa = (float(pair[0]), float(pair[1]))
         elif "kappa12" in boundary and "kappa21" in boundary:
             kappa = (_number(boundary, "kappa12", "boundary"),
                      _number(boundary, "kappa21", "boundary"))
         elif "k0" in boundary or "kl" in boundary:
             params.k0 = _number(boundary, "k0", "boundary")
             params.kl = _number(boundary, "kl", "boundary")
-        gamma_override = model.get("gamma_override")
+        gamma_override = (_floats(model, "gamma_override", "model")
+                          if "gamma_override" in model else None)
         ic_cfg = model.get("ic", {})
-        H0 = ic_cfg.get("H0", 2.5)
-        V0_cfg = ic_cfg.get("V0")
-        if V0_cfg is None:
-            V0 = None
-        elif isinstance(V0_cfg, (int, float)):
-            V0 = float(V0_cfg)
-        else:
-            fn = _ic_fn(V0_cfg, "model.ic.V0")
-            V0 = lambda x: float(np.atleast_1d(fn(x))[0])
-        if mu is None:
-            raise ScenarioError("saint_venant scenarios need implicit weights (mu)")
+        V0 = ic_cfg.get("V0")
+        if isinstance(V0, (int, float)):
+            V0 = _number(ic_cfg, "V0", "model.ic")
+        elif V0 is not None:
+            profile = _ic_profile(V0, "model.ic.V0")
+            V0 = (lambda x: float(profile(x)[0])) if callable(profile) else profile[0]
         return saint_venant_scenario(
-            J=J, cfl=cfl, T=T, mu=mu, xi=xi, params=params, kappa=kappa,
-            p=(float(weights_cfg.get("p_plus", [0.0992])[0]),
-               float(weights_cfg.get("p_minus", [0.2008])[0])),
-            gamma_override=gamma_override, l=l, H0=float(H0), V0=V0)
+            J=J, cfl=cfl, **self._common(), params=params, kappa=kappa,
+            p=self._p((0.0992, 0.2008)), gamma_override=gamma_override,
+            H0=_number(ic_cfg, "H0", "model.ic", 2.5), V0=V0)
 
-    def _build_euler(self, l, J, T, cfl, xi, model, weights_cfg, boundary, mu):
+    def _build_euler(self, J: int, cfl: float) -> Scenario:
+        model, boundary = self.raw["model"], self.raw["boundary"]
         params = EulerParams(
-            a=float(model.get("a", 1.0)),
-            f_over_D=float(model.get("f_over_D", 1.0)),
-            rho0=float(model.get("rho0", 3.0)),
-            q_star=float(model.get("q_star", 0.2)))
-        kappa = (float(boundary.get("kappa12", 0.5)),
-                 float(boundary.get("kappa21", 0.5)))
-        if mu is None:
-            raise ScenarioError("isothermal_euler scenarios need implicit weights (mu)")
-        return euler_scenario(
-            J=J, cfl=cfl, T=T, mu=mu, xi=xi, params=params, kappa=kappa,
-            p=(float(weights_cfg.get("p_plus", [1.0])[0]),
-               float(weights_cfg.get("p_minus", [1.0])[0])), l=l)
+            a=_number(model, "a", "model", 1.0),
+            f_over_D=_number(model, "f_over_D", "model", 1.0),
+            rho0=_number(model, "rho0", "model", 3.0),
+            q_star=_number(model, "q_star", "model", 0.2))
+        kappa = (_number(boundary, "kappa12", "boundary", 0.5),
+                 _number(boundary, "kappa21", "boundary", 0.5))
+        return euler_scenario(J=J, cfl=cfl, **self._common(), params=params,
+                              kappa=kappa, p=self._p((1.0, 1.0)))
 
 
 def load_scenario(path: str) -> ScenarioSpec:

@@ -92,8 +92,8 @@ def test_04_envelope_domination_property(benchmark_traces, saint_venant_trace):
             J=64, cfl=cfl, T=3.0, mu=mu, xi=xi,
             kappa12=float(rng.uniform(-0.9, 0.9)) * b12,
             kappa21=float(rng.uniform(-0.9, 0.9)) * b21,
-            amplitude=float(rng.uniform(0.0, 0.05)),
-            cutoff=float(rng.uniform(1.0, 3.0)))
+            b=core.DisturbanceSignal.pulsed_sine(2, amplitude=float(rng.uniform(0.0, 0.05)),
+                                                 cutoff=float(rng.uniform(1.0, 3.0))))
         report, trace = run_scenario(sc)
         assert report.overall, "randomized draw was expected to certify"
         check(trace, max(1.0, trace.L[0]))

@@ -121,14 +121,6 @@ class TestSourceCondition:
         assert expected[0] == pytest.approx(0.4, abs=1e-3)
         assert expected[1] == pytest.approx(0.8, abs=1e-3)
 
-    def test_closed_form_matches_jacobi(self):
-        sc = benchmark(J=64)
-        c2 = certifier.check_source(*_cwg(sc), dt=sc.grid.dt)
-        mats = certifier._source_matrices(sc.coefficients, sc.weights, sc.grid.dt)
-        for j in (0, 13, 63):
-            sweep = certifier.symmetric_eigenvalues(mats[j])
-            assert np.allclose(c2.eigenvalues[j], sweep, rtol=1e-12, atol=1e-14)
-
     def test_euler_counterexample_fails(self):
         sc = euler_scenario(J=64)
         c2 = certifier.check_source(*_cwg(sc), dt=sc.grid.dt)
@@ -136,6 +128,64 @@ class TestSourceCondition:
         assert c2.witness is not None
         assert c2.witness.condition == "C2"
         assert c2.min_eigenvalues[c2.witness.j] < -certifier.PSD_REL_TOL
+
+
+class TestThreeComponents:
+    """k = 3 (two positive speeds, one negative) with random sources: the
+    batched eigenvalue paths against per-cell numpy.linalg.eigvalsh loops.
+    A shift of the symmetric part of the sources moves the checks across
+    their thresholds; the speeds vary enough in x for Lambda' to matter."""
+
+    MU = 0.5
+    CASES = [(1, 0.0, False, False), (1, 4.0, True, True), (3, 4.0, True, False)]
+
+    def setup(self, seed, shift, J=40):
+        rng = np.random.default_rng(seed)
+        g = core.build_grid(1.0, J, 1.0, 0.75, 4.0)
+        x = g.centers
+        lam = np.column_stack([2.0 + 0.8 * np.sin(2 * np.pi * x), 1.0 + 0.5 * x,
+                               -1.5 - 0.6 * np.cos(2 * np.pi * x)])
+        sym = rng.normal(size=(J, 3, 3))
+        skew = rng.normal(size=(J, 3, 3))
+        pi = (0.5 * (sym + np.transpose(sym, (0, 2, 1))) + shift * np.eye(3)
+              + 0.5 * (skew - np.transpose(skew, (0, 2, 1))))
+        c = core.SystemCoefficients(k=3, m=2, lam=lam, pi=pi, K=np.zeros((3, 3)),
+                                    M=np.ones(3), b=core.DisturbanceSignal.zero(3))
+        w = core.WeightField.implicit([1.0, 2.0], [1.5], self.MU, g)
+        return g, c, w
+
+    @pytest.mark.parametrize("seed,shift,source_ok,continuous_ok", CASES)
+    def test_source_matches_per_cell_loop(self, seed, shift, source_ok, continuous_ok):
+        g, c, w = self.setup(seed, shift)
+        c2 = certifier.check_source(c, w, g)
+        scaled = []
+        for j in range(g.J):
+            P = np.diag(w.values[j + 1])
+            Pi = c.pi[j]
+            mat = P @ Pi + Pi.T @ P - g.dt * Pi.T @ P @ Pi
+            expected = np.linalg.eigvalsh(mat)
+            assert np.allclose(c2.eigenvalues[j], expected, rtol=1e-12, atol=1e-13)
+            scaled.append(expected[0] / np.max(np.abs(mat)))
+        assert np.array_equal(c2.min_eigenvalues, c2.eigenvalues[:, 0])
+        assert bool(min(scaled) >= -certifier.PSD_REL_TOL) is source_ok
+        assert c2.passed is source_ok
+        if not source_ok:
+            assert c2.witness.j == int(np.argmin(scaled))
+
+    @pytest.mark.parametrize("seed,shift,source_ok,continuous_ok", CASES)
+    def test_continuous_matches_per_cell_loop(self, seed, shift, source_ok, continuous_ok):
+        g, c, w = self.setup(seed, shift)
+        signs = np.array([-1.0, -1.0, 1.0])
+        smallest = np.inf
+        for j in range(g.J):
+            p = w.values[j + 1]
+            lam = c.lam[j + 1]
+            lam_prime = (c.lam[j + 2] - c.lam[j]) / (2 * g.dx)
+            P, Pi = np.diag(p), c.pi[j]
+            q = np.diag(-lam * self.MU * signs * p - lam_prime * p) + Pi.T @ P + P @ Pi
+            smallest = min(smallest, np.linalg.eigvalsh(q)[0])
+        assert bool(smallest > certifier.PD_TOL) is continuous_ok
+        assert certifier.check_continuous_sampled(c, w, g, xi=0.125) is continuous_ok
 
 
 class TestBoundaryCondition:

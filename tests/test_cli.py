@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypiss.cli import main
@@ -102,8 +104,7 @@ class TestRunCommand:
 
 
 class TestTableCommand:
-    def test_small_table(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPISS_THREADS", "2")
+    def test_small_table(self, tmp_path):
         path = small_benchmark(tmp_path)
         out = tmp_path / "o"
         code = main(["table", "--scenario", str(path), "--out", str(out),
@@ -126,6 +127,23 @@ class TestTableCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "relative deviation" in text
+
+    @pytest.mark.parametrize("variant", ["pattern", "table"])
+    def test_no_reference_deviations_for_other_parameters(self, tmp_path, capsys, variant):
+        raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
+        if variant == "pattern":
+            raw["boundary"]["disturbance"]["pattern"] = [1, 1]
+        else:
+            # the shipped implicit weights at J = 200, tabulated
+            xs = (np.arange(-1, 201) + 0.5) / 200
+            mu = raw["weights"]["mu"]
+            raw["weights"]["table"] = [[math.exp(-mu * x), math.exp(mu * x)] for x in xs]
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(raw))
+        code = main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                     "--J-list", "200"])
+        assert code == 0
+        assert "relative deviation" not in capsys.readouterr().out
 
     def test_failing_row_does_not_block_the_rest(self, tmp_path, capsys):
         # slow speeds make dt huge at J=2, breaking the source condition

@@ -152,13 +152,6 @@ class TestDisturbance:
         assert np.all(b(5.0) == 0.0)
         assert np.all(b(7.25) == 0.0)
 
-    def test_sup_tracker_nondecreasing(self):
-        b = core.DisturbanceSignal.pulsed_sine(2, amplitude=0.01, cutoff=5.0)
-        times = np.linspace(0.0, 10.0, 401)
-        sup = b.sup_sq_running(times)
-        assert np.all(np.diff(sup) >= 0)
-        assert sup[-1] == pytest.approx(2 * 0.01 ** 2, rel=1e-12)
-
     def test_tabulated_interpolates(self):
         b = core.DisturbanceSignal.tabulated([0.0, 1.0], [[0.0, 2.0], [1.0, 0.0]])
         assert b(0.5) == pytest.approx([0.5, 1.0])

@@ -149,7 +149,8 @@ class TestFitDecayRate:
     def test_disturbance_free_benchmark_decays_at_least_at_certified_rate(self):
         from hypiss import certifier
         sc = build_linear_benchmark(J=128, cfl=0.75, T=6.0, mu=0.575, xi=0.125,
-                                    kappa12=0.5, kappa21=0.5, amplitude=0.0)
+                                    kappa12=0.5, kappa21=0.5,
+                                    b=core.DisturbanceSignal.pulsed_sine(2, amplitude=0.0))
         report = certifier.certify(sc)
         assert report.overall
         res = solver.run(solver.SimulationRun(grid=sc.grid,

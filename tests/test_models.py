@@ -151,59 +151,6 @@ class TestEuler:
         assert np.allclose(sc.initial[:, 1], np.cos(2 * np.pi * xs), rtol=1e-14)
 
 
-class TestSteadyStateIntegrator:
-    def grid(self):
-        return core.build_grid(1.0, 20, 1.0, 0.8, 1.0)
-
-    def test_zero_rhs_is_constant(self):
-        g = self.grid()
-        out = models.integrate_steady_state(lambda x, w: np.zeros(2), [1.0, -2.0], g)
-        assert out.shape == (22, 2)
-        assert np.allclose(out, np.tile([1.0, -2.0], (22, 1)), atol=0)
-
-    def test_scalar_exponential(self):
-        g = self.grid()
-        out = models.integrate_steady_state(lambda x, w: -w, [1.0], g)
-        expected = np.exp(-g.centers)
-        assert np.allclose(out[:, 0], expected, atol=1e-8)
-
-    def test_constant_matrix_against_series_oracle(self):
-        g = self.grid()
-        A = np.array([[0.3, -1.1], [0.7, -0.2]])
-        w0 = np.array([1.0, 2.0])
-        out = models.integrate_steady_state(lambda x, w: A @ w, w0, g)
-
-        def expm_series(mat):
-            # scaling and squaring with a truncated Taylor series
-            s = max(0, int(np.ceil(np.log2(max(np.abs(mat).sum(axis=1))))) + 1)
-            m = mat / 2 ** s
-            term = np.eye(2)
-            total = np.eye(2)
-            for i in range(1, 24):
-                term = term @ m / i
-                total = total + term
-            for _ in range(s):
-                total = total @ total
-            return total
-
-        for idx, x in enumerate(g.centers):
-            expected = expm_series(A * x) @ w0
-            assert np.allclose(out[idx], expected, atol=1e-8)
-
-    def test_blowup_detection(self):
-        g = self.grid()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="blew up"):
-                models.integrate_steady_state(lambda x, w: w * w * 1e8, [10.0], g)
-
-    def test_linear_rhs_helper(self):
-        rhs = models.linear_steady_state_rhs(
-            lambda x: np.array([2.0, -0.5]),
-            lambda x: np.array([[0.2, 0.0], [0.0, 0.4]]))
-        out = rhs(0.3, np.array([1.0, 1.0]))
-        assert out == pytest.approx([-0.1, 0.8])
-
-
 def test_lambert_w_used_by_density_is_branch_minus_one():
     # spot check the wiring: the density formula inverts to the W value
     p = models.EulerParams()

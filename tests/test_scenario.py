@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypiss import certifier
+from hypiss.cli import main
 from hypiss.scenario import ScenarioError, ScenarioSpec, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,6 +91,44 @@ class TestLoading:
         raw["grid"]["cfl"] = "fast"
         with pytest.raises(ScenarioError, match="grid.cfl"):
             ScenarioSpec(raw=raw).build()
+
+
+def _set(raw, path, value):
+    *sections, key = path.split(".")
+    for section in sections:
+        raw = raw[section]
+    raw[key] = value
+
+
+@pytest.mark.parametrize("shipped,path,value,field", [
+    ("linear_benchmark", "grid.T", math.inf, "grid.T"),
+    ("linear_benchmark", "grid.l", math.nan, "grid.l"),
+    ("linear_benchmark", "grid.cfl", -math.inf, "grid.cfl"),
+    ("linear_benchmark", "xi", math.nan, "'xi'"),
+    ("linear_benchmark", "weights.mu", math.inf, "weights.mu"),
+    ("linear_benchmark", "boundary.kappa21", math.nan, "boundary.kappa21"),
+    ("linear_benchmark", "model.speeds", [1.0, -math.inf], "model.speeds"),
+    ("linear_benchmark", "model.source", [[0.3, math.nan], [-0.1, 0.3]], "model.source"),
+    ("linear_benchmark", "model.ic.values", [math.nan, 0.5], "model.ic.values"),
+    ("linear_benchmark", "boundary.M", [1.0, math.inf], "boundary.M"),
+    ("linear_benchmark", "weights.p_plus", [math.nan], "weights.p_plus"),
+    ("linear_benchmark", "weights.p_minus", [math.inf], "weights.p_minus"),
+    ("linear_benchmark", "boundary.disturbance.amplitude", math.nan,
+     "boundary.disturbance.amplitude"),
+    ("linear_benchmark", "weights.table", [[1.0, math.nan]] * 18, "weights.table"),
+    ("saint_venant", "model.Hstar", math.inf, "model.Hstar"),
+    ("saint_venant", "model.ic.V0.amplitude", [math.nan], "model.ic.V0.amplitude"),
+    ("isothermal_euler", "model.rho0", math.nan, "model.rho0"),
+])
+def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path, value, field):
+    raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+    raw["grid"].update(J=16, T=0.5)
+    _set(raw, path, value)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+    assert main(["certify", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and field in err
 
 
 class TestBuildOptions:

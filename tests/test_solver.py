@@ -216,7 +216,8 @@ class TestRun:
         from hypiss import certifier
         from hypiss.models import build_linear_benchmark
         sc = build_linear_benchmark(J=96, cfl=0.75, T=6.0, mu=0.575, xi=0.125,
-                                    kappa12=0.5, kappa21=0.5, cutoff=3.0)
+                                    kappa12=0.5, kappa21=0.5,
+                                    b=core.DisturbanceSignal.pulsed_sine(2, cutoff=3.0))
         rep = certifier.certify(sc)
         assert rep.overall
         g = sc.grid
