@@ -224,3 +224,23 @@ def test_10_lambert_w_residuals():
     report_line(10, ok,
                 f"defining-equation residual over 100-point log sweep "
                 f"{worst:.2e} (tol 1e-13); branch-point value off by {branch:.1e}")
+
+
+def test_11_per_step_iss_margin(benchmark_traces):
+    # m^n = (1 - eta dt_n) L^n + dt_n nu (1 + 1/xi) |b(t^n)|^2 - L^{n+1} >= 0
+    # on every step of the certified benchmark, with b the builder's
+    # default pulse that the fixture's scenarios carry
+    b = core.DisturbanceSignal.pulsed_sine(2)
+    worst = np.inf
+    for (cfl, J), (report, trace) in sorted(benchmark_traces.items()):
+        assert report.overall
+        dt = np.diff(trace.times)
+        b_sq = np.array([float(b(t) @ b(t)) for t in trace.times[:-1]])
+        L = trace.L
+        margin = ((1.0 - report.eta * dt) * L[:-1]
+                  + dt * report.nu * (1.0 + 1.0 / trace.xi) * b_sq - L[1:])
+        assert np.all(margin >= -1e-12 * L[:-1]), f"negative margin at cfl={cfl}, J={J}"
+        worst = min(worst, float(np.min(margin / L[:-1])))
+    report_line(11, True,
+                f"one-step ISS inequality holds on every step of "
+                f"{len(benchmark_traces)} certified runs, min m^n/L^n = {worst:.2e}")
