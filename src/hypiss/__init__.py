@@ -18,15 +18,13 @@ from .models import (EulerParams, SaintVenantParams, Scenario,
                      build_linear_benchmark, euler_scenario,
                      linearize_euler, linearize_saint_venant, saint_venant_scenario)
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
-from .solver import (BlowupError, SimulationResult, SimulationRun, apply_boundary,
-                     initial_state, run, source_step, transport_step)
+from .solver import BlowupError, SimulationResult, SimulationRun, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid1D", "build_grid", "DisturbanceSignal", "SystemCoefficients",
     "sample_coefficients", "WeightField", "StateField",
-    "transport_step", "source_step", "apply_boundary", "initial_state",
     "SimulationRun", "SimulationResult", "run", "BlowupError",
     "evaluate", "gronwall_closed_form", "gronwall_envelope", "LyapunovTrace",
     "build_trace", "envelope_gap_norms", "fit_decay_rate",

@@ -279,8 +279,12 @@ class WeightField:
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if np.any(self.values <= 0):
-            raise ValueError("Lyapunov weights must be strictly positive")
+        bad = ~(np.isfinite(self.values) & (self.values > 0))
+        if np.any(bad):
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                f"Lyapunov weights must be finite and strictly positive; cell j={row - 1}, "
+                f"component {col + 1} holds {float(self.values[row, col])!r}")
 
     @property
     def is_implicit(self) -> bool:
@@ -323,15 +327,13 @@ class StateField:
     ``values`` has shape (J+2, k); row 0 and row J+1 are the ghost cells.
     Only the first m components of the left ghost and the last k-m
     components of the right ghost are meaningful; the rest are kept at
-    zero.  ``ghost_level`` records the time level whose boundary data the
-    ghosts currently hold, so the transport step can detect stale ghosts.
+    zero.
     """
 
     values: np.ndarray
     m: int
     n: int = 0
     t: float = 0.0
-    ghost_level: Optional[int] = None
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -346,10 +348,6 @@ class StateField:
 
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
-
-    def copy(self) -> "StateField":
-        return StateField(values=self.values.copy(), m=self.m, n=self.n, t=self.t,
-                          ghost_level=self.ghost_level)
 
     @classmethod
     def from_interior(cls, interior: np.ndarray, m: int) -> "StateField":

@@ -8,6 +8,7 @@ reruns diff cleanly.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
@@ -63,25 +64,31 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, tag: str, header: Sequence[str],
-               rows: Iterable[Sequence]) -> None:
+def _write_lines(path: Path, tag: str, header: Sequence[str],
+                 lines: Iterable[str]) -> None:
+    """Tag line, header, then ``lines`` (each ending in a newline) streamed."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# hypiss-v1 {tag}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def _write_csv(path: Path, tag: str, header: Sequence[str],
+               rows: Iterable[Sequence]) -> None:
+    _write_lines(path, tag, header,
+                 (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     """Columns n, t, L, envelope, sup_b_sq; the supremum column holds the
     running sup of |b|^2 over levels strictly before n (what the envelope
     at level n uses)."""
-    env = trace.envelope
-    rows = []
-    for n in range(trace.times.size):
-        rows.append((n, trace.times[n], trace.L[n],
-                     None if env is None else env[n], trace.sup_b_sq[n]))
-    _write_csv(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"), rows)
+    env = (itertools.repeat("") if trace.envelope is None
+           else map(repr, trace.envelope.tolist()))
+    lines = (f"{n},{t!r},{L!r},{e},{s!r}\n" for n, t, L, e, s in
+             zip(itertools.count(), trace.times.tolist(), trace.L.tolist(), env,
+                 trace.sup_b_sq.tolist()))
+    _write_lines(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"), lines)
 
 
 def write_trajectory_csv(path: Path, result: SimulationResult,
@@ -91,12 +98,15 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
         raise ValueError("simulation was run without history recording")
     k = result.history[0][1].shape[1]
     header = ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)]
-    rows = []
-    for n, interior in result.history:
-        t = result.times[n]
-        for j in range(interior.shape[0]):
-            rows.append((n, t, j, centers[j + 1], *interior[j]))
-    _write_csv(path, "trajectory", header, rows)
+    xs = [repr(x) for x in centers[1:-1].tolist()]
+
+    def lines():
+        for n, interior in result.history:
+            level = f"{n},{result.times[n].item()!r},"
+            for j, (x, w) in enumerate(zip(xs, interior.tolist())):
+                yield f"{level}{j},{x},{','.join(map(repr, w))}\n"
+
+    _write_lines(path, "trajectory", header, lines())
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict],

@@ -1,29 +1,37 @@
 """Split upwind time stepping with disturbance-bearing ghost-cell boundaries.
 
-One full step advances the state by a transport sub-step (first-order
-upwind, speeds sampled on the upwind side), an explicit Euler source
-sub-step, and a boundary update that refreshes the ghost cells from the
-freshly computed interior and the disturbance value at the new time
-level.  Initial ghosts come from the discrete compatibility condition,
-which carries no disturbance term.
+:func:`run` is the one step kernel.  Each step of the march does, on
+buffers allocated once per run:
+
+* transport: the first-order upwind update ``W - (r lam_up) (W - W_up)``
+  with the speed sampled on the upwind side (cell j-1 for the positive
+  block, j+1 for the negative one) and ``r = dt/dx``;
+* source: the explicit Euler update ``W + (-dt_n) (Pi W)``, with
+  ``dt_n = t^{n+1} - t^n`` and ``Pi W`` summed from component-wise
+  products with the columns of ``Pi``;
+* boundary: ghost cells from the feedback law ``K w_in + M b(t^{n+1})``,
+  where ``w_in = (W+_{J-1}, W-_0)`` is the freshly computed trace;
+* functional: ``L^{n+1} = dx sum_j W_j^T P_j W_j`` over interior cells.
+
+``r lam_up`` is computed for the nominal step and once more for the
+shortened final step.  Initial ghosts come from the discrete
+compatibility condition, which carries no disturbance term.  The state is
+held component-major, shape (k, J+2), so every update runs on contiguous
+rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .core import Grid1D, StateField, SystemCoefficients, WeightField
-from .lyapunov import evaluate
 
 __all__ = [
     "BlowupError",
-    "transport_step",
-    "source_step",
-    "apply_boundary",
-    "initial_state",
     "SimulationRun",
     "SimulationResult",
     "run",
@@ -39,121 +47,37 @@ class BlowupError(RuntimeError):
         self.t = t
 
 
-def _check_cfl(coefficients: SystemCoefficients, grid: Grid1D, dt: float) -> None:
-    courant = coefficients.max_abs_speed * dt / grid.dx
-    if courant > 1.0 + 1e-9:
-        raise ValueError(f"CFL violated: max|lambda| dt/dx = {courant:.6g} > 1")
-
-
-def _transport_kernel(out: np.ndarray, W: np.ndarray, lam: np.ndarray,
-                      m: int, r: float) -> None:
-    """Upwind update of the interior rows of ``out`` (ghosts untouched).
-
-    Positive block: W~_j = W_j - r lam_{j-1} (W_j - W_{j-1}); negative
-    block with signed speeds: W~_j = W_j - r lam_{j+1} (W_{j+1} - W_j).
-    """
-    out[1:-1, :m] = W[1:-1, :m] - r * lam[:-2, :m] * (W[1:-1, :m] - W[:-2, :m])
-    out[1:-1, m:] = W[1:-1, m:] - r * lam[2:, m:] * (W[2:, m:] - W[1:-1, m:])
-
-
-def _source_kernel(out_interior: np.ndarray, tilde_interior: np.ndarray,
-                   pi: np.ndarray, dt: float, scratch: np.ndarray) -> None:
-    """W^{n+1} = (I - dt Pi_j) W~_j on the interior rows."""
-    np.einsum("jab,jb->ja", pi, tilde_interior, out=scratch)
-    np.multiply(scratch, -dt, out=out_interior)
-    out_interior += tilde_interior
-
-
-def transport_step(state: StateField, coefficients: SystemCoefficients,
-                   grid: Grid1D, dt: Optional[float] = None) -> StateField:
-    """Upwind transport sub-step producing the intermediate state.
-
-    For interior cell j the positive block uses the backward difference
-    with the speed sampled at j-1 and the negative block the forward
-    difference with the speed sampled at j+1.  Ghost values of the
-    returned intermediate state are zero; they are never read.
-    """
-    if state.ghost_level != state.n:
-        raise ValueError(
-            f"ghost cells hold level {state.ghost_level}, state is at level {state.n}")
-    if dt is None:
-        dt = grid.dt
-    _check_cfl(coefficients, grid, dt)
-    out = np.zeros_like(state.values)
-    _transport_kernel(out, state.values, coefficients.lam, coefficients.m, dt / grid.dx)
-    return StateField(values=out, m=coefficients.m, n=state.n, t=state.t,
-                      ghost_level=None)
-
-
-def source_step(intermediate: StateField, coefficients: SystemCoefficients,
-                grid: Grid1D, dt: Optional[float] = None) -> StateField:
-    """Explicit Euler source sub-step: W_j^{n+1} = (I - dt Pi_j) W~_j."""
-    if dt is None:
-        dt = grid.dt
-    out = np.zeros_like(intermediate.values)
-    scratch = np.empty((coefficients.J, coefficients.k))
-    _source_kernel(out[1:-1], intermediate.values[1:-1], coefficients.pi, dt, scratch)
-    return StateField(values=out, m=intermediate.m, n=intermediate.n,
-                      t=intermediate.t, ghost_level=None)
-
-
-def apply_boundary(state: StateField, coefficients: SystemCoefficients,
-                   b_value: Optional[np.ndarray] = None) -> StateField:
-    """Set ghost cells from the interior via the feedback law, in place.
-
-    With ``b_value = None`` the compatibility form (no disturbance term)
-    is applied, which is how the initial ghosts are populated.
-    """
-    m = coefficients.m
-    W = state.values
-    # trace vector (W+_{J-1}, W-_0) that the feedback reads
-    w_in = np.concatenate([W[-2, :m], W[1, m:]])
-    ghost = coefficients.K @ w_in
-    if b_value is not None:
-        ghost = ghost + coefficients.M * np.asarray(b_value, dtype=float)
-    W[0, :] = 0.0
-    W[-1, :] = 0.0
-    W[0, :m] = ghost[:m]
-    W[-1, m:] = ghost[m:]
-    state.ghost_level = state.n
-    return state
-
-
-def initial_state(interior: np.ndarray, coefficients: SystemCoefficients) -> StateField:
-    """State at t = 0 with compatibility ghosts (no disturbance term)."""
-    state = StateField.from_interior(interior, m=coefficients.m)
-    return apply_boundary(state, coefficients, b_value=None)
-
-
 @dataclass
 class SimulationRun:
     """A complete scenario to march from t = 0 to t = T.
 
     ``stride`` enables interior-state snapshots every that many steps
-    (first and last level always included); the Lyapunov series is always
-    recorded densely.  ``hook`` defaults to the weighted L2 functional
-    built from ``weights``.
+    (first and last level always included); the Lyapunov series
+    ``L^n = dx sum_j W_j^T P_j W_j`` with the weights P is always recorded
+    densely.
     """
 
     grid: Grid1D
     coefficients: SystemCoefficients
     initial: np.ndarray
-    weights: Optional[WeightField] = None
+    weights: WeightField
     stride: Optional[int] = None
-    hook: Optional[Callable[[StateField], float]] = None
 
     def __post_init__(self):
         self.initial = np.atleast_2d(np.asarray(self.initial, dtype=float))
-        if self.initial.shape[0] != self.grid.J:
-            raise ValueError("initial data must cover the J interior cells")
-        if self.hook is None and self.weights is None:
-            raise ValueError("either weights or an explicit hook is required")
+        shape = (self.grid.J, self.coefficients.k)
+        if self.initial.shape != shape:
+            raise ValueError(f"initial data has shape {self.initial.shape}, "
+                             f"expected (J, k) = {shape}")
+        if self.weights.interior().shape != shape:
+            raise ValueError(f"interior weights have shape {self.weights.interior().shape}, "
+                             f"expected (J, k) = {shape}")
 
 
 @dataclass
 class SimulationResult:
     times: np.ndarray                 # t^0 .. t^N
-    lyapunov: np.ndarray              # hook value at each level
+    lyapunov: np.ndarray              # L^n at each level
     sup_b_sq_before: np.ndarray       # sup_{s<n} |b^s|^2, entry per level
     final_state: StateField
     history: Optional[List[Tuple[int, np.ndarray]]] = None
@@ -166,60 +90,83 @@ class SimulationResult:
 def run(sim: SimulationRun) -> SimulationResult:
     """March the split scheme over all steps, recording the Lyapunov series.
 
-    Per step: transport -> source -> boundary update with b(t^{n+1}) ->
-    record.  Aborts with :class:`BlowupError` at the first non-finite
-    state.
+    Per step: transport -> source -> functional -> boundary update with
+    b(t^{n+1}).  Aborts with :class:`BlowupError` at the first level whose
+    interior holds a non-finite value; with finite positive weights such a
+    level has a non-finite ``L``, so only then is the interior scanned.
     """
     grid, coeffs = sim.grid, sim.coefficients
-    m, J = coeffs.m, grid.J
-    N = grid.N
-    state = initial_state(sim.initial, coeffs)
-    if sim.hook is not None:
-        hook = sim.hook
-    else:
-        # validated once here; the loop then uses the raw weight samples
-        p_int = sim.weights.interior()
-        if p_int.shape != (J, coeffs.k):
-            evaluate(state, sim.weights, grid)  # raises with the precise message
-        dx = grid.dx
+    k, m, J, N = coeffs.k, coeffs.m, grid.J, grid.N
+    dx = grid.dx
+    p = np.ascontiguousarray(sim.weights.interior().T)
+    courant = coeffs.max_abs_speed * grid.dt / dx
+    if courant > 1.0 + 1e-9:
+        raise ValueError(f"CFL violated: max|lambda| dt/dx = {courant:.6g} > 1")
+    if sim.stride is not None and sim.stride < 1:
+        raise ValueError("stride must be >= 1")
 
-        def hook(s: StateField) -> float:
-            w = s.values[1:-1]
-            return float(dx * np.sum(p_int * w * w))
+    # component-major state, row i = component i at cells j = -1 .. J
+    W = np.zeros((k, J + 2))
+    inner = W[:, 1:-1]
+    inner[...] = sim.initial.T
+    pos, pos_up = W[:m, 1:-1], W[:m, :-2]
+    neg, neg_up = W[m:, 1:-1], W[m:, 2:]
+    tilde = np.empty((k, J))
+    tilde_pos, tilde_neg = tilde[:m], tilde[m:]
+    acc = np.empty((k, J))
+    prod = np.empty((k, J))
 
-    _check_cfl(coeffs, grid, grid.dt)
+    lam_up = np.ascontiguousarray(
+        np.concatenate([coeffs.lam[:-2, :m], coeffs.lam[2:, m:]], axis=1).T)
+    r_lam = (grid.dt / dx) * lam_up
+    pi_cols = np.ascontiguousarray(coeffs.pi.transpose(2, 1, 0))  # [c, a, j] = Pi_j[a, c]
+    first_term, *more_terms = [(pi_cols[c], tilde[c]) for c in range(k)]
+
+    def functional() -> float:
+        np.multiply(p, inner, out=acc)
+        np.multiply(acc, inner, out=acc)
+        return dx * float(acc.sum())
+
+    # the feedback reads (W+_{J-1}, W-_0) and writes (W+_{-1}, W-_J)
+    comp = np.arange(k)
+    cell_in = np.where(comp < m, J, 1)
+    cell_out = np.where(comp < m, 0, J + 1)
+    K, M, b = coeffs.K, coeffs.M, coeffs.b
+    W[comp, cell_out] = K @ W[comp, cell_in]
+
+    times = grid.times()
     lyap = np.empty(N + 1)
     supb = np.empty(N + 1)
-    times = grid.times()
-    lyap[0] = hook(state)
+    lyap[0] = functional()
     supb[0] = 0.0
     history: Optional[List[Tuple[int, np.ndarray]]] = None
     if sim.stride is not None:
-        if sim.stride < 1:
-            raise ValueError("stride must be >= 1")
-        history = [(0, state.interior().copy())]
-    W = state.values
-    tilde = np.zeros_like(W)
-    scratch = np.empty((J, coeffs.k))
-    lam = coeffs.lam
-    b_current = coeffs.b(0.0)
+        history = [(0, inner.T.copy())]
+    b_current = b(0.0)
     running_sup = 0.0
-    nominal_r = grid.dt / grid.dx
     for n in range(N):
-        dt_n = grid.step_size(n)
-        r = nominal_r if n < N - 1 else dt_n / grid.dx
+        if n == N - 1:
+            r_lam = (grid.step_size(n) / dx) * lam_up
         running_sup = max(running_sup, float(b_current @ b_current))
-        _transport_kernel(tilde, W, lam, m, r)
-        _source_kernel(W[1:-1], tilde[1:-1], coeffs.pi, dt_n, scratch)
-        state.n = n + 1
-        state.t = times[n + 1]
-        if not np.all(np.isfinite(W[1:-1])):
-            raise BlowupError(step=n + 1, t=state.t)
-        b_current = coeffs.b(state.t)
-        apply_boundary(state, coeffs, b_value=b_current)
-        lyap[n + 1] = hook(state)
+        np.subtract(pos, pos_up, out=tilde_pos)
+        np.subtract(neg_up, neg, out=tilde_neg)
+        tilde *= r_lam
+        np.subtract(inner, tilde, out=tilde)
+        np.multiply(*first_term, out=acc)
+        for term in more_terms:
+            np.multiply(*term, out=prod)
+            acc += prod
+        acc *= times[n] - times[n + 1]
+        np.add(tilde, acc, out=inner)
+        L = functional()
+        if not math.isfinite(L) and not np.all(np.isfinite(inner)):
+            raise BlowupError(step=n + 1, t=times[n + 1])
+        b_current = b(times[n + 1])
+        W[comp, cell_out] = K @ W[comp, cell_in] + M * b_current
+        lyap[n + 1] = L
         supb[n + 1] = running_sup
         if history is not None and ((n + 1) % sim.stride == 0 or n + 1 == N):
-            history.append((n + 1, state.interior().copy()))
+            history.append((n + 1, inner.T.copy()))
+    final = StateField(values=W.T.copy(), m=m, n=N, t=times[N])
     return SimulationResult(times=times, lyapunov=lyap, sup_b_sq_before=supb,
-                            final_state=state, history=history)
+                            final_state=final, history=history)

@@ -190,22 +190,19 @@ def test_09_exact_advection():
     coeffs = core.sample_coefficients(lambda x: lam, lambda x: np.zeros((2, 2)), g)
     rng = np.random.default_rng(9)
     init = rng.uniform(-0.5, 0.5, size=(J, 2))
-    state = solver.initial_state(init.copy(), coeffs)
+    weights = core.WeightField.from_samples(np.ones((J + 2, 2)))
+    history = solver.run(solver.SimulationRun(grid=g, coefficients=coeffs, initial=init.copy(),
+                                              weights=weights, stride=1)).history
     expect_p = init[:, 0].copy()
     expect_m = init[:, 1].copy()
     worst = 0.0
     for n in range(steps):
-        tilde = solver.transport_step(state, coeffs, g)
-        new = solver.source_step(tilde, coeffs, g)
-        state.values[1:-1] = new.values[1:-1]
-        state.n = n + 1
-        state.t = g.time(n + 1)
-        solver.apply_boundary(state, coeffs, b_value=np.zeros(2))
+        state = history[n + 1][1]
         expect_p = np.concatenate([[0.0], expect_p[:-1]])
         expect_m = np.concatenate([expect_m[1:], [0.0]])
         worst = max(worst,
-                    float(np.max(np.abs(state.values[1:-1, 0] - expect_p))),
-                    float(np.max(np.abs(state.values[1:-1, 1] - expect_m))))
+                    float(np.max(np.abs(state[:, 0] - expect_p))),
+                    float(np.max(np.abs(state[:, 1] - expect_m))))
     report_line(9, worst <= 1e-14,
                 f"unit-Courant transport is an exact cellwise shift over "
                 f"{steps} steps, max |err| = {worst:.2e} (tol 1e-14)")

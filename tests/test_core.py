@@ -120,6 +120,18 @@ class TestWeights:
         with pytest.raises(ValueError):
             core.WeightField.implicit([1.0], [1.0], -0.5, g)
 
+    def test_non_finite_rejected_with_cell(self):
+        with pytest.raises(ValueError, match=r"cell j=-1, component 1 holds nan"):
+            core.WeightField.from_samples(np.full((10, 2), np.nan))
+        vals = np.ones((6, 2))
+        vals[3, 1] = np.inf
+        with pytest.raises(ValueError, match=r"cell j=2, component 2 holds inf"):
+            core.WeightField.from_samples(vals)
+        # exp(mu x) overflows on l = 1 for mu this large
+        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            core.WeightField.implicit([1.0], [1.0], 720.0, g)
+
     def test_eigen_bounds_interior_only(self):
         vals = np.ones((6, 2))
         vals[0] = 100.0   # ghost rows must not affect zeta/beta

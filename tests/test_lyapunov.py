@@ -43,11 +43,9 @@ class TestEvaluate:
     def test_ghosts_excluded(self):
         g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
         w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
-        c = core.sample_coefficients(lambda x: np.array([1.0, -1.0]),
-                                     lambda x: np.zeros((2, 2)), g,
-                                     M=np.array([1.0, 1.0]))
         s = core.StateField.from_interior(np.zeros((4, 2)), m=1)
-        solver.apply_boundary(s, c, b_value=np.array([7.0, -7.0]))
+        s.values[0, 0] = 7.0
+        s.values[-1, 1] = -7.0
         assert lyapunov.evaluate(s, w, g) == 0.0
 
 

@@ -11,139 +11,153 @@ def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
                                     K=K, M=M, b=b)
 
 
+def march(grid, coeffs, initial):
+    """Run with unit weights and every level recorded."""
+    unit = core.WeightField.from_samples(np.ones((grid.J + 2, coeffs.k)))
+    return solver.run(solver.SimulationRun(grid=grid, coefficients=coeffs,
+                                           initial=initial, weights=unit, stride=1))
+
+
+def one_step_grid(J, cfl, lambda_max=1.0, l=1.0):
+    """Grid whose final time is one nominal step, so N = 1."""
+    dt = core.Grid1D(l=l, J=J, T=1.0, cfl=cfl, lambda_max=lambda_max).dt
+    g = core.Grid1D(l=l, J=J, T=dt, cfl=cfl, lambda_max=lambda_max)
+    assert g.N == 1
+    return g
+
+
 class TestTransport:
     def test_zero_state_stays_zero(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        g = one_step_grid(8, 1.0)
         c = make_coeffs(g)
-        s = solver.initial_state(np.zeros((8, 2)), c)
-        out = solver.transport_step(s, c, g)
-        assert np.all(out.values == 0.0)
+        res = march(g, c, np.zeros((8, 2)))
+        assert np.all(res.history[1][1] == 0.0)
+        assert np.all(res.final_state.values == 0.0)
 
     def test_unit_courant_is_pure_shift(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        g = one_step_grid(8, 1.0)
         c = make_coeffs(g)
         rng = np.random.default_rng(5)
-        s = solver.initial_state(rng.normal(size=(8, 2)), c)
-        W = s.values.copy()
-        out = solver.transport_step(s, c, g)
-        assert np.allclose(out.values[1:-1, 0], W[0:-2, 0], rtol=0, atol=1e-15)
-        assert np.allclose(out.values[1:-1, 1], W[2:, 1], rtol=0, atol=1e-15)
+        init = rng.normal(size=(8, 2))
+        out = march(g, c, init).history[1][1]
+        # compatibility ghosts are zero without feedback
+        assert np.allclose(out[:, 0], np.r_[0.0, init[:-1, 0]], rtol=0, atol=1e-15)
+        assert np.allclose(out[:, 1], np.r_[init[1:, 1], 0.0], rtol=0, atol=1e-15)
 
     def test_constant_state_with_matching_ghosts_is_fixed_point(self):
-        # hand evaluation: all upwind differences vanish for a constant state
-        g = core.build_grid(1.0, 6, 1.0, 0.7, 1.0)
-        c = make_coeffs(g)
-        vals = np.full((8, 2), 0.37)
-        s = core.StateField(values=vals, m=1, n=0, t=0.0, ghost_level=0)
-        out = solver.transport_step(s, c, g)
-        assert np.allclose(out.values[1:-1], 0.37, rtol=0, atol=0)
+        # hand evaluation: all upwind differences vanish for a constant state;
+        # swapping feedback makes both ghosts equal to the constant
+        g = one_step_grid(6, 0.7)
+        c = make_coeffs(g, K=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        out = march(g, c, np.full((6, 2), 0.37)).history[1][1]
+        assert np.allclose(out, 0.37, rtol=0, atol=0)
 
     def test_variable_speed_stencil_matches_loop(self):
         # upwind-side speed sampling: lam_{j-1} for the positive block,
         # lam_{j+1} for the negative one
         J = 11
         rng = np.random.default_rng(41)
-        g = core.build_grid(1.0, J, 1.0, 0.75, 4.0)
+        g = one_step_grid(J, 0.75, lambda_max=4.0)
         lam = np.column_stack([rng.uniform(0.5, 3.0, J + 2),
                                -rng.uniform(0.5, 3.0, J + 2)])
+        K = np.array([[0.0, rng.uniform(-1, 1)], [rng.uniform(-1, 1), 0.0]])
         c = core.SystemCoefficients(k=2, m=1, lam=lam, pi=np.zeros((J, 2, 2)),
-                                    K=np.zeros((2, 2)), M=np.zeros(2),
-                                    b=core.DisturbanceSignal.zero(2))
-        vals = rng.normal(size=(J + 2, 2))
-        s = core.StateField(values=vals.copy(), m=1, n=0, t=0.0, ghost_level=0)
-        out = solver.transport_step(s, c, g)
+                                    K=K, M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
+        vals = np.zeros((J + 2, 2))
+        vals[1:-1] = rng.normal(size=(J, 2))
+        vals[0, 0] = K[0, 1] * vals[1, 1]      # compatibility ghosts
+        vals[-1, 1] = K[1, 0] * vals[-2, 0]
+        out = march(g, c, vals[1:-1]).history[1][1]
         r = g.dt / g.dx
         for j in range(J):
             i = j + 1
             plus = vals[i, 0] - r * lam[i - 1, 0] * (vals[i, 0] - vals[i - 1, 0])
             minus = vals[i, 1] - r * lam[i + 1, 1] * (vals[i + 1, 1] - vals[i, 1])
-            assert out.values[i, 0] == pytest.approx(plus, rel=1e-14)
-            assert out.values[i, 1] == pytest.approx(minus, rel=1e-14)
-
-    def test_requires_fresh_ghosts(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
-        c = make_coeffs(g)
-        s = solver.initial_state(np.zeros((8, 2)), c)
-        s.n = 3  # ghosts still at level 0
-        with pytest.raises(ValueError, match="ghost"):
-            solver.transport_step(s, c, g)
+            assert out[j, 0] == pytest.approx(plus, rel=1e-14)
+            assert out[j, 1] == pytest.approx(minus, rel=1e-14)
 
     def test_runtime_cfl_check(self):
         g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
         c = make_coeffs(g, lam=(2.0, -1.0))  # faster than the grid allows
-        s = solver.initial_state(np.zeros((8, 2)), c)
         with pytest.raises(ValueError, match="CFL"):
-            solver.transport_step(s, c, g)
+            march(g, c, np.zeros((8, 2)))
 
 
 class TestSource:
+    # Transport is the identity on these states, so one step isolates the
+    # source update.
     def test_zero_source_is_identity(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
-        c = make_coeffs(g)
-        rng = np.random.default_rng(6)
-        s = core.StateField.from_interior(rng.normal(size=(4, 2)), m=1)
-        out = solver.source_step(s, c, g, dt=0.1)
-        assert np.allclose(out.values[1:-1], s.values[1:-1], rtol=0, atol=0)
+        # constant (a, 2a) with feedback 1/2 and 2 makes both ghosts exact
+        g = one_step_grid(4, 1.0)
+        c = make_coeffs(g, K=np.array([[0.0, 0.5], [2.0, 0.0]]))
+        a = np.random.default_rng(6).normal()
+        init = np.tile([a, 2.0 * a], (4, 1))
+        out = march(g, c, init).history[1][1]
+        assert np.allclose(out, init, rtol=0, atol=0)
 
     def test_symmetric_source_hand_value(self):
         # (1,1) with Pi = [[0.3,-0.1],[-0.1,0.3]], dt = 0.1:
         # Pi w = (0.2, 0.2), w - dt Pi w = (0.98, 0.98)
-        g = core.Grid1D(l=1.0, J=1, T=1.0, cfl=1.0, lambda_max=1.0)
+        g = core.Grid1D(l=1.0, J=1, T=0.1, cfl=0.1, lambda_max=1.0)
+        assert g.dt == 0.1 and g.N == 1
         c = core.SystemCoefficients(
             k=2, m=1, lam=np.tile([1.0, -1.0], (3, 1)),
             pi=np.array([[[0.3, -0.1], [-0.1, 0.3]]]),
-            K=np.zeros((2, 2)), M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
-        s = core.StateField.from_interior([[1.0, 1.0]], m=1)
-        out = solver.source_step(s, c, g, dt=0.1)
-        assert out.values[1] == pytest.approx([0.98, 0.98], rel=1e-15)
+            K=np.array([[0.0, 1.0], [1.0, 0.0]]), M=np.zeros(2),
+            b=core.DisturbanceSignal.zero(2))
+        out = march(g, c, [[1.0, 1.0]]).history[1][1]
+        assert out[0] == pytest.approx([0.98, 0.98], rel=1e-15)
 
     def test_scalar_explicit_euler(self):
-        g = core.build_grid(1.0, 3, 1.0, 1.0, 1.0)
+        # unit Courant shifts (2, 3, -1) to (0, 2, 3) exactly (zero ghost)
+        g = one_step_grid(3, 1.0, l=0.75)
+        assert g.dt == 0.25
         gamma = 0.7
         c = core.SystemCoefficients(
             k=1, m=1, lam=np.ones((5, 1)),
             pi=np.full((3, 1, 1), gamma),
             K=np.zeros((1, 1)), M=np.zeros(1), b=core.DisturbanceSignal.zero(1))
-        s = core.StateField.from_interior([[2.0], [3.0], [-1.0]], m=1)
-        out = solver.source_step(s, c, g, dt=0.25)
-        assert np.allclose(out.values[1:-1, 0],
-                           np.array([2.0, 3.0, -1.0]) * (1 - 0.25 * gamma), rtol=1e-15)
+        out = march(g, c, [[2.0], [3.0], [-1.0]]).history[1][1]
+        assert np.allclose(out[:, 0], np.array([0.0, 2.0, 3.0]) * (1 - 0.25 * gamma),
+                           rtol=1e-15)
 
 
 class TestBoundary:
     def test_pure_injection(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
-        c = make_coeffs(g, M=np.array([1.0, 1.0]))
-        s = core.StateField.from_interior(np.zeros((4, 2)), m=1)
-        solver.apply_boundary(s, c, b_value=np.array([0.3, -0.3]))
+        g = one_step_grid(4, 1.0)
+        b = core.DisturbanceSignal.constant([0.3, -0.3])
+        c = make_coeffs(g, M=np.array([1.0, 1.0]), b=b)
+        s = march(g, c, np.zeros((4, 2))).final_state
         assert s.values[0, 0] == pytest.approx(0.3)
         assert s.values[-1, 1] == pytest.approx(-0.3)
         assert s.values[0, 1] == 0.0 and s.values[-1, 0] == 0.0
 
     def test_feedback_block_product(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
+        # unit Courant moves W-_1 to W-_0 and W+_{J-2} to W+_{J-1}; the new
+        # ghosts read that trace
+        g = one_step_grid(4, 1.0)
         K = np.array([[0.0, 0.5], [0.5, 0.0]])
         c = make_coeffs(g, K=K, M=np.array([1.0, 1.0]))
         interior = np.zeros((4, 2))
-        interior[0, 1] = 0.5      # W-_0
-        interior[-1, 0] = -0.5    # W+_{J-1}
-        s = core.StateField.from_interior(interior, m=1)
-        solver.apply_boundary(s, c, b_value=np.zeros(2))
+        interior[1, 1] = 0.5      # W-_0 after the step
+        interior[-2, 0] = -0.5    # W+_{J-1} after the step
+        s = march(g, c, interior).final_state
         assert s.values[0, 0] == pytest.approx(0.25)
         assert s.values[-1, 1] == pytest.approx(-0.25)
 
     def test_compatibility_ignores_disturbance(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
+        # at unit Courant the first step copies the initial ghosts into the
+        # boundary cells, which shows they carry no disturbance term
+        g = one_step_grid(4, 1.0)
         K = np.array([[0.0, 0.5], [0.5, 0.0]])
         b = core.DisturbanceSignal.constant([9.0, 9.0])
         c = make_coeffs(g, K=K, M=np.array([1.0, 1.0]), b=b)
         interior = np.zeros((4, 2))
         interior[0, 1] = 0.5
         interior[-1, 0] = -0.5
-        s = solver.initial_state(interior, c)
-        assert s.values[0, 0] == pytest.approx(0.25)
-        assert s.values[-1, 1] == pytest.approx(-0.25)
-        assert s.ghost_level == 0
+        out = march(g, c, interior).history[1][1]
+        assert out[0, 0] == pytest.approx(0.25)
+        assert out[-1, 1] == pytest.approx(-0.25)
 
 
 class TestRun:
@@ -199,7 +213,19 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(solver.BlowupError) as exc:
                 solver.run(sim)
-        assert exc.value.step >= 1
+        # the level at which the state itself overflows; L overflows earlier
+        assert exc.value.step == 143
+
+    def test_shapes_checked_against_grid_and_system(self):
+        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        c = make_coeffs(g)
+        unit = core.WeightField.from_samples(np.ones((10, 2)))
+        with pytest.raises(ValueError, match="initial data has shape"):
+            solver.SimulationRun(grid=g, coefficients=c, initial=np.zeros((8, 3)),
+                                 weights=unit)
+        with pytest.raises(ValueError, match="interior weights have shape"):
+            solver.SimulationRun(grid=g, coefficients=c, initial=np.zeros((8, 2)),
+                                 weights=core.WeightField.from_samples(np.ones((9, 2))))
 
     def test_history_stride(self):
         sim, g, _ = self.small_sim(initial=np.ones((24, 2)), stride=7)
@@ -222,12 +248,9 @@ class TestRun:
         assert rep.overall
         g = sc.grid
 
-        def norm_sq(state):
-            w = state.interior()
-            return float(g.dx * np.sum(w * w))
-
+        unit = core.WeightField.from_samples(np.ones((g.J + 2, 2)))
         sim = solver.SimulationRun(grid=g, coefficients=sc.coefficients,
-                                   initial=sc.initial, hook=norm_sq)
+                                   initial=sc.initial, weights=unit)
         res = solver.run(sim)
         bound = (rep.C1_const * np.exp(-rep.eta * res.times) * res.lyapunov[0]
                  + (rep.C2_const / rep.eta) * (1 + 1 / sc.xi) * res.sup_b_sq_before)
@@ -240,17 +263,79 @@ class TestRun:
         init = rng.uniform(-0.5, 0.5, size=(J, 2))
         g = core.build_grid(1.0, J, 100.0 / J, 1.0, 1.0)
         c = make_coeffs(g)
-        state = solver.initial_state(init.copy(), c)
+        res = march(g, c, init.copy())
+        assert [n for n, _ in res.history] == list(range(g.N + 1))
         expect_p = init[:, 0].copy()
         expect_m = init[:, 1].copy()
         for n in range(g.N):
-            tilde = solver.transport_step(state, c, g)
-            new = solver.source_step(tilde, c, g)
-            state.values[1:-1] = new.values[1:-1]
-            state.n = n + 1
-            state.t = g.time(n + 1)
-            solver.apply_boundary(state, c, b_value=np.zeros(2))
+            state = res.history[n + 1][1]
             expect_p = np.concatenate([[0.0], expect_p[:-1]])
             expect_m = np.concatenate([expect_m[1:], [0.0]])
-            assert np.allclose(state.values[1:-1, 0], expect_p, rtol=0, atol=1e-14)
-            assert np.allclose(state.values[1:-1, 1], expect_m, rtol=0, atol=1e-14)
+            assert np.allclose(state[:, 0], expect_p, rtol=0, atol=1e-14)
+            assert np.allclose(state[:, 1], expect_m, rtol=0, atol=1e-14)
+
+
+class TestThreeComponents:
+    """k = 3 march against a per-cell reference loop."""
+
+    def reference(self, g, c, weights, init):
+        k, m, J = c.k, c.m, g.J
+        times = g.times()
+        W = np.zeros((J + 2, k))
+        W[1:-1] = init
+
+        def ghosts(b_value):
+            w_in = np.array([W[J, i] if i < m else W[1, i] for i in range(k)])
+            ghost = c.K @ w_in + (0.0 if b_value is None else c.M * b_value)
+            W[0, :m] = ghost[:m]
+            W[J + 1, m:] = ghost[m:]
+
+        def functional():
+            return g.dx * sum(weights.values[j, i] * W[j, i] ** 2
+                              for j in range(1, J + 1) for i in range(k))
+
+        ghosts(None)
+        L, snapshots = [functional()], [W[1:-1].copy()]
+        for n in range(g.N):
+            dt = times[n + 1] - times[n]
+            r = dt / g.dx
+            new = W.copy()
+            for j in range(1, J + 1):
+                tilde = np.empty(k)
+                for i in range(k):
+                    if i < m:
+                        tilde[i] = W[j, i] - r * c.lam[j - 1, i] * (W[j, i] - W[j - 1, i])
+                    else:
+                        tilde[i] = W[j, i] - r * c.lam[j + 1, i] * (W[j + 1, i] - W[j, i])
+                new[j] = tilde - dt * (c.pi[j - 1] @ tilde)
+            W[:] = new
+            ghosts(c.b(times[n + 1]))
+            L.append(functional())
+            snapshots.append(W[1:-1].copy())
+        return np.array(L), snapshots, W
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_march_matches_per_cell_loop(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        J, k, m = 9, 3, 2
+        lam = np.column_stack([rng.uniform(0.5, 2.0, J + 2), rng.uniform(0.5, 2.0, J + 2),
+                               -rng.uniform(0.5, 2.0, J + 2)])
+        g = core.Grid1D(l=1.0, J=J, T=1.33, cfl=0.9, lambda_max=2.0)
+        assert g.N == 27 and g.step_size(g.N - 1) < 0.7 * g.dt   # shortened final step
+        K = np.zeros((k, k))
+        K[:m, m:] = rng.uniform(-0.8, 0.8, (m, k - m))
+        K[m:, :m] = rng.uniform(-0.8, 0.8, (k - m, m))
+        b = core.DisturbanceSignal.tabulated([0.0, 0.4, 1.0, 1.3],
+                                             rng.uniform(-0.5, 0.5, (4, k)))
+        c = core.SystemCoefficients(k=k, m=m, lam=lam, pi=rng.normal(0.0, 0.5, (J, k, k)),
+                                    K=K, M=rng.uniform(0.5, 1.5, k), b=b)
+        weights = core.WeightField.from_samples(rng.uniform(0.5, 2.0, (J + 2, k)))
+        init = rng.normal(size=(J, k))
+        res = solver.run(solver.SimulationRun(grid=g, coefficients=c, initial=init,
+                                              weights=weights, stride=1))
+        L, snapshots, W = self.reference(g, c, weights, init)
+        assert np.allclose(res.lyapunov, L, rtol=1e-13, atol=0)
+        scale = max(np.max(np.abs(s)) for s in snapshots)
+        for (n, got), want in zip(res.history, snapshots):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale), f"level {n}"
+        assert np.allclose(res.final_state.values, W, rtol=1e-13, atol=1e-13 * scale)
