@@ -85,9 +85,9 @@ def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     at level n uses)."""
     env = (itertools.repeat("") if trace.envelope is None
            else map(repr, trace.envelope.tolist()))
-    lines = (f"{n},{t!r},{L!r},{e},{s!r}\n" for n, t, L, e, s in
-             zip(itertools.count(), trace.times.tolist(), trace.L.tolist(), env,
-                 trace.sup_b_sq.tolist()))
+    lines = (f"{n},{t!r},{L!r},{e},{s!r}\n" for n, (t, L, e, s) in
+             enumerate(zip(trace.times.tolist(), trace.L.tolist(), env,
+                           trace.sup_b_sq.tolist())))
     _write_lines(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"), lines)
 
 

@@ -44,10 +44,9 @@ def marched_series(name: str, tmp: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_lyapunov_series_matches_golden(name, tmp_path, capsys):
+def test_lyapunov_series_matches_golden(name, tmp_path):
     frozen = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     got = marched_series(name, tmp_path)
-    capsys.readouterr()
     assert got["steps"] == frozen["steps"]
     assert got["levels"] == frozen["levels"]
     for n, a, b in zip(got["levels"], got["L"], frozen["L"]):
