@@ -9,8 +9,8 @@ Lyapunov series against its theoretical decay envelope.
 
 from .certifier import (CertificateReport, certify, check_boundary, check_source,
                         check_transport, disturbance_gain, sweep_xi)
-from .core import (DisturbanceSignal, Grid1D, StateField, SystemCoefficients,
-                   WeightField, build_grid, sample_coefficients)
+from .core import (DisturbanceSignal, Grid1D, SystemCoefficients, WeightField,
+                   build_grid, sample_coefficients)
 from .lambertw import lambert_w_minus1
 from .lyapunov import (LyapunovTrace, build_trace, envelope_gap_norms, evaluate,
                        fit_decay_rate, gronwall_closed_form, gronwall_envelope)
@@ -18,14 +18,14 @@ from .models import (EulerParams, SaintVenantParams, Scenario,
                      build_linear_benchmark, euler_scenario,
                      linearize_euler, linearize_saint_venant, saint_venant_scenario)
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
-from .solver import BlowupError, SimulationResult, SimulationRun, run
+from .solver import BlowupError, SimulationResult, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid1D", "build_grid", "DisturbanceSignal", "SystemCoefficients",
-    "sample_coefficients", "WeightField", "StateField",
-    "SimulationRun", "SimulationResult", "run", "BlowupError",
+    "sample_coefficients", "WeightField",
+    "SimulationResult", "run", "BlowupError",
     "evaluate", "gronwall_closed_form", "gronwall_envelope", "LyapunovTrace",
     "build_trace", "envelope_gap_norms", "fit_decay_rate",
     "certify", "CertificateReport", "check_transport", "check_source",

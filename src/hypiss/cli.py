@@ -16,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import certifier, lyapunov, reports, solver
-from .models import Scenario
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
 
 __all__ = ["main"]
@@ -26,18 +25,6 @@ def _out_dir(spec: argparse.Namespace) -> Path:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _run_scenario(scenario: Scenario, report, stride: Optional[int]):
-    sim = solver.SimulationRun(grid=scenario.grid, coefficients=scenario.coefficients,
-                               initial=scenario.initial, weights=scenario.weights,
-                               stride=stride)
-    result = solver.run(sim)
-    eta = report.eta if report.eta is not None and report.eta > 0 else (
-        report.c1.eta_ratio if report.c1.eta_ratio > 0 else None)
-    trace = lyapunov.build_trace(result.times, result.lyapunov, result.sup_b_sq_before,
-                                 scenario.grid, eta, report.nu, scenario.xi)
-    return result, trace
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -59,10 +46,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("certificate failed; rerun with --force to simulate anyway")
         return 1
     try:
-        result, trace = _run_scenario(scenario, report, args.stride)
+        result = solver.run(scenario, args.stride)
     except solver.BlowupError as exc:
         print(f"solver aborted: {exc}")
         return 2
+    trace = lyapunov.build_trace(result, scenario, report)
     reports.write_trace_csv(out / "trace.csv", trace)
     if result.history is not None:
         reports.write_trajectory_csv(out / "trajectory.csv", result,
@@ -102,7 +90,7 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
         if not report.overall:
             cond = report.first_failure.condition if report.first_failure else "eta*dt"
             return {"J": J, "error": f"certificate failed at {cond}"}
-        _, trace = _run_scenario(scenario, report, stride=None)
+        trace = lyapunov.build_trace(solver.run(scenario), scenario, report)
         sup_gap, l2_gap = lyapunov.envelope_gap_norms(trace)
         return {"J": J, "sup_gap": sup_gap, "l2_gap": l2_gap,
                 "mu": scenario.weights.mu, "eta": report.eta}

@@ -1,4 +1,4 @@
-"""Core domain types: mesh, coefficient fields, Lyapunov weights, state.
+"""Core domain types: mesh, coefficient fields, disturbances, Lyapunov weights.
 
 Conventions used throughout the package:
 
@@ -26,7 +26,6 @@ __all__ = [
     "SystemCoefficients",
     "sample_coefficients",
     "WeightField",
-    "StateField",
 ]
 
 
@@ -318,41 +317,3 @@ class WeightField:
         """(zeta, beta): min/max diagonal weight over the interior cells."""
         inner = self.interior()
         return float(inner.min()), float(inner.max())
-
-
-@dataclass
-class StateField:
-    """Per-cell state vectors with ghost slots, ordered (W+, W-).
-
-    ``values`` has shape (J+2, k); row 0 and row J+1 are the ghost cells.
-    Only the first m components of the left ghost and the last k-m
-    components of the right ghost are meaningful; the rest are kept at
-    zero.
-    """
-
-    values: np.ndarray
-    m: int
-    n: int = 0
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def J(self) -> int:
-        return self.values.shape[0] - 2
-
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1]
-
-    @classmethod
-    def from_interior(cls, interior: np.ndarray, m: int) -> "StateField":
-        interior = np.atleast_2d(np.asarray(interior, dtype=float))
-        J, k = interior.shape
-        vals = np.zeros((J + 2, k))
-        vals[1:-1] = interior
-        return cls(values=vals, m=m)

@@ -1,28 +1,30 @@
 """Discrete weighted-L2 Lyapunov functional and its decay envelope.
 
-The envelope combines the certified decay rate ``eta``, the disturbance
-gain ``nu`` and the splitting parameter ``xi``: at level n the bound is
+:func:`build_trace` attaches to a recorded march the envelope built from
+the certified decay rate ``eta``, the disturbance gain ``nu`` and the
+splitting parameter ``xi``: at level n the bound is
 
-    U^n = exp(-eta t^n) L^0 + (nu/eta)(1 + 1/xi) sup_{s<n} |b^s|^2
+    U^n = exp(-eta t^n) L^0 + (nu/eta)(1 + 1/xi) sup_{s<n} |b^s|^2,
 
-together with the sharper product form based on the one-step recursion
-y^{n+1} <= (1 - eta dt) y^n + dt z.  The exponential form is the one
-reported and dumped to CSV.
+the majorant of the one-step recursion y^{n+1} <= (1 - eta dt) y^n + dt z
+that :func:`gronwall_closed_form` solves in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Grid1D, StateField, WeightField
+from .certifier import CertificateReport
+from .core import Grid1D, WeightField
+from .models import Scenario
+from .solver import SimulationResult
 
 __all__ = [
     "evaluate",
     "gronwall_closed_form",
-    "GronwallEnvelope",
     "gronwall_envelope",
     "LyapunovTrace",
     "build_trace",
@@ -31,17 +33,9 @@ __all__ = [
 ]
 
 
-def evaluate(state: Union[StateField, np.ndarray], weights: WeightField,
-             grid: Grid1D) -> float:
-    """Weighted squared L2 norm dx * sum_j W_j^T P_j W_j over interior cells.
-
-    Ghost cells are excluded.  Accepts either a StateField or a bare
-    (J, k) interior array.
-    """
-    if isinstance(state, StateField):
-        interior = state.interior()
-    else:
-        interior = np.atleast_2d(np.asarray(state, dtype=float))
+def evaluate(interior: np.ndarray, weights: WeightField, grid: Grid1D) -> float:
+    """Weighted squared L2 norm dx * sum_j W_j^T P_j W_j of a (J, k) interior."""
+    interior = np.atleast_2d(np.asarray(interior, dtype=float))
     p = weights.interior()
     if np.any(p <= 0):
         raise ValueError("nonpositive Lyapunov weight")
@@ -63,22 +57,11 @@ def gronwall_closed_form(c: float, a: float, z: float, dt: float, n: int) -> flo
     return (c - z / a) * (1.0 - a * dt) ** (n + 1) + z / a
 
 
-@dataclass
-class GronwallEnvelope:
-    """Exponential-majorant and product-form envelopes on one time grid."""
-
-    exponential: np.ndarray
-    recursion: np.ndarray
-
-
 def gronwall_envelope(L0: float, eta: float, nu: float, xi: float,
-                      sup_b_sq_before: np.ndarray, grid: Grid1D) -> GronwallEnvelope:
-    """Envelopes U^n for n = 0 .. N from the scenario constants.
+                      sup_b_sq: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Envelope U^n = exp(-eta t^n) L0 + (nu/eta)(1 + 1/xi) sup_b_sq[n], n = 0 .. N.
 
-    ``sup_b_sq_before[n]`` must hold sup_{s<n} |b^s|^2 (zero at n = 0).
-    Both series use that same running supremum; the recursion form applies
-    the per-step factors (1 - eta dt_n) with the possibly shortened final
-    step, the exponential form uses exp(-eta t^n).
+    ``sup_b_sq[n]`` must hold sup_{s<n} |b^s|^2 (zero at n = 0).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -87,25 +70,20 @@ def gronwall_envelope(L0: float, eta: float, nu: float, xi: float,
     if eta * grid.dt >= 1.0:
         raise ValueError(
             f"eta*dt = {eta * grid.dt:.6g} >= 1: discrete decay bound inapplicable")
-    supb = np.asarray(sup_b_sq_before, dtype=float)
-    N = grid.N
-    if supb.shape != (N + 1,):
+    supb = np.asarray(sup_b_sq, dtype=float)
+    if supb.shape != (grid.N + 1,):
         raise ValueError("running supremum series must have N+1 entries")
-    times = grid.times()
-    offset = (nu / eta) * (1.0 + 1.0 / xi) * supb
-    exponential = np.exp(-eta * times) * L0 + offset
-    steps = np.diff(times)
-    decay = np.concatenate([[1.0], np.cumprod(1.0 - eta * steps)])
-    recursion = L0 * decay + offset * (1.0 - decay)
-    return GronwallEnvelope(exponential=exponential, recursion=recursion)
+    return np.exp(-eta * grid.times()) * L0 + (nu / eta) * (1.0 + 1.0 / xi) * supb
 
 
 @dataclass
 class LyapunovTrace:
     """Lyapunov series, its envelope and the constants that define it.
 
-    ``l2_weight`` is the quadrature weight of the discrete time-L2 norm,
-    fixed to dt/cfl (the Courant-free step dx/lambda_max).
+    ``sup_b_sq[n]`` is sup_{s<n} |b^s|^2, the disturbance term of the
+    envelope at level n.  ``l2_weight`` is the quadrature weight of the
+    discrete time-L2 norm, fixed to dt/cfl (the Courant-free step
+    dx/lambda_max).
     """
 
     times: np.ndarray
@@ -115,27 +93,28 @@ class LyapunovTrace:
     eta: Optional[float]
     nu: Optional[float]
     xi: float
-    recursion_envelope: Optional[np.ndarray] = None
-    dt: float = 0.0
-    l2_weight: float = 0.0
+    l2_weight: float
 
 
-def build_trace(times: np.ndarray, lyapunov: np.ndarray, sup_b_sq_before: np.ndarray,
-                grid: Grid1D, eta: Optional[float], nu: Optional[float],
-                xi: float) -> LyapunovTrace:
-    """Attach the decay envelope to a recorded Lyapunov series.
+def build_trace(result: SimulationResult, scenario: Scenario,
+                report: CertificateReport) -> LyapunovTrace:
+    """Attach the decay envelope to the Lyapunov series of a march.
 
-    When no positive decay rate is available (uncertified forced runs)
-    the envelope is omitted.
+    The envelope uses the certified ``eta`` of ``report``; without one
+    (uncertified forced runs) it falls back to a positive per-cell ratio
+    ``report.c1.eta_ratio``, and when neither is positive the envelope is
+    omitted.
     """
+    eta = report.eta if report.eta is not None and report.eta > 0 else (
+        report.c1.eta_ratio if report.c1.eta_ratio > 0 else None)
+    sup_b_sq = np.concatenate([[0.0], np.maximum.accumulate(result.b_sq[:-1])])
+    grid = scenario.grid
     env = None
-    rec = None
-    if eta is not None and nu is not None and eta > 0:
-        pair = gronwall_envelope(float(lyapunov[0]), eta, nu, xi, sup_b_sq_before, grid)
-        env, rec = pair.exponential, pair.recursion
-    return LyapunovTrace(times=times, L=np.asarray(lyapunov, dtype=float),
-                         envelope=env, sup_b_sq=np.asarray(sup_b_sq_before, dtype=float),
-                         eta=eta, nu=nu, xi=xi, recursion_envelope=rec, dt=grid.dt,
+    if eta is not None:
+        env = gronwall_envelope(float(result.lyapunov[0]), eta, report.nu, scenario.xi,
+                                sup_b_sq, grid)
+    return LyapunovTrace(times=result.times, L=result.lyapunov, envelope=env,
+                         sup_b_sq=sup_b_sq, eta=eta, nu=report.nu, xi=scenario.xi,
                          l2_weight=grid.dt / grid.cfl)
 
 

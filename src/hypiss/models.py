@@ -59,8 +59,13 @@ class Scenario:
         if self.xi <= 0:
             raise ValueError("xi must be positive")
         self.initial = np.atleast_2d(np.asarray(self.initial, dtype=float))
-        if self.initial.shape != (self.grid.J, self.coefficients.k):
-            raise ValueError("initial data must be (J, k)")
+        shape = (self.grid.J, self.coefficients.k)
+        if self.initial.shape != shape:
+            raise ValueError(f"initial data has shape {self.initial.shape}, "
+                             f"expected (J, k) = {shape}")
+        if self.weights.interior().shape != shape:
+            raise ValueError(f"interior weights have shape {self.weights.interior().shape}, "
+                             f"expected (J, k) = {shape}")
 
 
 def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi: float,

@@ -28,11 +28,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Grid1D, StateField, SystemCoefficients, WeightField
+from .models import Scenario
 
 __all__ = [
     "BlowupError",
-    "SimulationRun",
     "SimulationResult",
     "run",
 ]
@@ -48,67 +47,42 @@ class BlowupError(RuntimeError):
 
 
 @dataclass
-class SimulationRun:
-    """A complete scenario to march from t = 0 to t = T.
-
-    ``stride`` enables interior-state snapshots every that many steps
-    (first and last level always included); the Lyapunov series
-    ``L^n = dx sum_j W_j^T P_j W_j`` with the weights P is always recorded
-    densely.
-    """
-
-    grid: Grid1D
-    coefficients: SystemCoefficients
-    initial: np.ndarray
-    weights: WeightField
-    stride: Optional[int] = None
-
-    def __post_init__(self):
-        self.initial = np.atleast_2d(np.asarray(self.initial, dtype=float))
-        shape = (self.grid.J, self.coefficients.k)
-        if self.initial.shape != shape:
-            raise ValueError(f"initial data has shape {self.initial.shape}, "
-                             f"expected (J, k) = {shape}")
-        if self.weights.interior().shape != shape:
-            raise ValueError(f"interior weights have shape {self.weights.interior().shape}, "
-                             f"expected (J, k) = {shape}")
-
-
-@dataclass
 class SimulationResult:
     times: np.ndarray                 # t^0 .. t^N
     lyapunov: np.ndarray              # L^n at each level
-    sup_b_sq_before: np.ndarray       # sup_{s<n} |b^s|^2, entry per level
-    final_state: StateField
-    history: Optional[List[Tuple[int, np.ndarray]]] = None
+    b_sq: np.ndarray                  # |b(t^n)|^2 at each level
+    final: np.ndarray                 # state at t^N, (J+2, k) with ghosts
+    history: Optional[List[Tuple[int, np.ndarray]]] = None   # (n, interior) snapshots
 
     @property
     def steps(self) -> int:
         return len(self.times) - 1
 
 
-def run(sim: SimulationRun) -> SimulationResult:
-    """March the split scheme over all steps, recording the Lyapunov series.
+def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
+    """March ``scenario`` from t = 0 to t = T, recording the Lyapunov series.
 
-    Per step: transport -> source -> functional -> boundary update with
-    b(t^{n+1}).  Aborts with :class:`BlowupError` at the first level whose
+    ``L^n`` (with the scenario's weights) and ``|b(t^n)|^2`` are recorded at
+    every level; ``stride`` adds interior snapshots every that many steps
+    (first and last level always included).  Per step: transport -> source
+    -> functional -> boundary update with b(t^{n+1}).  Aborts with :class:`BlowupError` at the first level whose
     interior holds a non-finite value; with finite positive weights such a
     level has a non-finite ``L``, so only then is the interior scanned.
     """
-    grid, coeffs = sim.grid, sim.coefficients
+    grid, coeffs = scenario.grid, scenario.coefficients
     k, m, J, N = coeffs.k, coeffs.m, grid.J, grid.N
     dx = grid.dx
-    p = np.ascontiguousarray(sim.weights.interior().T)
+    p = np.ascontiguousarray(scenario.weights.interior().T)
     courant = coeffs.max_abs_speed * grid.dt / dx
     if courant > 1.0 + 1e-9:
         raise ValueError(f"CFL violated: max|lambda| dt/dx = {courant:.6g} > 1")
-    if sim.stride is not None and sim.stride < 1:
+    if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
 
     # component-major state, row i = component i at cells j = -1 .. J
     W = np.zeros((k, J + 2))
     inner = W[:, 1:-1]
-    inner[...] = sim.initial.T
+    inner[...] = scenario.initial.T
     pos, pos_up = W[:m, 1:-1], W[:m, :-2]
     neg, neg_up = W[m:, 1:-1], W[m:, 2:]
     tilde = np.empty((k, J))
@@ -136,18 +110,16 @@ def run(sim: SimulationRun) -> SimulationResult:
 
     times = grid.times()
     lyap = np.empty(N + 1)
-    supb = np.empty(N + 1)
+    b_sq = np.empty(N + 1)
     lyap[0] = functional()
-    supb[0] = 0.0
     history: Optional[List[Tuple[int, np.ndarray]]] = None
-    if sim.stride is not None:
+    if stride is not None:
         history = [(0, inner.T.copy())]
     b_current = b(0.0)
-    running_sup = 0.0
     for n in range(N):
         if n == N - 1:
             r_lam = (grid.step_size(n) / dx) * lam_up
-        running_sup = max(running_sup, float(b_current @ b_current))
+        b_sq[n] = float(b_current @ b_current)
         np.subtract(pos, pos_up, out=tilde_pos)
         np.subtract(neg_up, neg, out=tilde_neg)
         tilde *= r_lam
@@ -164,9 +136,8 @@ def run(sim: SimulationRun) -> SimulationResult:
         b_current = b(times[n + 1])
         W[comp, cell_out] = K @ W[comp, cell_in] + M * b_current
         lyap[n + 1] = L
-        supb[n + 1] = running_sup
-        if history is not None and ((n + 1) % sim.stride == 0 or n + 1 == N):
+        if history is not None and ((n + 1) % stride == 0 or n + 1 == N):
             history.append((n + 1, inner.T.copy()))
-    final = StateField(values=W.T.copy(), m=m, n=N, t=times[N])
-    return SimulationResult(times=times, lyapunov=lyap, sup_b_sq_before=supb,
-                            final_state=final, history=history)
+    b_sq[N] = float(b_current @ b_current)
+    return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq,
+                            final=W.T.copy(), history=history)

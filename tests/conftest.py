@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hypiss import certifier, lyapunov, solver
@@ -7,17 +6,9 @@ from hypiss.models import build_linear_benchmark, saint_venant_scenario
 BENCHMARK_J = (200, 400, 800, 1600)
 
 
-def run_scenario(scenario, report=None):
-    if report is None:
-        report = certifier.certify(scenario)
-    result = solver.run(solver.SimulationRun(
-        grid=scenario.grid, coefficients=scenario.coefficients,
-        initial=scenario.initial, weights=scenario.weights))
-    eta = report.eta if report.eta is not None else report.c1.eta_ratio
-    trace = lyapunov.build_trace(result.times, result.lyapunov,
-                                 result.sup_b_sq_before, scenario.grid,
-                                 eta, report.nu, scenario.xi)
-    return report, trace
+def run_scenario(scenario):
+    report = certifier.certify(scenario)
+    return report, lyapunov.build_trace(solver.run(scenario), scenario, report)
 
 
 @pytest.fixture(scope="session")

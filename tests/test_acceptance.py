@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypiss import certifier, core, lyapunov, solver
+from hypiss.models import Scenario
 from hypiss.cli import main as cli_main
 from hypiss.lambertw import lambert_w_minus1
 from hypiss.models import build_linear_benchmark
@@ -191,8 +192,9 @@ def test_09_exact_advection():
     rng = np.random.default_rng(9)
     init = rng.uniform(-0.5, 0.5, size=(J, 2))
     weights = core.WeightField.from_samples(np.ones((J + 2, 2)))
-    history = solver.run(solver.SimulationRun(grid=g, coefficients=coeffs, initial=init.copy(),
-                                              weights=weights, stride=1)).history
+    sc = Scenario(name="advection", grid=g, coefficients=coeffs, weights=weights,
+                  xi=1.0, initial=init.copy())
+    history = solver.run(sc, stride=1).history
     expect_p = init[:, 0].copy()
     expect_m = init[:, 1].copy()
     worst = 0.0

@@ -144,16 +144,6 @@ class TestWeights:
         assert beta == 4.0
 
 
-class TestStateField:
-    def test_layout(self):
-        interior = np.arange(8.0).reshape(4, 2)
-        s = core.StateField.from_interior(interior, m=1)
-        assert s.values.shape == (6, 2)
-        assert s.J == 4 and s.k == 2
-        assert np.all(s.values[0] == 0) and np.all(s.values[-1] == 0)
-        assert np.all(s.interior() == interior)
-
-
 class TestDisturbance:
     def test_pulsed_sine_values(self):
         b = core.DisturbanceSignal.pulsed_sine(2, amplitude=0.01, cutoff=5.0)

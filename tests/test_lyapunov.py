@@ -40,14 +40,6 @@ class TestEvaluate:
         base = lyapunov.evaluate(state, w, g)
         assert lyapunov.evaluate(3.0 * state, w, g) == pytest.approx(9.0 * base, rel=1e-13)
 
-    def test_ghosts_excluded(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
-        w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
-        s = core.StateField.from_interior(np.zeros((4, 2)), m=1)
-        s.values[0, 0] = 7.0
-        s.values[-1, 1] = -7.0
-        assert lyapunov.evaluate(s, w, g) == 0.0
-
 
 class TestGronwall:
     def test_single_substitution(self):
@@ -89,16 +81,7 @@ class TestEnvelope:
         g = self.grid()
         supb = np.zeros(g.N + 1)
         env = lyapunov.gronwall_envelope(2.5, 0.5, 1.0, 0.125, supb, g)
-        assert env.exponential[0] == pytest.approx(2.5)
-        assert env.recursion[0] == pytest.approx(2.5)
-
-    def test_exponential_majorizes_recursion(self):
-        g = self.grid()
-        rng = np.random.default_rng(13)
-        supb = np.maximum.accumulate(np.abs(rng.normal(size=g.N + 1))) * 1e-3
-        supb[0] = 0.0
-        env = lyapunov.gronwall_envelope(1.0, 0.7, 2.0, 0.125, supb, g)
-        assert np.all(env.recursion <= env.exponential + 1e-14)
+        assert env[0] == pytest.approx(2.5)
 
     def test_rejects_large_eta_dt(self):
         g = self.grid()
@@ -112,7 +95,7 @@ class TestEnvelope:
         L = np.exp(-0.3 * times)
         trace = lyapunov.LyapunovTrace(times=times, L=L, envelope=L.copy(),
                                        sup_b_sq=np.zeros_like(L), eta=0.3, nu=1.0,
-                                       xi=0.125, dt=g.dt, l2_weight=g.dt / g.cfl)
+                                       xi=0.125, l2_weight=g.dt / g.cfl)
         assert lyapunov.envelope_gap_norms(trace) == (0.0, 0.0)
 
 
@@ -120,8 +103,7 @@ class TestFitDecayRate:
     def make_trace(self, times, L):
         return lyapunov.LyapunovTrace(times=times, L=L, envelope=None,
                                       sup_b_sq=np.zeros_like(times), eta=None,
-                                      nu=None, xi=0.125, dt=times[1] - times[0],
-                                      l2_weight=times[1] - times[0])
+                                      nu=None, xi=0.125, l2_weight=times[1] - times[0])
 
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 2001)
@@ -151,10 +133,6 @@ class TestFitDecayRate:
                                     b=core.DisturbanceSignal.pulsed_sine(2, amplitude=0.0))
         report = certifier.certify(sc)
         assert report.overall
-        res = solver.run(solver.SimulationRun(grid=sc.grid,
-                                              coefficients=sc.coefficients,
-                                              initial=sc.initial, weights=sc.weights))
-        trace = lyapunov.build_trace(res.times, res.lyapunov, res.sup_b_sq_before,
-                                     sc.grid, report.eta, report.nu, sc.xi)
+        trace = lyapunov.build_trace(solver.run(sc), sc, report)
         measured = lyapunov.fit_decay_rate(trace, t_start=1.0)
         assert measured >= report.eta - 1e-9

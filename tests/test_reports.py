@@ -1,6 +1,8 @@
 """The streamed trace and trajectory writers against the generic row
 writer ``reports._write_csv``, which formats each value of a row tuple."""
 
+from dataclasses import replace
+
 from hypiss import certifier, lyapunov, reports, solver
 from hypiss.models import build_linear_benchmark
 
@@ -9,12 +11,9 @@ def test_streamed_writers_match_row_writer(tmp_path):
     sc = build_linear_benchmark(J=12, cfl=0.75, T=1.0, mu=0.575, xi=0.125,
                                 kappa12=0.5, kappa21=0.5)
     report = certifier.certify(sc)
-    result = solver.run(solver.SimulationRun(grid=sc.grid, coefficients=sc.coefficients,
-                                             initial=sc.initial, weights=sc.weights,
-                                             stride=5))
-    for eta in (report.eta, None):   # with and without an envelope column
-        trace = lyapunov.build_trace(result.times, result.lyapunov,
-                                     result.sup_b_sq_before, sc.grid, eta, report.nu, sc.xi)
+    result = solver.run(sc, stride=5)
+    with_envelope = lyapunov.build_trace(result, sc, report)
+    for trace in (with_envelope, replace(with_envelope, envelope=None)):
         rows = [(n, trace.times[n], trace.L[n],
                  None if trace.envelope is None else trace.envelope[n], trace.sup_b_sq[n])
                 for n in range(trace.times.size)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypiss import core, solver
+from hypiss.models import Scenario
 
 
 def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
@@ -11,11 +12,17 @@ def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
                                     K=K, M=M, b=b)
 
 
+def scenario(grid, coeffs, initial, weights=None):
+    """A scenario of the given system, with unit weights by default."""
+    if weights is None:
+        weights = core.WeightField.from_samples(np.ones((grid.J + 2, coeffs.k)))
+    return Scenario(name="test", grid=grid, coefficients=coeffs, weights=weights,
+                    xi=1.0, initial=initial)
+
+
 def march(grid, coeffs, initial):
     """Run with unit weights and every level recorded."""
-    unit = core.WeightField.from_samples(np.ones((grid.J + 2, coeffs.k)))
-    return solver.run(solver.SimulationRun(grid=grid, coefficients=coeffs,
-                                           initial=initial, weights=unit, stride=1))
+    return solver.run(scenario(grid, coeffs, initial), stride=1)
 
 
 def one_step_grid(J, cfl, lambda_max=1.0, l=1.0):
@@ -32,7 +39,7 @@ class TestTransport:
         c = make_coeffs(g)
         res = march(g, c, np.zeros((8, 2)))
         assert np.all(res.history[1][1] == 0.0)
-        assert np.all(res.final_state.values == 0.0)
+        assert np.all(res.final == 0.0)
 
     def test_unit_courant_is_pure_shift(self):
         g = one_step_grid(8, 1.0)
@@ -127,10 +134,10 @@ class TestBoundary:
         g = one_step_grid(4, 1.0)
         b = core.DisturbanceSignal.constant([0.3, -0.3])
         c = make_coeffs(g, M=np.array([1.0, 1.0]), b=b)
-        s = march(g, c, np.zeros((4, 2))).final_state
-        assert s.values[0, 0] == pytest.approx(0.3)
-        assert s.values[-1, 1] == pytest.approx(-0.3)
-        assert s.values[0, 1] == 0.0 and s.values[-1, 0] == 0.0
+        s = march(g, c, np.zeros((4, 2))).final
+        assert s[0, 0] == pytest.approx(0.3)
+        assert s[-1, 1] == pytest.approx(-0.3)
+        assert s[0, 1] == 0.0 and s[-1, 0] == 0.0
 
     def test_feedback_block_product(self):
         # unit Courant moves W-_1 to W-_0 and W+_{J-2} to W+_{J-1}; the new
@@ -141,9 +148,9 @@ class TestBoundary:
         interior = np.zeros((4, 2))
         interior[1, 1] = 0.5      # W-_0 after the step
         interior[-2, 0] = -0.5    # W+_{J-1} after the step
-        s = march(g, c, interior).final_state
-        assert s.values[0, 0] == pytest.approx(0.25)
-        assert s.values[-1, 1] == pytest.approx(-0.25)
+        s = march(g, c, interior).final
+        assert s[0, 0] == pytest.approx(0.25)
+        assert s[-1, 1] == pytest.approx(-0.25)
 
     def test_compatibility_ignores_disturbance(self):
         # at unit Courant the first step copies the initial ghosts into the
@@ -162,20 +169,19 @@ class TestBoundary:
 
 class TestRun:
     def small_sim(self, J=24, T=1.0, cfl=0.75, lam=(1.0, -1.0), gamma=None,
-                  K=None, M=None, b=None, initial=None, **kwargs):
+                  K=None, M=None, b=None, initial=None):
         g = core.build_grid(1.0, J, T, cfl, float(np.max(np.abs(lam))))
         c = make_coeffs(g, lam=lam, gamma=gamma, K=K, M=M, b=b)
         w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
         if initial is None:
             initial = np.zeros((J, 2))
-        return solver.SimulationRun(grid=g, coefficients=c, initial=initial,
-                                    weights=w, **kwargs), g, c
+        return scenario(g, c, initial, w), g, c
 
     def test_zero_everything_stays_zero(self):
         sim, _, _ = self.small_sim()
         res = solver.run(sim)
         assert np.all(res.lyapunov == 0.0)
-        assert np.all(res.final_state.values == 0.0)
+        assert np.all(res.final == 0.0)
 
     def test_linearity_without_disturbance(self):
         rng = np.random.default_rng(7)
@@ -187,23 +193,27 @@ class TestRun:
         runs = {}
         for name, init in (("w", w0), ("v", v0), ("mix", alpha * w0 + beta * v0)):
             sim, _, _ = self.small_sim(K=K, gamma=gamma, initial=init)
-            runs[name] = solver.run(sim).final_state.values
+            runs[name] = solver.run(sim).final
         mix = alpha * runs["w"] + beta * runs["v"]
         scale = np.max(np.abs(mix)) or 1.0
         assert np.allclose(runs["mix"], mix, rtol=0, atol=1e-10 * scale)
 
     def test_sup_tracker_monotone_and_lagged(self):
+        # the march records |b(t^n)|^2; the trace holds its lagged running sup
+        from hypiss import certifier, lyapunov
         b = core.DisturbanceSignal.pulsed_sine(2, amplitude=0.5, cutoff=0.6)
-        sim, g, _ = self.small_sim(M=np.array([1.0, 1.0]), b=b,
+        sim, _, _ = self.small_sim(M=np.array([1.0, 1.0]), b=b,
                                    initial=np.ones((24, 2)))
         res = solver.run(sim)
-        assert np.all(np.diff(res.sup_b_sq_before) >= 0)
-        assert res.sup_b_sq_before[0] == 0.0
+        assert res.b_sq == pytest.approx([float(np.sum(b(t) ** 2)) for t in res.times],
+                                         rel=1e-15, abs=0)
+        sup = lyapunov.build_trace(res, sim, certifier.certify(sim)).sup_b_sq
+        assert np.all(np.diff(sup) >= 0)
+        assert sup[0] == 0.0
         # entry n holds the sup over levels strictly before n
-        t1 = res.times[1]
         expected = float(np.sum(b(0.0) ** 2))
-        assert res.sup_b_sq_before[1] == pytest.approx(expected, abs=1e-15)
-        assert res.sup_b_sq_before[-1] == pytest.approx(
+        assert sup[1] == pytest.approx(expected, abs=1e-15)
+        assert sup[-1] == pytest.approx(
             max(float(np.sum(b(t) ** 2)) for t in res.times[:-1]), rel=1e-12)
 
     def test_blowup_detection_reports_step(self):
@@ -221,15 +231,13 @@ class TestRun:
         c = make_coeffs(g)
         unit = core.WeightField.from_samples(np.ones((10, 2)))
         with pytest.raises(ValueError, match="initial data has shape"):
-            solver.SimulationRun(grid=g, coefficients=c, initial=np.zeros((8, 3)),
-                                 weights=unit)
+            scenario(g, c, np.zeros((8, 3)), unit)
         with pytest.raises(ValueError, match="interior weights have shape"):
-            solver.SimulationRun(grid=g, coefficients=c, initial=np.zeros((8, 2)),
-                                 weights=core.WeightField.from_samples(np.ones((9, 2))))
+            scenario(g, c, np.zeros((8, 2)), core.WeightField.from_samples(np.ones((9, 2))))
 
     def test_history_stride(self):
-        sim, g, _ = self.small_sim(initial=np.ones((24, 2)), stride=7)
-        res = solver.run(sim)
+        sim, g, _ = self.small_sim(initial=np.ones((24, 2)))
+        res = solver.run(sim, stride=7)
         assert res.history is not None
         ns = [n for n, _ in res.history]
         assert ns[0] == 0 and ns[-1] == g.N
@@ -248,12 +256,10 @@ class TestRun:
         assert rep.overall
         g = sc.grid
 
-        unit = core.WeightField.from_samples(np.ones((g.J + 2, 2)))
-        sim = solver.SimulationRun(grid=g, coefficients=sc.coefficients,
-                                   initial=sc.initial, weights=unit)
-        res = solver.run(sim)
+        res = solver.run(scenario(g, sc.coefficients, sc.initial))
+        sup_b_sq = np.concatenate([[0.0], np.maximum.accumulate(res.b_sq[:-1])])
         bound = (rep.C1_const * np.exp(-rep.eta * res.times) * res.lyapunov[0]
-                 + (rep.C2_const / rep.eta) * (1 + 1 / sc.xi) * res.sup_b_sq_before)
+                 + (rep.C2_const / rep.eta) * (1 + 1 / sc.xi) * sup_b_sq)
         assert np.all(res.lyapunov <= bound + 1e-12 * max(1.0, res.lyapunov[0]))
 
     def test_exact_advection_at_unit_courant(self):
@@ -331,11 +337,10 @@ class TestThreeComponents:
                                     K=K, M=rng.uniform(0.5, 1.5, k), b=b)
         weights = core.WeightField.from_samples(rng.uniform(0.5, 2.0, (J + 2, k)))
         init = rng.normal(size=(J, k))
-        res = solver.run(solver.SimulationRun(grid=g, coefficients=c, initial=init,
-                                              weights=weights, stride=1))
+        res = solver.run(scenario(g, c, init, weights), stride=1)
         L, snapshots, W = self.reference(g, c, weights, init)
         assert np.allclose(res.lyapunov, L, rtol=1e-13, atol=0)
         scale = max(np.max(np.abs(s)) for s in snapshots)
         for (n, got), want in zip(res.history, snapshots):
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale), f"level {n}"
-        assert np.allclose(res.final_state.values, W, rtol=1e-13, atol=1e-13 * scale)
+        assert np.allclose(res.final, W, rtol=1e-13, atol=1e-13 * scale)
