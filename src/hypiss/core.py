@@ -74,14 +74,6 @@ class Grid1D:
         """Cell centers for j = -1 .. J (ghosts included), length J + 2."""
         return (np.arange(-1, self.J + 1) + 0.5) * self.dx
 
-    def time(self, n: int) -> float:
-        """Time level t^n; the last level is clamped to T exactly."""
-        return self.T if n >= self.N else n * self.dt
-
-    def step_size(self, n: int) -> float:
-        """Size of step n -> n+1 (the final step may be shorter than dt)."""
-        return self.time(n + 1) - self.time(n)
-
     def times(self) -> np.ndarray:
         """All time levels t^0 .. t^N as an array of length N + 1."""
         t = np.arange(self.N + 1) * self.dt

@@ -5,16 +5,16 @@ buffers allocated once per run:
 
 * transport: the first-order upwind update ``W - (r lam_up) (W - W_up)``
   with the speed sampled on the upwind side (cell j-1 for the positive
-  block, j+1 for the negative one) and ``r = dt/dx``;
-* source: the explicit Euler update ``W + (-dt_n) (Pi W)``, with
-  ``dt_n = t^{n+1} - t^n`` and ``Pi W`` summed from component-wise
-  products with the columns of ``Pi``;
+  block, j+1 for the negative one) and ``r = dt_n/dx``;
+* source: the explicit Euler update ``W + (-dt_n) (Pi W)``, with ``Pi W``
+  summed from component-wise products with the columns of ``Pi``;
 * boundary: ghost cells from the feedback law ``K w_in + M b(t^{n+1})``,
   where ``w_in = (W+_{J-1}, W-_0)`` is the freshly computed trace;
 * functional: ``L^{n+1} = dx sum_j W_j^T P_j W_j`` over interior cells.
 
-``r lam_up`` is computed for the nominal step and once more for the
-shortened final step.  Initial ghosts come from the discrete
+Both sub-steps use the same step size ``dt_n``: the nominal ``dt``, and
+``T - t^{N-1}`` on the possibly shortened final step, for which
+``r lam_up`` is computed once more.  Initial ghosts come from the discrete
 compatibility condition, which carries no disturbance term.  The state is
 held component-major, shape (k, J+2), so every update runs on contiguous
 rows.
@@ -92,7 +92,8 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
 
     lam_up = np.ascontiguousarray(
         np.concatenate([coeffs.lam[:-2, :m], coeffs.lam[2:, m:]], axis=1).T)
-    r_lam = (grid.dt / dx) * lam_up
+    step = grid.dt
+    r_lam = (step / dx) * lam_up
     pi_cols = np.ascontiguousarray(coeffs.pi.transpose(2, 1, 0))  # [c, a, j] = Pi_j[a, c]
     first_term, *more_terms = [(pi_cols[c], tilde[c]) for c in range(k)]
 
@@ -118,7 +119,8 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     b_current = b(0.0)
     for n in range(N):
         if n == N - 1:
-            r_lam = (grid.step_size(n) / dx) * lam_up
+            step = times[N] - times[N - 1]
+            r_lam = (step / dx) * lam_up
         b_sq[n] = float(b_current @ b_current)
         np.subtract(pos, pos_up, out=tilde_pos)
         np.subtract(neg_up, neg, out=tilde_neg)
@@ -128,7 +130,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
         for term in more_terms:
             np.multiply(*term, out=prod)
             acc += prod
-        acc *= times[n] - times[n + 1]
+        acc *= -step
         np.add(tilde, acc, out=inner)
         L = functional()
         if not math.isfinite(L) and not np.all(np.isfinite(inner)):
