@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import certifier, lyapunov, reports, solver
-from .scenario import ScenarioError, ScenarioSpec, load_scenario
+from .scenario import ScenarioError, ScenarioSpec, _number, load_scenario
 
 __all__ = ["main"]
 
@@ -98,13 +98,17 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
         return {"J": J, "error": str(exc)}
 
 
-def _is_reference(spec: ScenarioSpec) -> bool:
+def _reference_cfl(spec: ScenarioSpec, cfl: Optional[float]) -> Optional[float]:
+    """The Courant number to look up in the reference tables, or None when
+    the file is not the reference benchmark."""
     if spec.model_name != "linear2x2":
-        return False
+        return None
     try:
-        return reports.is_reference_benchmark(spec.linear_params())
+        if not reports.is_reference_benchmark(spec.linear_params()):
+            return None
+        return cfl if cfl is not None else _number(spec.raw["grid"], "cfl", "grid")
     except ScenarioError:
-        return False  # every row already reports the error
+        return None  # every row already reports the error
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -113,8 +117,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     j_list = _parse_j_list(args.J_list)
     rows = [_table_row(spec, J, args.cfl) for J in j_list]
     reference = None
-    if _is_reference(spec):
-        cfl = args.cfl if args.cfl is not None else spec.raw["grid"]["cfl"]
+    cfl = _reference_cfl(spec, args.cfl)
+    if cfl is not None:
         gaps = {J: reports.REFERENCE_GAP_NORMS.get((cfl, J)) for J in j_list}
         reference = {J: (g[0], g[1], reports.REFERENCE_ETA[J])
                      for J, g in gaps.items()

@@ -145,6 +145,21 @@ class TestTableCommand:
         assert code == 0
         assert "relative deviation" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cfl", ["missing", [0.75]])
+    def test_bad_cfl_fails_every_row_with_field(self, tmp_path, capsys, cfl):
+        raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
+        if cfl == "missing":
+            del raw["grid"]["cfl"]
+        else:
+            raw["grid"]["cfl"] = cfl
+        path = tmp_path / "bad_cfl.json"
+        path.write_text(json.dumps(raw))
+        code = main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                     "--J-list", "32,64"])
+        assert code == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 and all("failed" in r and "grid.cfl" in r for r in rows)
+
     def test_failing_row_does_not_block_the_rest(self, tmp_path, capsys):
         # slow speeds make dt huge at J=2, breaking the source condition
         # there while J=80 still certifies
