@@ -7,20 +7,12 @@ import numpy as np
 import pytest
 
 from hypiss import certifier, core, lyapunov, solver
+from hypiss.reports import REFERENCE_ETA, REFERENCE_GAP_NORMS
 from hypiss.models import Scenario
 from hypiss.cli import main as cli_main
 from hypiss.lambertw import lambert_w_minus1
 from hypiss.models import build_linear_benchmark
 from tests.conftest import BENCHMARK_J, run_scenario
-
-REFERENCE_ETA = {200: 0.57335, 400: 0.57417, 800: 0.57459, 1600: 0.57479}
-REFERENCE_GAPS = {
-    0.75: {200: (0.23286, 0.36365), 400: (0.23069, 0.36113),
-           800: (0.22918, 0.35931), 1600: (0.22813, 0.35801)},
-    1.0: {200: (0.23026, 0.32884), 400: (0.22886, 0.32746),
-          800: (0.2279, 0.32645), 1600: (0.22723, 0.32572)},
-}
-
 
 def report_line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -52,12 +44,12 @@ def test_02_gain_bound_and_disturbance_gain(benchmark_traces):
 
 def test_03_envelope_gap_norm_tables(benchmark_traces):
     worst = 0.0
-    for cfl, refs in REFERENCE_GAPS.items():
+    for cfl in (0.75, 1.0):
         sups, l2s = [], []
         for J in BENCHMARK_J:
             trace = benchmark_traces[(cfl, J)][1]
             sup, l2 = lyapunov.envelope_gap_norms(trace)
-            ref_sup, ref_l2 = refs[J]
+            ref_sup, ref_l2 = REFERENCE_GAP_NORMS[(cfl, J)]
             worst = max(worst, abs(sup - ref_sup) / ref_sup,
                         abs(l2 - ref_l2) / ref_l2)
             sups.append(sup)
