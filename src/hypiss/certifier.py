@@ -164,13 +164,10 @@ def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
 
 
 def check_source(coefficients: SystemCoefficients, weights: WeightField,
-                 grid: Grid1D, dt: Optional[float] = None) -> SourceCheck:
-    """C2: positive semi-definiteness of the per-cell source matrices."""
-    if dt is None:
-        dt = grid.dt
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    mats = _source_matrices(coefficients, weights, dt)
+                 grid: Grid1D) -> SourceCheck:
+    """C2: positive semi-definiteness of the per-cell source matrices at
+    the grid's time step."""
+    mats = _source_matrices(coefficients, weights, grid.dt)
     eigs = np.linalg.eigvalsh(mats)
     scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
     min_eigs = eigs[:, 0]
@@ -230,14 +227,14 @@ def disturbance_gain(coefficients: SystemCoefficients, weights: WeightField) -> 
 
 
 def check_continuous_sampled(coefficients: SystemCoefficients, weights: WeightField,
-                             grid: Grid1D, xi: float) -> bool:
+                             grid: Grid1D) -> bool:
     """Sampled convenience check of the continuous-domain conditions.
 
     Evaluates -Lambda P' - Lambda' P + Pi^T P + P Pi at the interior
     samples (derivatives by centered differences of the sampled fields),
-    one stack of k x k matrices, and reports their positive definiteness
-    together with the C3 boundary form.  Informational only; the discrete conditions
-    above are the certification authority.
+    one stack of k x k matrices, and reports their positive definiteness.
+    :func:`certify` combines it with the C3 boundary form.  Informational
+    only; the discrete conditions above are the certification authority.
     """
     lam = coefficients.lam
     p = weights.values
@@ -255,8 +252,7 @@ def check_continuous_sampled(coefficients: SystemCoefficients, weights: WeightFi
     q = p_int[:, :, None] * pi + np.transpose(pi, (0, 2, 1)) * p_int[:, None, :]
     diag = np.arange(coefficients.k)
     q[:, diag, diag] += -lam[1:J + 1] * p_prime - lam_prime * p_int
-    return bool(np.all(np.linalg.eigvalsh(q)[:, 0] > PD_TOL)
-                and check_boundary(coefficients, weights, xi).passed)
+    return bool(np.all(np.linalg.eigvalsh(q)[:, 0] > PD_TOL))
 
 
 @dataclass
@@ -364,7 +360,7 @@ def certify(scenario) -> CertificateReport:
     weights = scenario.weights
     xi = scenario.xi
     c1 = check_transport(coeffs, weights, grid)
-    c2 = check_source(coeffs, weights, grid, dt=grid.dt)
+    c2 = check_source(coeffs, weights, grid)
     c3 = check_boundary(coeffs, weights, xi)
     nu = disturbance_gain(coeffs, weights)
     zeta, beta = weights.eigen_bounds()
@@ -372,7 +368,7 @@ def certify(scenario) -> CertificateReport:
     eta_dt_ok = eta is not None and 0.0 < eta * grid.dt < 1.0
     overall = c1.passed and c2.passed and c3.passed and eta_dt_ok
     first = next((c.witness for c in (c1, c2, c3) if c.witness is not None), None)
-    cont = check_continuous_sampled(coeffs, weights, grid, xi)
+    cont = check_continuous_sampled(coeffs, weights, grid) and c3.passed
     notes = list(getattr(scenario, "notes", []))
     return CertificateReport(
         overall=overall, c1=c1, c2=c2, c3=c3, eta=eta, nu=nu, xi=xi,

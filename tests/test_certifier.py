@@ -101,7 +101,7 @@ class TestConditionMatrixIndexing:
 class TestSourceCondition:
     def test_zero_source_is_boundary_case(self):
         sc = benchmark(J=16, source=((0.0, 0.0), (0.0, 0.0)))
-        c2 = certifier.check_source(*_cwg(sc), dt=sc.grid.dt)
+        c2 = certifier.check_source(*_cwg(sc))
         assert c2.passed
         assert np.allclose(c2.min_eigenvalues, 0.0, atol=1e-15)
 
@@ -114,7 +114,7 @@ class TestSourceCondition:
         m = g + g.T - dt * g.T @ g
         expected = np.linalg.eigvalsh(m)
         flat = core.WeightField.from_samples(np.ones((1602, 2)))
-        c2 = certifier.check_source(sc.coefficients, flat, sc.grid, dt=dt)
+        c2 = certifier.check_source(sc.coefficients, flat, sc.grid)
         assert c2.passed
         j = 0
         assert np.allclose(c2.eigenvalues[j], expected, rtol=1e-12)
@@ -123,7 +123,7 @@ class TestSourceCondition:
 
     def test_euler_counterexample_fails(self):
         sc = euler_scenario(J=64)
-        c2 = certifier.check_source(*_cwg(sc), dt=sc.grid.dt)
+        c2 = certifier.check_source(*_cwg(sc))
         assert not c2.passed
         assert c2.witness is not None
         assert c2.witness.condition == "C2"
@@ -185,7 +185,7 @@ class TestThreeComponents:
             q = np.diag(-lam * self.MU * signs * p - lam_prime * p) + Pi.T @ P + P @ Pi
             smallest = min(smallest, np.linalg.eigvalsh(q)[0])
         assert bool(smallest > certifier.PD_TOL) is continuous_ok
-        assert certifier.check_continuous_sampled(c, w, g, xi=0.125) is continuous_ok
+        assert certifier.check_continuous_sampled(c, w, g) is continuous_ok
 
 
 class TestBoundaryCondition:
