@@ -65,3 +65,19 @@ def test_domain_errors():
         lambert_w_minus1(0.2)
     with pytest.raises(ValueError):
         lambert_w_minus1(-1.0)
+
+
+def test_against_mpmath():
+    # relative error against mpmath's branch -1 at 40 digits; near the
+    # branch point the cancellation in 1 + e z costs about five digits
+    mpmath = pytest.importorskip("mpmath")
+
+    def rel_err(z):
+        with mpmath.workdps(40):
+            ref = mpmath.lambertw(mpmath.mpf(z), -1)
+            return float(abs((lambert_w_minus1(z) - ref) / ref))
+
+    far = max(rel_err(-math.exp(s)) for s in np.linspace(-300.0, -1.0, 3000, endpoint=False))
+    near = max(rel_err(-math.exp(-1.0) + d) for d in np.geomspace(1e-12, 0.1, 1000))
+    assert far <= 1e-15
+    assert near <= 1e-10
