@@ -65,9 +65,10 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     ``L^n`` (with the scenario's weights) and ``|b(t^n)|^2`` are recorded at
     every level; ``stride`` adds interior snapshots every that many steps
     (first and last level always included).  Per step: transport -> source
-    -> functional -> boundary update with b(t^{n+1}).  Aborts with :class:`BlowupError` at the first level whose
-    interior holds a non-finite value; with finite positive weights such a
-    level has a non-finite ``L``, so only then is the interior scanned.
+    -> functional -> boundary update with b(t^{n+1}).  Aborts with
+    :class:`BlowupError` at the first level whose interior holds a
+    non-finite value; with finite positive weights such a level has a
+    non-finite ``L``, so only then is the interior scanned.
     """
     grid, coeffs = scenario.grid, scenario.coefficients
     k, m, J, N = coeffs.k, coeffs.m, grid.J, grid.N
