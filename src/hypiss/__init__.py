@@ -14,9 +14,8 @@ from .core import (DisturbanceSignal, Grid1D, SystemCoefficients, WeightField,
 from .lambertw import lambert_w_minus1
 from .lyapunov import (LyapunovTrace, build_trace, envelope_gap_norms, evaluate,
                        fit_decay_rate, gronwall_closed_form, gronwall_envelope)
-from .models import (EulerParams, SaintVenantParams, Scenario,
-                     build_linear_benchmark, euler_scenario,
-                     linearize_euler, linearize_saint_venant, saint_venant_scenario)
+from .models import (EulerParams, SaintVenantParams, Scenario, build_linear_benchmark,
+                     euler_scenario, saint_venant_scenario)
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
 from .solver import BlowupError, SimulationResult, run
 
@@ -32,8 +31,7 @@ __all__ = [
     "check_boundary", "disturbance_gain", "sweep_xi",
     "lambert_w_minus1",
     "Scenario", "build_linear_benchmark", "SaintVenantParams",
-    "linearize_saint_venant", "saint_venant_scenario", "EulerParams",
-    "linearize_euler", "euler_scenario",
+    "saint_venant_scenario", "EulerParams", "euler_scenario",
     "ScenarioSpec", "ScenarioError", "load_scenario",
     "__version__",
 ]

@@ -104,7 +104,7 @@ def _reference_cfl(spec: ScenarioSpec, cfl: Optional[float]) -> Optional[float]:
     if spec.model_name != "linear2x2":
         return None
     try:
-        if not reports.is_reference_benchmark(spec.linear_params()):
+        if not reports.is_reference_benchmark(spec.params()):
             return None
         return cfl if cfl is not None else _number(spec.raw["grid"], "cfl", "grid")
     except ScenarioError:

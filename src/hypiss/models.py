@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,24 +23,14 @@ __all__ = [
     "Scenario",
     "build_linear_benchmark",
     "SaintVenantParams",
-    "linearize_saint_venant",
     "saint_venant_scenario",
     "EulerParams",
-    "linearize_euler",
     "euler_scenario",
 ]
 
 logger = logging.getLogger(__name__)
 
-ScalarField = Union[float, Callable[[float], float]]
 StateProfile = Union[Sequence[float], Callable[[float], Sequence[float]]]
-
-
-def _as_fn(v: ScalarField) -> Callable[[float], float]:
-    if callable(v):
-        return v
-    vv = float(v)
-    return lambda x: vv
 
 
 @dataclass
@@ -109,59 +99,23 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
 
 @dataclass
 class SaintVenantParams:
-    """Channel-flow model data around a sub-critical equilibrium."""
+    """Channel-flow model data around a constant sub-critical equilibrium."""
 
     g: float = 9.81
     Cf: float = 0.1
     Sb: float = 0.0459
-    Hstar: ScalarField = 2.0
-    Vstar: ScalarField = 3.0
+    Hstar: float = 2.0
+    Vstar: float = 3.0
     k0: Optional[float] = None
     kl: Optional[float] = None
 
 
-def _sv_lambdas(params: SaintVenantParams) -> Tuple[Callable, Callable]:
-    H, V = _as_fn(params.Hstar), _as_fn(params.Vstar)
-    g = params.g
-
-    def lam1(x: float) -> float:
-        return V(x) + math.sqrt(g * H(x))
-
-    def lam2(x: float) -> float:
-        return V(x) - math.sqrt(g * H(x))
-
-    return lam1, lam2
-
-
-def _sv_gammas(params: SaintVenantParams) -> Callable[[float], np.ndarray]:
-    H, V = _as_fn(params.Hstar), _as_fn(params.Vstar)
-    g, Cf, Sb = params.g, params.Cf, params.Sb
-    lam1, lam2 = _sv_lambdas(params)
-
-    def gamma(x: float) -> np.ndarray:
-        h, v = H(x), V(x)
-        c = math.sqrt(g * h)
-        imbalance = (Sb * h - Cf * v * v) * g / h
-        fric = g * Cf * v * v / (2.0 * h)
-        lo = 2.0 / v - 1.0 / c
-        hi = 2.0 / v + 1.0 / c
-        return np.array([
-            [0.75 * imbalance / lam1(x) + fric * lo,
-             0.25 * imbalance / lam1(x) + fric * hi],
-            [0.25 * imbalance / lam2(x) + fric * lo,
-             0.75 * imbalance / lam2(x) + fric * hi],
-        ])
-
-    return gamma
-
-
-def saint_venant_kappa(params: SaintVenantParams, l: float) -> Tuple[float, float]:
+def saint_venant_kappa(params: SaintVenantParams) -> Tuple[float, float]:
     """Feedback gains induced by the physical boundary gains k0, kl."""
     if params.k0 is None or params.kl is None:
         raise ValueError("physical boundary gains k0, kl not set")
-    H = _as_fn(params.Hstar)
-    s0 = params.k0 * math.sqrt(H(0.0) / params.g)
-    sl = params.kl * math.sqrt(H(l) / params.g)
+    s0 = params.k0 * math.sqrt(params.Hstar / params.g)
+    sl = params.kl * math.sqrt(params.Hstar / params.g)
     kappa12 = (s0 - 1.0) / (1.0 + s0)
     kappa21 = (sl - 1.0) / (1.0 + sl)
     if abs(kappa12 - 1.0) < 1e-14 or abs(kappa21 - 1.0) < 1e-14:
@@ -169,106 +123,70 @@ def saint_venant_kappa(params: SaintVenantParams, l: float) -> Tuple[float, floa
     return kappa12, kappa21
 
 
-def saint_venant_transform(params: SaintVenantParams):
-    """(H, V) <-> characteristic coordinates, both directions.
+def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
+                          mu: float = 0.575, xi: float = 0.125,
+                          params: Optional[SaintVenantParams] = None,
+                          kappa: Optional[Tuple[float, float]] = None,
+                          p_plus: Sequence[float] = (0.0992,),
+                          p_minus: Sequence[float] = (0.2008,),
+                          gamma_override: Optional[Sequence[Sequence[float]]] = ((0.0992, 0.2008),
+                                                                                 (0.0992, 0.2008)),
+                          l: float = 1.0,
+                          H0: float = 2.5,
+                          V0: Optional[Callable[[float], float]] = None) -> Scenario:
+    """Channel-flow decay experiment around the constant equilibrium.
 
-    Returns ``(to_w, from_w)`` where ``to_w(x, H, V) -> (w1, w2)`` and
-    ``from_w(x, w1, w2) -> (H, V)``.
+    The linearization has constant speeds V* +- sqrt(g H*) and a constant
+    source matrix, so it is built as a constant-coefficient 2x2 system.
+    ``gamma_override`` replaces the source matrix (a disagreement with the
+    formula beyond 1e-6 is flagged in the notes; None selects the formula),
+    ``kappa`` the physical-gain boundary map, and the injection diagonal is
+    (1 - kappa12, 1 - kappa21).  Defaults reproduce the shipped experiment:
+    equilibrium H* = 2, V* = 3, source constants via override, weights
+    (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),
+    initial depth 2.5 and velocity 4 sin(pi x).
     """
-    Hs, Vs = _as_fn(params.Hstar), _as_fn(params.Vstar)
-    g = params.g
-
-    def to_w(x: float, H: float, V: float) -> Tuple[float, float]:
-        c = math.sqrt(g / Hs(x))
-        dv, dh = V - Vs(x), H - Hs(x)
-        return dv + dh * c, dv - dh * c
-
-    def from_w(x: float, w1: float, w2: float) -> Tuple[float, float]:
-        c = math.sqrt(g / Hs(x))
-        return Hs(x) + (w1 - w2) / (2.0 * c), Vs(x) + (w1 + w2) / 2.0
-
-    return to_w, from_w
-
-
-def linearize_saint_venant(params: SaintVenantParams, grid: Grid1D,
-                           kappa: Optional[Tuple[float, float]] = None,
-                           m_diag: Optional[Tuple[float, float]] = None,
-                           gamma_override: Optional[Sequence[Sequence[float]]] = None,
-                           b: Optional[DisturbanceSignal] = None,
-                           ) -> Tuple[SystemCoefficients, List[str]]:
-    """Sampled coefficients of the channel flow around its equilibrium.
-
-    ``kappa`` overrides the physical-gain boundary map; ``gamma_override``
-    replaces the source matrix with constants (the sampled formula values
-    are still evaluated, and a disagreement beyond 1e-6 is flagged in the
-    returned notes).  ``m_diag`` defaults to (1 - kappa12, 1 - kappa21).
-    """
-    H, V = _as_fn(params.Hstar), _as_fn(params.Vstar)
-    for x in grid.centers:
-        if V(x) ** 2 >= params.g * H(x):
-            raise ValueError(f"equilibrium not sub-critical at x={x:.6g}")
-    lam1, lam2 = _sv_lambdas(params)
-    gamma_formula = _sv_gammas(params)
+    params = params or SaintVenantParams()
+    g, Cf, Sb, h, v = params.g, params.Cf, params.Sb, params.Hstar, params.Vstar
+    if v * v >= g * h:
+        raise ValueError(f"equilibrium not sub-critical: V*^2 = {v * v:.6g} >= "
+                         f"g H* = {g * h:.6g}")
+    c = math.sqrt(g * h)
+    lam1, lam2 = v + c, v - c
+    imbalance = (Sb * h - Cf * v * v) * g / h
+    fric = g * Cf * v * v / (2.0 * h)
+    lo = 2.0 / v - 1.0 / c
+    hi = 2.0 / v + 1.0 / c
+    gamma = np.array([
+        [0.75 * imbalance / lam1 + fric * lo, 0.25 * imbalance / lam1 + fric * hi],
+        [0.25 * imbalance / lam2 + fric * lo, 0.75 * imbalance / lam2 + fric * hi],
+    ])
     notes: List[str] = []
     if gamma_override is not None:
         override = np.asarray(gamma_override, dtype=float)
-        dev = max(float(np.max(np.abs(gamma_formula(x) - override)))
-                  for x in grid.centers[1:-1])
+        dev = float(np.max(np.abs(gamma - override)))
         if dev > 1e-6:
             msg = (f"source override differs from the sampled formula by up to "
                    f"{dev:.3g}; using the override")
             logger.warning(msg)
             notes.append(msg)
-        gamma_fn: Callable[[float], np.ndarray] = lambda x: override
-    else:
-        gamma_fn = gamma_formula
-    if kappa is None:
-        kappa = saint_venant_kappa(params, grid.l)
-    kappa12, kappa21 = kappa
-    if m_diag is None:
-        m_diag = (1.0 - kappa12, 1.0 - kappa21)
-    if b is None:
-        b = DisturbanceSignal.pulsed_sine(2)
-    K = np.array([[0.0, kappa12], [kappa21, 0.0]])
-    coeffs = sample_coefficients(lambda x: np.array([lam1(x), lam2(x)]), gamma_fn,
-                                 grid, K=K, M=np.asarray(m_diag, dtype=float), b=b)
-    return coeffs, notes
-
-
-def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
-                          mu: float = 0.575, xi: float = 0.125,
-                          params: Optional[SaintVenantParams] = None,
-                          kappa: Optional[Tuple[float, float]] = None,
-                          p: Tuple[float, float] = (0.0992, 0.2008),
-                          gamma_override: Optional[Sequence[Sequence[float]]] = ((0.0992, 0.2008),
-                                                                                 (0.0992, 0.2008)),
-                          l: float = 1.0,
-                          H0: ScalarField = 2.5,
-                          V0: Optional[ScalarField] = None) -> Scenario:
-    """Channel-flow decay experiment around the constant equilibrium.
-
-    Defaults reproduce the shipped experiment: constant equilibrium
-    (H* = 2, V* = 3), source constants via override, weights
-    (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),
-    initial depth 2.5 and velocity 4 sin(pi x).
-    """
-    params = params or SaintVenantParams()
-    if V0 is None:
-        V0 = lambda x: 4.0 * math.sin(math.pi * x)
+        gamma = override
     if kappa is None:
         kappa = (0.5, 1.5 * math.exp(-mu))
-    lam1, lam2 = _sv_lambdas(params)
-    probe = np.linspace(-l / (2 * J), l + l / (2 * J), 2 * J + 3)
-    lam_max = max(max(abs(lam1(x)) for x in probe), max(abs(lam2(x)) for x in probe))
-    grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=lam_max)
-    coeffs, notes = linearize_saint_venant(params, grid, kappa=kappa,
-                                           gamma_override=gamma_override)
-    weights = WeightField.implicit([p[0]], [p[1]], mu, grid)
-    to_w, _ = saint_venant_transform(params)
-    Hfn, Vfn = _as_fn(H0), _as_fn(V0)
-    initial = np.array([to_w(x, Hfn(x), Vfn(x)) for x in grid.centers[1:-1]])
-    return Scenario(name="saint_venant", grid=grid, coefficients=coeffs,
-                    weights=weights, xi=xi, initial=initial, notes=notes)
+    kappa12, kappa21 = kappa
+    if V0 is None:
+        V0 = lambda x: 4.0 * math.sin(math.pi * x)
+    scale = math.sqrt(g / h)
+
+    def ic(x: float) -> Tuple[float, float]:
+        dv, dh = V0(x) - v, H0 - h
+        return dv + dh * scale, dv - dh * scale
+
+    scenario = build_linear_benchmark(
+        J=J, cfl=cfl, T=T, mu=mu, xi=xi, kappa12=kappa12, kappa21=kappa21, l=l,
+        speeds=(lam1, lam2), source=gamma, ic=ic, p_plus=p_plus, p_minus=p_minus,
+        m_diag=(1.0 - kappa12, 1.0 - kappa21))
+    return replace(scenario, name="saint_venant", notes=notes)
 
 
 @dataclass
@@ -299,19 +217,28 @@ class EulerParams:
         return (abs(self.q_star) / self.a) * math.sqrt(-w)
 
 
-def linearize_euler(params: EulerParams, grid: Grid1D,
-                    kappa: Tuple[float, float] = (0.5, 0.5),
-                    m_diag: Tuple[float, float] = (1.0, 1.0),
-                    b: Optional[DisturbanceSignal] = None) -> SystemCoefficients:
-    """Sampled coefficients of the isothermal pipe flow.
+def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
+                   mu: float = 0.575, xi: float = 0.125,
+                   params: Optional[EulerParams] = None,
+                   kappa12: float = 0.5, kappa21: float = 0.5,
+                   p_plus: Sequence[float] = (1.0,),
+                   p_minus: Sequence[float] = (1.0,),
+                   l: float = 1.0) -> Scenario:
+    """Pipe-flow scenario with initial data cos(2 pi x) in both components.
 
     Speeds lambda1 = q*/rho* + a and lambda2 = q*/rho* - a must straddle
     zero at every sample.  Speed derivatives entering the source matrix
     are taken by centered differences with step dx/10 on the analytic
-    equilibrium.
+    equilibrium.  This is the shipped counterexample: its source matrices
+    are not positive semi-definite, so certification fails at the source
+    check.
     """
+    params = params or EulerParams()
     a, fD, q = params.a, params.f_over_D, params.q_star
     rho = params.rho_star
+    probe = np.linspace(-l / (2 * J), l + l / (2 * J), 257)
+    lam_max = max(abs(q / rho(x)) + a for x in probe)
+    grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=lam_max)
 
     def lam1(x: float) -> float:
         return q / rho(x) + a
@@ -342,31 +269,10 @@ def linearize_euler(params: EulerParams, grid: Grid1D,
              +half * drift + half * l1 * mixing - half * l2 * dl1],
         ])
 
-    if b is None:
-        b = DisturbanceSignal.pulsed_sine(2)
-    K = np.array([[0.0, kappa[0]], [kappa[1], 0.0]])
-    return sample_coefficients(lambda x: np.array([lam1(x), lam2(x)]), gamma, grid,
-                               K=K, M=np.asarray(m_diag, dtype=float), b=b)
-
-
-def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
-                   mu: float = 0.575, xi: float = 0.125,
-                   params: Optional[EulerParams] = None,
-                   kappa: Tuple[float, float] = (0.5, 0.5),
-                   p: Tuple[float, float] = (1.0, 1.0),
-                   l: float = 1.0) -> Scenario:
-    """Pipe-flow scenario with initial data cos(2 pi x) in both components.
-
-    This is the shipped counterexample: its source matrices are not
-    positive semi-definite, so certification fails at the source check.
-    """
-    params = params or EulerParams()
-    rho = params.rho_star
-    probe = np.linspace(-l / (2 * J), l + l / (2 * J), 257)
-    lam_max = max(abs(params.q_star / rho(x)) + params.a for x in probe)
-    grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=lam_max)
-    coeffs = linearize_euler(params, grid, kappa=kappa)
-    weights = WeightField.implicit([p[0]], [p[1]], mu, grid)
+    K = np.array([[0.0, kappa12], [kappa21, 0.0]])
+    coeffs = sample_coefficients(lambda x: np.array([lam1(x), lam2(x)]), gamma, grid,
+                                 K=K, M=np.ones(2), b=DisturbanceSignal.pulsed_sine(2))
+    weights = WeightField.implicit(p_plus, p_minus, mu, grid)
     initial = np.array([[math.cos(2.0 * math.pi * x)] * 2 for x in grid.centers[1:-1]])
     return Scenario(name="isothermal_euler", grid=grid, coefficients=coeffs,
                     weights=weights, xi=xi, initial=initial)

@@ -174,7 +174,7 @@ def write_summary(path: Path, summary: dict) -> None:
 
 
 def is_reference_benchmark(params: dict) -> bool:
-    """True when linear-model parameters (``ScenarioSpec.linear_params``),
+    """True when linear-model parameters (``ScenarioSpec.params``),
     with the builder's defaults applied, are the reference parameter set."""
     bound = inspect.signature(build_linear_benchmark).bind_partial(**params)
     bound.apply_defaults()

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -83,6 +83,19 @@ def _ic_profile(spec: Any, context: str):
     raise ScenarioError(f"unknown initial-condition kind '{kind}' in '{context}'")
 
 
+def _velocity_profile(ic: dict) -> Callable[[float], float]:
+    """Initial velocity of the channel flow, ``model.ic.V0``: a number or a
+    one-component profile."""
+    V0 = ic["V0"]
+    if isinstance(V0, (int, float)):
+        v = _number(ic, "V0", "model.ic")
+        return lambda x: v
+    profile = _ic_profile(V0, "model.ic.V0")
+    if callable(profile):
+        return lambda x: float(profile(x)[0])
+    return lambda x: profile[0]
+
+
 def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
     context = "boundary.disturbance"
     if spec is None:
@@ -105,6 +118,10 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
     raise ScenarioError(f"unknown disturbance kind '{kind}'")
 
 
+_BUILDERS = {"linear2x2": build_linear_benchmark, "saint_venant": saint_venant_scenario,
+             "isothermal_euler": euler_scenario}
+
+
 @dataclass
 class ScenarioSpec:
     """Parsed scenario description, rebuildable at other resolutions."""
@@ -119,39 +136,69 @@ class ScenarioSpec:
         model = self.raw["model"]
         if not isinstance(model, dict) or "name" not in model:
             raise ScenarioError("field 'model' must be an object with a 'name'")
-        if model["name"] not in ("linear2x2", "saint_venant", "isothermal_euler"):
+        if model["name"] not in _BUILDERS:
             raise ScenarioError(f"unknown model '{model['name']}'")
 
     @property
     def model_name(self) -> str:
         return self.raw["model"]["name"]
 
-    def _common(self) -> dict:
-        """``l``, ``T``, ``xi`` and ``mu``, the last None when the file
-        tabulates the weights."""
-        grid, weights = self.raw["grid"], self.raw["weights"]
-        return {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
-                "xi": _number(self.raw, "xi", ""),
-                "mu": None if "table" in weights else _number(weights, "mu", "weights")}
-
-    def linear_params(self) -> dict:
-        """Keyword arguments of :func:`models.build_linear_benchmark`, all
-        but ``J`` and ``cfl``, for a ``linear2x2`` file.  Optional fields
-        the file leaves out are left out here too, so the builder's
-        defaults apply."""
-        model, boundary = self.raw["model"], self.raw["boundary"]
-        params = {**self._common(),
-                  "kappa12": _number(boundary, "kappa12", "boundary"),
-                  "kappa21": _number(boundary, "kappa21", "boundary"),
-                  "b": _disturbance(boundary.get("disturbance"), 2)}
-        for name, section, key in (("speeds", "model", "speeds"), ("source", "model", "source"),
-                                   ("p_plus", "weights", "p_plus"),
-                                   ("p_minus", "weights", "p_minus"),
-                                   ("m_diag", "boundary", "M")):
-            if key in self.raw[section]:
-                params[name] = _floats(self.raw[section], key, section)
-        if "ic" in model:
-            params["ic"] = _ic_profile(model["ic"], "model.ic")
+    def params(self) -> dict:
+        """Keyword arguments of the model's builder, all but ``J`` and
+        ``cfl``.  Optional fields the file leaves out are left out here
+        too, so each default lives in the builder; ``mu`` is None when a
+        linear file tabulates the weights."""
+        name, grid = self.model_name, self.raw["grid"]
+        model, weights, boundary = self.raw["model"], self.raw["weights"], self.raw["boundary"]
+        if "table" in weights and name != "linear2x2":
+            raise ScenarioError(f"{name} scenarios need implicit weights (mu)")
+        params = {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
+                  "xi": _number(self.raw, "xi", ""),
+                  "mu": None if "table" in weights else _number(weights, "mu", "weights")}
+        for key in ("p_plus", "p_minus"):
+            if key in weights:
+                params[key] = _floats(weights, key, "weights")
+        if name == "linear2x2":
+            params.update(kappa12=_number(boundary, "kappa12", "boundary"),
+                          kappa21=_number(boundary, "kappa21", "boundary"),
+                          b=_disturbance(boundary.get("disturbance"), 2))
+            for key, section, field in (("speeds", "model", "speeds"),
+                                        ("source", "model", "source"),
+                                        ("m_diag", "boundary", "M")):
+                if field in self.raw[section]:
+                    params[key] = _floats(self.raw[section], field, section)
+            if "ic" in model:
+                params["ic"] = _ic_profile(model["ic"], "model.ic")
+        elif name == "saint_venant":
+            sv = SaintVenantParams(**{key: _number(model, key, "model")
+                                      for key in ("g", "Cf", "Sb", "Hstar", "Vstar")
+                                      if key in model})
+            if "kappa_override" in model:
+                params["kappa"] = _floats(model, "kappa_override", "model")
+                if len(params["kappa"]) != 2:
+                    raise ScenarioError("model.kappa_override must be [kappa12, kappa21]")
+            elif "kappa12" in boundary and "kappa21" in boundary:
+                params["kappa"] = (_number(boundary, "kappa12", "boundary"),
+                                   _number(boundary, "kappa21", "boundary"))
+            elif "k0" in boundary or "kl" in boundary:
+                sv.k0 = _number(boundary, "k0", "boundary")
+                sv.kl = _number(boundary, "kl", "boundary")
+            params["params"] = sv
+            # the builder's default is the shipped override; None selects the formula
+            params["gamma_override"] = (_floats(model, "gamma_override", "model")
+                                        if "gamma_override" in model else None)
+            ic = model.get("ic", {})
+            if "H0" in ic:
+                params["H0"] = _number(ic, "H0", "model.ic")
+            if "V0" in ic:
+                params["V0"] = _velocity_profile(ic)
+        else:
+            params["params"] = EulerParams(**{key: _number(model, key, "model")
+                                              for key in ("a", "f_over_D", "rho0", "q_star")
+                                              if key in model})
+            for key in ("kappa12", "kappa21"):
+                if key in boundary:
+                    params[key] = _number(boundary, key, "boundary")
         return params
 
     def build(self, J: Optional[int] = None, cfl: Optional[float] = None) -> Scenario:
@@ -159,16 +206,7 @@ class ScenarioSpec:
         weights_cfg = self.raw["weights"]
         J = int(J if J is not None else _number(grid_cfg, "J", "grid"))
         cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
-        name = self.model_name
-        if name == "linear2x2":
-            scenario = build_linear_benchmark(J=J, cfl=cfl, **self.linear_params())
-        elif "table" in weights_cfg:
-            raise ScenarioError(f"{name} scenarios need implicit weights (mu)")
-        elif name == "saint_venant":
-            scenario = self._build_saint_venant(J, cfl)
-        else:
-            scenario = self._build_euler(J, cfl)
-
+        scenario = _BUILDERS[self.model_name](J=J, cfl=cfl, **self.params())
         if "table" in weights_cfg:
             table = np.asarray(_floats(weights_cfg, "table", "weights"))
             if table.shape != (J + 2, scenario.coefficients.k):
@@ -177,58 +215,6 @@ class ScenarioSpec:
                     f"{scenario.coefficients.k}), got {table.shape}")
             scenario.weights = WeightField.from_samples(table)
         return scenario
-
-    def _p(self, default: Tuple[float, float]) -> Tuple[float, float]:
-        """(p+, p-) of a physical model: the first entry of each weight list."""
-        weights = self.raw["weights"]
-        return tuple(_floats(weights, key, "weights")[0] if key in weights else d
-                     for key, d in zip(("p_plus", "p_minus"), default))
-
-    def _build_saint_venant(self, J: int, cfl: float) -> Scenario:
-        model, boundary = self.raw["model"], self.raw["boundary"]
-        params = SaintVenantParams(
-            g=_number(model, "g", "model", 9.81),
-            Cf=_number(model, "Cf", "model", 0.1),
-            Sb=_number(model, "Sb", "model", 0.0459),
-            Hstar=_number(model, "Hstar", "model", 2.0),
-            Vstar=_number(model, "Vstar", "model", 3.0),
-            k0=model.get("k0"), kl=model.get("kl"))
-        kappa = None
-        if "kappa_override" in model:
-            kappa = _floats(model, "kappa_override", "model")
-            if len(kappa) != 2:
-                raise ScenarioError("model.kappa_override must be [kappa12, kappa21]")
-        elif "kappa12" in boundary and "kappa21" in boundary:
-            kappa = (_number(boundary, "kappa12", "boundary"),
-                     _number(boundary, "kappa21", "boundary"))
-        elif "k0" in boundary or "kl" in boundary:
-            params.k0 = _number(boundary, "k0", "boundary")
-            params.kl = _number(boundary, "kl", "boundary")
-        gamma_override = (_floats(model, "gamma_override", "model")
-                          if "gamma_override" in model else None)
-        ic_cfg = model.get("ic", {})
-        V0 = ic_cfg.get("V0")
-        if isinstance(V0, (int, float)):
-            V0 = _number(ic_cfg, "V0", "model.ic")
-        elif V0 is not None:
-            profile = _ic_profile(V0, "model.ic.V0")
-            V0 = (lambda x: float(profile(x)[0])) if callable(profile) else profile[0]
-        return saint_venant_scenario(
-            J=J, cfl=cfl, **self._common(), params=params, kappa=kappa,
-            p=self._p((0.0992, 0.2008)), gamma_override=gamma_override,
-            H0=_number(ic_cfg, "H0", "model.ic", 2.5), V0=V0)
-
-    def _build_euler(self, J: int, cfl: float) -> Scenario:
-        model, boundary = self.raw["model"], self.raw["boundary"]
-        params = EulerParams(
-            a=_number(model, "a", "model", 1.0),
-            f_over_D=_number(model, "f_over_D", "model", 1.0),
-            rho0=_number(model, "rho0", "model", 3.0),
-            q_star=_number(model, "q_star", "model", 0.2))
-        kappa = (_number(boundary, "kappa12", "boundary", 0.5),
-                 _number(boundary, "kappa21", "boundary", 0.5))
-        return euler_scenario(J=J, cfl=cfl, **self._common(), params=params,
-                              kappa=kappa, p=self._p((1.0, 1.0)))
 
 
 def load_scenario(path: str) -> ScenarioSpec:

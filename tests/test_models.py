@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypiss import core, models
+from hypiss import models
 from hypiss.lambertw import lambert_w_minus1
 
 
@@ -51,28 +51,15 @@ class TestSaintVenant:
         assert np.allclose(w1, -1.8926 + 4 * np.sin(np.pi * xs), atol=5e-5)
         assert np.allclose(w2, -4.1074 + 4 * np.sin(np.pi * xs), atol=5e-5)
 
-    def test_transform_round_trip(self):
-        params = models.SaintVenantParams()
-        to_w, from_w = models.saint_venant_transform(params)
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            x = rng.uniform(0, 1)
-            H = rng.uniform(0.5, 5.0)
-            V = rng.uniform(-2.0, 6.0)
-            w1, w2 = to_w(x, H, V)
-            H2, V2 = from_w(x, w1, w2)
-            assert H2 == pytest.approx(H, abs=1e-12)
-            assert V2 == pytest.approx(V, abs=1e-12)
-
     def test_physical_gain_map(self):
         params = models.SaintVenantParams(k0=1.5, kl=2.0)
-        k12, k21 = models.saint_venant_kappa(params, l=1.0)
+        k12, k21 = models.saint_venant_kappa(params)
         s0 = 1.5 * math.sqrt(2.0 / 9.81)
         sl = 2.0 * math.sqrt(2.0 / 9.81)
         assert k12 == pytest.approx((s0 - 1) / (1 + s0), rel=1e-14)
         assert k21 == pytest.approx((sl - 1) / (1 + sl), rel=1e-14)
-        coeffs, _ = models.linearize_saint_venant(
-            params, core.build_grid(1.0, 16, 1.0, 0.75, 7.5))
+        coeffs = models.saint_venant_scenario(J=16, params=params,
+                                              kappa=(k12, k21)).coefficients
         assert coeffs.K[0, 1] == pytest.approx(k12)
         assert coeffs.M[0] == pytest.approx(1 - k12)
         assert coeffs.M[1] == pytest.approx(1 - k21)
@@ -81,24 +68,19 @@ class TestSaintVenant:
         sc = models.saint_venant_scenario(J=16)
         assert any("override" in note for note in sc.notes)
         # without override the formula values are used untouched
-        grid = core.build_grid(1.0, 16, 1.0, 0.75, 7.5)
-        coeffs, notes = models.linearize_saint_venant(models.SaintVenantParams(),
-                                                      grid, kappa=(0.5, 0.5))
-        assert notes == []
-        x0 = grid.centers[1]
+        sc = models.saint_venant_scenario(J=16, gamma_override=None, kappa=(0.5, 0.5))
+        assert sc.notes == []
         g, H, V = 9.81, 2.0, 3.0
         lam1 = V + math.sqrt(g * H)
         imbalance = (0.0459 * H - 0.1 * V * V) * g / H
         fric = g * 0.1 * V * V / (2 * H)
         expected_g11 = 0.75 * imbalance / lam1 + fric * (2 / V - 1 / math.sqrt(g * H))
-        assert coeffs.pi[0, 0, 0] == pytest.approx(expected_g11, rel=1e-12)
+        assert sc.coefficients.pi[0, 0, 0] == pytest.approx(expected_g11, rel=1e-12)
 
     def test_rejects_supercritical_equilibrium(self):
         params = models.SaintVenantParams(Hstar=0.5, Vstar=3.0)  # V^2 > g H
         with pytest.raises(ValueError, match="sub-critical"):
-            models.linearize_saint_venant(params,
-                                          core.build_grid(1.0, 8, 1.0, 0.75, 6.0),
-                                          kappa=(0.1, 0.1))
+            models.saint_venant_scenario(J=8, params=params, kappa=(0.1, 0.1))
 
 
 class TestEuler:
@@ -138,8 +120,7 @@ class TestEuler:
 
     def test_zero_flux_limit_kills_source(self):
         p = models.EulerParams(q_star=0.0)
-        grid = core.build_grid(1.0, 16, 1.0, 0.75, 1.0)
-        coeffs = models.linearize_euler(p, grid)
+        coeffs = models.euler_scenario(J=16, T=1.0, params=p).coefficients
         assert np.allclose(coeffs.pi, 0.0, atol=1e-14)
         assert np.allclose(coeffs.lam[:, 0], 1.0)
         assert np.allclose(coeffs.lam[:, 1], -1.0)
