@@ -140,7 +140,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     source matrix, so it is built as a constant-coefficient 2x2 system.
     ``gamma_override`` replaces the source matrix (a disagreement with the
     formula beyond 1e-6 is flagged in the notes; None selects the formula),
-    ``kappa`` the physical-gain boundary map, and the injection diagonal is
+    ``kappa`` the gains that ``params.k0``, ``params.kl`` map to (see
+    :func:`saint_venant_kappa`), and the injection diagonal is
     (1 - kappa12, 1 - kappa21).  Defaults reproduce the shipped experiment:
     equilibrium H* = 2, V* = 3, source constants via override, weights
     (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),
@@ -172,7 +173,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
             notes.append(msg)
         gamma = override
     if kappa is None:
-        kappa = (0.5, 1.5 * math.exp(-mu))
+        kappa = (saint_venant_kappa(params) if (params.k0, params.kl) != (None, None)
+                 else (0.5, 1.5 * math.exp(-mu)))
     kappa12, kappa21 = kappa
     if V0 is None:
         V0 = lambda x: 4.0 * math.sin(math.pi * x)

@@ -177,7 +177,7 @@ class ScenarioSpec:
                 params["kappa"] = _floats(model, "kappa_override", "model")
                 if len(params["kappa"]) != 2:
                     raise ScenarioError("model.kappa_override must be [kappa12, kappa21]")
-            elif "kappa12" in boundary and "kappa21" in boundary:
+            elif "kappa12" in boundary or "kappa21" in boundary:
                 params["kappa"] = (_number(boundary, "kappa12", "boundary"),
                                    _number(boundary, "kappa21", "boundary"))
             elif "k0" in boundary or "kl" in boundary:

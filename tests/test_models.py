@@ -58,9 +58,9 @@ class TestSaintVenant:
         sl = 2.0 * math.sqrt(2.0 / 9.81)
         assert k12 == pytest.approx((s0 - 1) / (1 + s0), rel=1e-14)
         assert k21 == pytest.approx((sl - 1) / (1 + sl), rel=1e-14)
-        coeffs = models.saint_venant_scenario(J=16, params=params,
-                                              kappa=(k12, k21)).coefficients
+        coeffs = models.saint_venant_scenario(J=16, params=params).coefficients
         assert coeffs.K[0, 1] == pytest.approx(k12)
+        assert coeffs.K[1, 0] == pytest.approx(k21)
         assert coeffs.M[0] == pytest.approx(1 - k12)
         assert coeffs.M[1] == pytest.approx(1 - k21)
 

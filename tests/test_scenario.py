@@ -44,6 +44,23 @@ class TestLoading:
         assert sc.coefficients.M[0] == pytest.approx(0.75)
         assert sc.coefficients.M[1] == pytest.approx(1.3)
 
+    def test_saint_venant_physical_gains(self):
+        # boundary.k0/kl map to the feedback gains when the file gives no kappa
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        del raw["boundary"]["kappa12"]
+        del raw["boundary"]["kappa21"]
+        raw["boundary"].update(k0=1.5, kl=2.0)
+        sc = ScenarioSpec(raw=raw).build(J=16)
+        assert sc.coefficients.K[0, 1] == pytest.approx(-0.1924, abs=5e-5)
+        assert sc.coefficients.K[1, 0] == pytest.approx(-0.0509, abs=5e-5)
+        assert sc.coefficients.M == pytest.approx([1.1924, 1.0509], abs=5e-5)
+
+    def test_saint_venant_half_gain_pair_rejected(self):
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        del raw["boundary"]["kappa21"]
+        with pytest.raises(ScenarioError, match="boundary.kappa21"):
+            ScenarioSpec(raw=raw).build(J=16)
+
     def test_shipped_euler_builds(self):
         spec = load_scenario(str(SCENARIOS / "isothermal_euler.json"))
         sc = spec.build(J=24)
