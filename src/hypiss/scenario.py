@@ -50,8 +50,17 @@ def _number(mapping: dict, key: str, context: str, default: Optional[float] = No
     return float(v)
 
 
-def _floats(mapping: dict, key: str, context: str) -> tuple:
-    """A finite number array field as nested tuples, so parsed values compare with ==."""
+def _object(mapping: dict, key: str, context: str) -> dict:
+    """An object (section) field."""
+    value = _require(mapping, key, context)
+    if not isinstance(value, dict):
+        raise ScenarioError(f"field '{_name(context, key)}' must be an object, got {value!r}")
+    return value
+
+
+def _floats(mapping: dict, key: str, context: str, shape: Optional[tuple] = None) -> tuple:
+    """A finite number array field as nested tuples, so parsed values compare
+    with ==; ``shape`` (when given) is the required array shape."""
     value = _require(mapping, key, context)
     try:
         arr = np.asarray(value, dtype=float)
@@ -60,11 +69,14 @@ def _floats(mapping: dict, key: str, context: str) -> tuple:
             f"field '{_name(context, key)}' must be an array of numbers, got {value!r}") from None
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {value!r}")
+    if shape is not None and arr.shape != shape:
+        raise ScenarioError(
+            f"field '{_name(context, key)}' must have shape {shape}, got {value!r}")
     return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.reshape(-1).tolist())
 
 
-def _ic_profile(spec: Any, context: str):
-    """Componentwise initial data: a constant state, or a sine or cosine
+def _ic_profile(spec: Any, context: str, k: int):
+    """Initial data of k components: a constant state, or a sine or cosine
     profile x -> state."""
     if isinstance(spec, (list, tuple)):
         spec = {"kind": "constant", "values": list(spec)}
@@ -72,10 +84,10 @@ def _ic_profile(spec: Any, context: str):
         raise ScenarioError(f"field '{context}' must be an object or a list")
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return _floats(spec, "values", context)
+        return _floats(spec, "values", context, (k,))
     if kind in ("sin", "cos"):
-        amp = np.asarray(_floats(spec, "amplitude", context))
-        off = np.asarray(_floats(spec, "offset", context)) if "offset" in spec \
+        amp = np.asarray(_floats(spec, "amplitude", context, (k,)))
+        off = np.asarray(_floats(spec, "offset", context, (k,))) if "offset" in spec \
             else np.zeros_like(amp)
         freq = _number(spec, "frequency", context, 1.0)
         trig = math.sin if kind == "sin" else math.cos
@@ -90,7 +102,7 @@ def _velocity_profile(ic: dict) -> Callable[[float], float]:
     if isinstance(V0, (int, float)):
         v = _number(ic, "V0", "model.ic")
         return lambda x: v
-    profile = _ic_profile(V0, "model.ic.V0")
+    profile = _ic_profile(V0, "model.ic.V0", 1)
     if callable(profile):
         return lambda x: float(profile(x)[0])
     return lambda x: profile[0]
@@ -106,15 +118,16 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
     if kind == "zero":
         return DisturbanceSignal.zero(k)
     if kind == "constant":
-        return DisturbanceSignal.constant(_floats(spec, "values", context))
+        return DisturbanceSignal.constant(_floats(spec, "values", context, (k,)))
     if kind == "pulsed_sine":
         return DisturbanceSignal.pulsed_sine(
             k, amplitude=_number(spec, "amplitude", context, 0.01),
             cutoff=_number(spec, "cutoff", context, 5.0),
-            pattern=_floats(spec, "pattern", context) if "pattern" in spec else None)
+            pattern=_floats(spec, "pattern", context, (k,)) if "pattern" in spec else None)
     if kind == "table":
-        return DisturbanceSignal.tabulated(_floats(spec, "times", context),
-                                           _floats(spec, "values", context))
+        times = _floats(spec, "times", context)
+        return DisturbanceSignal.tabulated(times, _floats(spec, "values", context,
+                                                          (len(times), k)))
     raise ScenarioError(f"unknown disturbance kind '{kind}'")
 
 
@@ -133,9 +146,11 @@ class ScenarioSpec:
         for key in ("grid", "model", "weights", "boundary", "xi"):
             if key not in self.raw:
                 raise ScenarioError(f"missing top-level field '{key}'")
+        for key in ("grid", "model", "weights", "boundary"):
+            _object(self.raw, key, "")
         model = self.raw["model"]
-        if not isinstance(model, dict) or "name" not in model:
-            raise ScenarioError("field 'model' must be an object with a 'name'")
+        if "name" not in model:
+            raise ScenarioError("missing field 'model.name'")
         if model["name"] not in _BUILDERS:
             raise ScenarioError(f"unknown model '{model['name']}'")
 
@@ -157,26 +172,24 @@ class ScenarioSpec:
                   "mu": None if "table" in weights else _number(weights, "mu", "weights")}
         for key in ("p_plus", "p_minus"):
             if key in weights:
-                params[key] = _floats(weights, key, "weights")
+                params[key] = _floats(weights, key, "weights", (1,))
         if name == "linear2x2":
             params.update(kappa12=_number(boundary, "kappa12", "boundary"),
                           kappa21=_number(boundary, "kappa21", "boundary"),
                           b=_disturbance(boundary.get("disturbance"), 2))
-            for key, section, field in (("speeds", "model", "speeds"),
-                                        ("source", "model", "source"),
-                                        ("m_diag", "boundary", "M")):
+            for key, section, field, shape in (("speeds", "model", "speeds", (2,)),
+                                               ("source", "model", "source", (2, 2)),
+                                               ("m_diag", "boundary", "M", (2,))):
                 if field in self.raw[section]:
-                    params[key] = _floats(self.raw[section], field, section)
+                    params[key] = _floats(self.raw[section], field, section, shape)
             if "ic" in model:
-                params["ic"] = _ic_profile(model["ic"], "model.ic")
+                params["ic"] = _ic_profile(model["ic"], "model.ic", 2)
         elif name == "saint_venant":
             sv = SaintVenantParams(**{key: _number(model, key, "model")
                                       for key in ("g", "Cf", "Sb", "Hstar", "Vstar")
                                       if key in model})
             if "kappa_override" in model:
-                params["kappa"] = _floats(model, "kappa_override", "model")
-                if len(params["kappa"]) != 2:
-                    raise ScenarioError("model.kappa_override must be [kappa12, kappa21]")
+                params["kappa"] = _floats(model, "kappa_override", "model", (2,))
             elif "kappa12" in boundary or "kappa21" in boundary:
                 params["kappa"] = (_number(boundary, "kappa12", "boundary"),
                                    _number(boundary, "kappa21", "boundary"))
@@ -185,9 +198,9 @@ class ScenarioSpec:
                 sv.kl = _number(boundary, "kl", "boundary")
             params["params"] = sv
             # the builder's default is the shipped override; None selects the formula
-            params["gamma_override"] = (_floats(model, "gamma_override", "model")
+            params["gamma_override"] = (_floats(model, "gamma_override", "model", (2, 2))
                                         if "gamma_override" in model else None)
-            ic = model.get("ic", {})
+            ic = _object(model, "ic", "model") if "ic" in model else {}
             if "H0" in ic:
                 params["H0"] = _number(ic, "H0", "model.ic")
             if "V0" in ic:

@@ -138,6 +138,35 @@ def _set(raw, path, value):
     ("isothermal_euler", "model.rho0", math.nan, "model.rho0"),
 ])
 def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path, value, field):
+    _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
+
+
+@pytest.mark.parametrize("shipped,path,value,field", [
+    ("linear_benchmark", "grid", 5, "'grid'"),
+    ("linear_benchmark", "grid", [1], "'grid'"),
+    ("linear_benchmark", "weights", 3, "'weights'"),
+    ("linear_benchmark", "boundary", "x", "'boundary'"),
+    ("saint_venant", "model.ic", [2.5, 1.0], "'model.ic'"),
+    ("linear_benchmark", "model.speeds", [1.0, -1.0, 2.0], "model.speeds"),
+    ("linear_benchmark", "model.source", [[0.3, -0.1]], "model.source"),
+    ("saint_venant", "model.gamma_override", [[1, 2]], "model.gamma_override"),
+    ("linear_benchmark", "boundary.M", [1.0, 1.0, 1.0], "boundary.M"),
+    ("linear_benchmark", "weights.p_minus", [1, 2], "weights.p_minus"),
+    ("saint_venant", "weights.p_plus", [0.0992, 0.5], "weights.p_plus"),
+    ("linear_benchmark", "model.ic.values", [1.0], "model.ic.values"),
+    ("linear_benchmark", "boundary.disturbance", {"kind": "constant", "values": [0.1, 0.2, 0.3]},
+     "boundary.disturbance.values"),
+    ("linear_benchmark", "boundary.disturbance.pattern", [1.0, -1.0, 1.0],
+     "boundary.disturbance.pattern"),
+    ("linear_benchmark", "boundary.disturbance",
+     {"kind": "table", "times": [0.0, 1.0], "values": [[0.1, 0.2, 0.3]] * 2},
+     "boundary.disturbance.values"),
+])
+def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, field):
+    _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
+
+
+def _certify_fails_naming(tmp_path, capsys, shipped, path, value, field):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
     raw["grid"].update(J=16, T=0.5)
     _set(raw, path, value)
