@@ -114,8 +114,8 @@ def saint_venant_kappa(params: SaintVenantParams) -> Tuple[float, float]:
     """Feedback gains induced by the physical boundary gains k0, kl."""
     if params.k0 is None or params.kl is None:
         raise ValueError("physical boundary gains k0, kl not set")
-    s0 = params.k0 * math.sqrt(params.Hstar / params.g)
-    sl = params.kl * math.sqrt(params.Hstar / params.g)
+    scale = math.sqrt(params.Hstar / params.g)
+    s0, sl = params.k0 * scale, params.kl * scale
     kappa12 = (s0 - 1.0) / (1.0 + s0)
     kappa21 = (sl - 1.0) / (1.0 + sl)
     if abs(kappa12 - 1.0) < 1e-14 or abs(kappa21 - 1.0) < 1e-14:
@@ -140,8 +140,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     source matrix, so it is built as a constant-coefficient 2x2 system.
     ``gamma_override`` replaces the source matrix (a disagreement with the
     formula beyond 1e-6 is flagged in the notes; None selects the formula),
-    ``kappa`` the gains that ``params.k0``, ``params.kl`` map to (see
-    :func:`saint_venant_kappa`), and the injection diagonal is
+    ``kappa`` replaces the gains that ``params.k0``, ``params.kl`` map to
+    (see :func:`saint_venant_kappa`), and the injection diagonal is
     (1 - kappa12, 1 - kappa21).  Defaults reproduce the shipped experiment:
     equilibrium H* = 2, V* = 3, source constants via override, weights
     (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),

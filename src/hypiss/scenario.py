@@ -143,11 +143,9 @@ class ScenarioSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("grid", "model", "weights", "boundary", "xi"):
-            if key not in self.raw:
-                raise ScenarioError(f"missing top-level field '{key}'")
         for key in ("grid", "model", "weights", "boundary"):
             _object(self.raw, key, "")
+        _require(self.raw, "xi", "")
         model = self.raw["model"]
         if "name" not in model:
             raise ScenarioError("missing field 'model.name'")
