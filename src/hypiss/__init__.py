@@ -9,8 +9,7 @@ Lyapunov series against its theoretical decay envelope.
 
 from .certifier import (CertificateReport, certify, check_boundary, check_source,
                         check_transport, disturbance_gain, sweep_xi)
-from .core import (DisturbanceSignal, Grid1D, SystemCoefficients, WeightField,
-                   build_grid, sample_coefficients)
+from .core import DisturbanceSignal, Grid1D, SystemCoefficients, WeightField
 from .lambertw import lambert_w_minus1
 from .lyapunov import (LyapunovTrace, build_trace, envelope_gap_norms, evaluate,
                        fit_decay_rate, gronwall_closed_form, gronwall_envelope)
@@ -22,8 +21,7 @@ from .solver import BlowupError, SimulationResult, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid1D", "build_grid", "DisturbanceSignal", "SystemCoefficients",
-    "sample_coefficients", "WeightField",
+    "Grid1D", "DisturbanceSignal", "SystemCoefficients", "WeightField",
     "SimulationResult", "run", "BlowupError",
     "evaluate", "gronwall_closed_form", "gronwall_envelope", "LyapunovTrace",
     "build_trace", "envelope_gap_norms", "fit_decay_rate",

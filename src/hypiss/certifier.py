@@ -155,12 +155,7 @@ def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
     pi = coefficients.pi                          # (J, k, k)
     p_pi = p[:, :, None] * pi                     # P_j Pi_j
     pit_p_pi = np.einsum("jca,jc,jcb->jab", pi, p, pi)
-    mats = p_pi + np.transpose(p_pi, (0, 2, 1)) - dt * pit_p_pi
-    asym = np.max(np.abs(mats - np.transpose(mats, (0, 2, 1))))
-    scale = max(float(np.max(np.abs(mats))), 1e-300)
-    if asym > 1e-10 * scale:
-        raise RuntimeError(f"source condition matrix asymmetric beyond round-off ({asym:.3e})")
-    return mats
+    return p_pi + np.transpose(p_pi, (0, 2, 1)) - dt * pit_p_pi
 
 
 def check_source(coefficients: SystemCoefficients, weights: WeightField,

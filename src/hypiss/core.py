@@ -21,10 +21,8 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "build_grid",
     "DisturbanceSignal",
     "SystemCoefficients",
-    "sample_coefficients",
     "WeightField",
 ]
 
@@ -50,8 +48,8 @@ class Grid1D:
     def __post_init__(self):
         if self.l <= 0 or self.T <= 0:
             raise ValueError("domain length and final time must be positive")
-        if self.J < 1:
-            raise ValueError(f"cell count must be >= 1, got J={self.J}")
+        if self.J < 2:
+            raise ValueError(f"need at least two cells, got J={self.J}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"Courant number must lie in (0, 1], got {self.cfl}")
         if self.lambda_max <= 0:
@@ -81,33 +79,27 @@ class Grid1D:
         return t
 
 
-def build_grid(l: float, J: int, T: float, cfl: float, lambda_max: float) -> Grid1D:
-    """Validated mesh factory; rejects CFL violations and nonpositive sizes."""
-    if J < 2:
-        raise ValueError(f"need at least two cells, got J={J}")
-    grid = Grid1D(l=l, J=J, T=T, cfl=cfl, lambda_max=lambda_max)
-    assert grid.dt * lambda_max / grid.dx <= 1.0 + 1e-12
-    return grid
-
-
 class DisturbanceSignal:
     """Time-indexed boundary disturbance b(t) in R^k.
 
-    Wraps a scalar-time callable and offers the constructors used by the
-    built-in scenarios.  Each constructor records its arguments in
+    Wraps a callable that samples every time in an array at once,
+    returning shape ``t.shape + (k,)``, and offers the constructors used
+    by the built-in scenarios.  Each constructor records its arguments in
     ``description``; two signals are equal when they are the same object
     or share a nonempty description.
     """
 
-    def __init__(self, k: int, fn: Callable[[float], np.ndarray], description: str = ""):
+    def __init__(self, k: int, fn: Callable[[np.ndarray], np.ndarray], description: str = ""):
         self.k = k
         self.fn = fn
         self.description = description
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         out = np.asarray(self.fn(t), dtype=float)
-        if out.shape != (self.k,):
-            raise ValueError(f"disturbance returned shape {out.shape}, expected ({self.k},)")
+        if out.shape != t.shape + (self.k,):
+            raise ValueError(f"disturbance returned shape {out.shape}, "
+                             f"expected {t.shape + (self.k,)}")
         return out
 
     def __eq__(self, other) -> bool:
@@ -118,13 +110,12 @@ class DisturbanceSignal:
 
     @classmethod
     def zero(cls, k: int) -> "DisturbanceSignal":
-        z = np.zeros(k)
-        return cls(k, lambda t: z, f"zero({k})")
+        return cls(k, lambda t: np.zeros(t.shape + (k,)), f"zero({k})")
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "DisturbanceSignal":
         v = np.asarray(values, dtype=float)
-        return cls(v.size, lambda t: v, f"constant({v.tolist()})")
+        return cls(v.size, lambda t: np.full(t.shape + v.shape, v), f"constant({v.tolist()})")
 
     @classmethod
     def pulsed_sine(cls, k: int, amplitude: float = 0.01, cutoff: float = 5.0,
@@ -142,10 +133,11 @@ class DisturbanceSignal:
             if pat.shape != (k,):
                 raise ValueError("pattern length must equal k")
 
-        def fn(t: float) -> np.ndarray:
-            if t < cutoff:
-                return pat * (amplitude * math.sin(math.pi * t) ** 2)
-            return np.zeros(k)
+        def fn(t: np.ndarray) -> np.ndarray:
+            # float_power rounds the square like Python's float ** (C pow);
+            # t ** 2 multiplies, which differs in the last bit at a few levels
+            pulse = amplitude * np.float_power(np.sin(np.pi * t), 2.0)
+            return np.where((t < cutoff)[..., None], pat * pulse[..., None], 0.0)
 
         return cls(k, fn, f"pulsed_sine(amplitude={float(amplitude)!r}, "
                           f"cutoff={float(cutoff)!r}, pattern={pat.tolist()})")
@@ -161,8 +153,8 @@ class DisturbanceSignal:
             raise ValueError("times must be strictly increasing")
         k = vs.shape[1]
 
-        def fn(t: float) -> np.ndarray:
-            return np.array([np.interp(t, ts, vs[:, i]) for i in range(k)])
+        def fn(t: np.ndarray) -> np.ndarray:
+            return np.stack([np.interp(t, ts, vs[:, i]) for i in range(k)], axis=-1)
 
         return cls(k, fn, f"tabulated({ts.tolist()}, {vs.tolist()})")
 
@@ -207,13 +199,15 @@ class SystemCoefficients:
             raise ValueError("coefficient array shapes inconsistent with k")
         if self.lam.shape[0] != self.pi.shape[0] + 2:
             raise ValueError("lam must be sampled at J+2 centers, pi at J interior cells")
-        if np.any(self.lam == 0):
-            j = int(np.argwhere(self.lam == 0)[0][0]) - 1
-            raise ValueError(f"zero characteristic speed sampled at cell j={j}")
-        if np.any(self.lam[:, :m] < 0) or np.any(self.lam[:, m:] > 0):
+        wrong_sign = np.where(np.arange(k) < m, self.lam <= 0, self.lam >= 0)
+        if np.any(wrong_sign):
+            row, col = np.argwhere(wrong_sign)[0]
+            where = f"cell j={row - 1}, component {col + 1}"
+            if self.lam[row, col] == 0:
+                raise ValueError(f"zero characteristic speed sampled at {where}")
             raise ValueError(
-                "speed sign pattern violated: need the m positive speeds ordered "
-                "before the k-m negative ones at every sample")
+                f"speed sign pattern violated at {where}: need the m positive speeds "
+                "ordered before the k-m negative ones at every sample")
         if np.any(self.K[:m, :m] != 0) or np.any(self.K[m:, m:] != 0):
             raise ValueError("feedback matrix must have zero diagonal blocks")
 
@@ -224,35 +218,6 @@ class SystemCoefficients:
     @property
     def max_abs_speed(self) -> float:
         return float(np.max(np.abs(self.lam)))
-
-
-def sample_coefficients(lambda_fn: Callable[[float], Sequence[float]],
-                        pi_fn: Callable[[float], Sequence[Sequence[float]]],
-                        grid: Grid1D,
-                        K: Optional[np.ndarray] = None,
-                        M: Optional[Sequence[float]] = None,
-                        b: Optional[DisturbanceSignal] = None) -> SystemCoefficients:
-    """Sample continuous speed/source fields at cell and ghost centers.
-
-    ``lambda_fn(x)`` must return the k signed diagonal speeds with a sign
-    pattern that is constant in x (positive block first); a sign change or
-    a zero entry anywhere on the sampled domain is rejected.  ``m`` is the
-    number of positive speeds at the left ghost center.
-    """
-    xs = grid.centers
-    lam = np.array([np.asarray(lambda_fn(x), dtype=float) for x in xs])
-    if lam.ndim != 2:
-        raise ValueError("lambda_fn must return a 1-D speed vector")
-    k = lam.shape[1]
-    m = int(np.sum(lam[0] > 0))
-    pi = np.array([np.asarray(pi_fn(x), dtype=float) for x in xs[1:-1]])
-    if K is None:
-        K = np.zeros((k, k))
-    if M is None:
-        M = np.zeros(k)
-    if b is None:
-        b = DisturbanceSignal.zero(k)
-    return SystemCoefficients(k=k, m=m, lam=lam, pi=pi, K=K, M=np.asarray(M, dtype=float), b=b)
 
 
 @dataclass

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .core import (DisturbanceSignal, Grid1D, SystemCoefficients, WeightField,
-                   build_grid, sample_coefficients)
+from .core import DisturbanceSignal, Grid1D, SystemCoefficients, WeightField
 from .lambertw import lambert_w_minus1
 
 __all__ = [
@@ -30,7 +30,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-StateProfile = Union[Sequence[float], Callable[[float], Sequence[float]]]
+# A constant state, or a profile taking the (J,) interior centers to (J, k).
+StateProfile = Union[Sequence[float], Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -61,36 +62,36 @@ class Scenario:
 def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi: float,
                            kappa12: float, kappa21: float,
                            l: float = 1.0,
-                           speeds: Sequence[float] = (1.0, -1.0),
-                           source: Sequence[Sequence[float]] = ((0.3, -0.1), (-0.1, 0.3)),
+                           speeds: ArrayLike = (1.0, -1.0),
+                           source: ArrayLike = ((0.3, -0.1), (-0.1, 0.3)),
                            ic: StateProfile = (-0.5, 0.5),
                            p_plus: Sequence[float] = (1.0,),
                            p_minus: Sequence[float] = (1.0,),
                            m_diag: Sequence[float] = (1.0, 1.0),
                            b: Optional[DisturbanceSignal] = None) -> Scenario:
-    """Constant-coefficient 2x2 benchmark with a pulsed boundary disturbance.
+    """Linear 2x2 system with one positive and one negative speed.
 
     Defaults reproduce the standard test problem: speeds diag(1, -1),
     symmetric source matrix, constant initial data (-0.5, 0.5), implicit
     exponential weights with p1 = p2 = 1, and the disturbance pair
-    b1 = -b2 = 0.01 sin^2(pi t) switched off at t = 5.  ``ic`` is either a
-    constant state or a profile x -> state; ``mu=None`` leaves unit
-    weights in place of a table the caller supplies.
+    b1 = -b2 = 0.01 sin^2(pi t) switched off at t = 5.  ``speeds`` is one
+    pair or one pair per cell center, shape (J+2, 2); ``source`` is one
+    matrix or one per interior cell, shape (J, 2, 2).  ``ic`` is either a
+    constant state or a profile; ``mu=None`` leaves unit weights in place
+    of a table the caller supplies.
     """
     lam = np.asarray(speeds, dtype=float)
-    if lam.shape != (2,) or not lam[0] > 0 > lam[1]:
-        raise ValueError("benchmark needs one positive and one negative speed")
-    gamma = np.asarray(source, dtype=float)
-    grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
+    grid = Grid1D(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
     if b is None:
         b = DisturbanceSignal.pulsed_sine(2)
-    K = np.array([[0.0, kappa12], [kappa21, 0.0]])
-    coeffs = sample_coefficients(lambda x: lam, lambda x: gamma, grid,
-                                 K=K, M=np.asarray(m_diag, dtype=float), b=b)
+    coeffs = SystemCoefficients(
+        k=2, m=1, lam=np.broadcast_to(lam, (J + 2, 2)).copy(),
+        pi=np.broadcast_to(np.asarray(source, dtype=float), (J, 2, 2)).copy(),
+        K=np.array([[0.0, kappa12], [kappa21, 0.0]]), M=m_diag, b=b)
     weights = (WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None
                else WeightField.from_samples(np.ones((J + 2, 2))))
     if callable(ic):
-        initial = np.array([ic(x) for x in grid.centers[1:-1]])
+        initial = ic(grid.centers[1:-1])
     else:
         initial = np.tile(np.asarray(ic, dtype=float), (J, 1))
     return Scenario(name="linear2x2", grid=grid, coefficients=coeffs,
@@ -133,7 +134,7 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
                                                                                  (0.0992, 0.2008)),
                           l: float = 1.0,
                           H0: float = 2.5,
-                          V0: Optional[Callable[[float], float]] = None) -> Scenario:
+                          V0: Optional[StateProfile] = None) -> Scenario:
     """Channel-flow decay experiment around the constant equilibrium.
 
     The linearization has constant speeds V* +- sqrt(g H*) and a constant
@@ -145,7 +146,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     (1 - kappa12, 1 - kappa21).  Defaults reproduce the shipped experiment:
     equilibrium H* = 2, V* = 3, source constants via override, weights
     (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),
-    initial depth 2.5 and velocity 4 sin(pi x).
+    initial depth 2.5 and velocity 4 sin(pi x).  ``V0`` is a one-component
+    state profile, like ``ic`` of :func:`build_linear_benchmark`.
     """
     params = params or SaintVenantParams()
     g, Cf, Sb, h, v = params.g, params.Cf, params.Sb, params.Hstar, params.Vstar
@@ -177,12 +179,13 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
                  else (0.5, 1.5 * math.exp(-mu)))
     kappa12, kappa21 = kappa
     if V0 is None:
-        V0 = lambda x: 4.0 * math.sin(math.pi * x)
-    scale = math.sqrt(g / h)
+        V0 = lambda x: 4.0 * np.sin(np.pi * x)[:, None]
+    dh = (H0 - h) * math.sqrt(g / h)
 
-    def ic(x: float) -> Tuple[float, float]:
-        dv, dh = V0(x) - v, H0 - h
-        return dv + dh * scale, dv - dh * scale
+    def to_w(v0: np.ndarray) -> np.ndarray:
+        return np.concatenate([v0 - v + dh, v0 - v - dh], axis=-1)
+
+    ic = (lambda x: to_w(V0(x))) if callable(V0) else to_w(np.asarray(V0, dtype=float))
 
     scenario = build_linear_benchmark(
         J=J, cfl=cfl, T=T, mu=mu, xi=xi, kappa12=kappa12, kappa21=kappa21, l=l,
@@ -201,22 +204,24 @@ class EulerParams:
     rho0: float = 3.0
     q_star: float = 0.2
 
-    def rho_star(self, x: float) -> float:
-        """Equilibrium density via the branch -1 Lambert W closed form.
+    def rho_star(self, x: ArrayLike) -> np.ndarray:
+        """Equilibrium density at each position in ``x``, via the branch -1
+        Lambert W closed form.
 
         With c = (a rho0 / q*)^2 and theta = (f/D)/2 the density is
         (q*/a) sqrt(-W_{-1}(-c exp(2 theta x - c))); the exponential
         argument is tiny in magnitude but stays inside the branch domain.
         """
+        x = np.asarray(x, dtype=float)
         if self.q_star == 0.0:
-            return self.rho0
+            return np.full(x.shape, self.rho0)
         c = (self.a * self.rho0 / self.q_star) ** 2
         theta = self.f_over_D / 2.0
-        z = -c * math.exp(2.0 * theta * x - c)
-        if z == 0.0:
+        z = -c * np.exp(2.0 * theta * x - c)
+        if np.any(z == 0.0):
             raise ValueError("equilibrium argument underflows; parameters too extreme")
         w = lambert_w_minus1(z)
-        return (abs(self.q_star) / self.a) * math.sqrt(-w)
+        return (abs(self.q_star) / self.a) * np.sqrt(-w)
 
 
 def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
@@ -231,50 +236,33 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     Speeds lambda1 = q*/rho* + a and lambda2 = q*/rho* - a must straddle
     zero at every sample.  Speed derivatives entering the source matrix
     are taken by centered differences with step dx/10 on the analytic
-    equilibrium.  This is the shipped counterexample: its source matrices
-    are not positive semi-definite, so certification fails at the source
-    check.
+    equilibrium.  This is the shipped counterexample to the sufficient
+    source condition C2: its source matrices are not positive
+    semi-definite, so certification fails at the source check.  That is
+    not a proof that the system lacks the ISS property.
     """
     params = params or EulerParams()
     a, fD, q = params.a, params.f_over_D, params.q_star
-    rho = params.rho_star
-    probe = np.linspace(-l / (2 * J), l + l / (2 * J), 257)
-    lam_max = max(abs(q / rho(x)) + a for x in probe)
-    grid = build_grid(l=l, J=J, T=T, cfl=cfl, lambda_max=lam_max)
-
-    def lam1(x: float) -> float:
-        return q / rho(x) + a
-
-    def lam2(x: float) -> float:
-        return q / rho(x) - a
-
-    for x in grid.centers:
-        if not lam2(x) < 0.0 < lam1(x):
-            raise ValueError(f"speed sign condition violated at x={x:.6g}")
-
-    h = grid.dx / 10.0
-
-    def deriv(f: Callable[[float], float], x: float) -> float:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    def gamma(x: float) -> np.ndarray:
-        r = rho(x)
-        l1, l2 = lam1(x), lam2(x)
-        dl1, dl2 = deriv(lam1, x), deriv(lam2, x)
-        drift = l2 * dl1 + l1 * dl2 + fD * q * q / (2.0 * r * r)
-        mixing = 2.0 * q / (r * r) - fD * q / r
-        half = 1.0 / (2.0 * a)
-        return np.array([
-            [-half * drift - half * l1 * mixing + half * dl2,
-             +half * drift + half * l2 * mixing - half * dl2],
-            [-half * drift - half * l1 * mixing + half * l1 * dl1,
-             +half * drift + half * l1 * mixing - half * l2 * dl1],
-        ])
-
-    K = np.array([[0.0, kappa12], [kappa21, 0.0]])
-    coeffs = sample_coefficients(lambda x: np.array([lam1(x), lam2(x)]), gamma, grid,
-                                 K=K, M=np.ones(2), b=DisturbanceSignal.pulsed_sine(2))
-    weights = WeightField.implicit(p_plus, p_minus, mu, grid)
-    initial = np.array([[math.cos(2.0 * math.pi * x)] * 2 for x in grid.centers[1:-1]])
-    return Scenario(name="isothermal_euler", grid=grid, coefficients=coeffs,
-                    weights=weights, xi=xi, initial=initial)
+    dx = l / J
+    h = dx / 10.0
+    x = (np.arange(-1, J + 1) + 0.5) * dx      # the grid's cell centers
+    rho, ahead, behind = params.rho_star(np.stack([x, x + h, x - h]))
+    lam = np.stack([q / rho + a, q / rho - a], axis=1)
+    dl1 = ((q / ahead + a) - (q / behind + a))[1:-1] / (2.0 * h)
+    dl2 = ((q / ahead - a) - (q / behind - a))[1:-1] / (2.0 * h)
+    r = rho[1:-1]
+    l1, l2 = lam[1:-1].T
+    drift = l2 * dl1 + l1 * dl2 + fD * q * q / (2.0 * r * r)
+    mixing = 2.0 * q / (r * r) - fD * q / r
+    half = 1.0 / (2.0 * a)
+    gamma = np.stack([
+        np.stack([-half * drift - half * l1 * mixing + half * dl2,
+                  +half * drift + half * l2 * mixing - half * dl2], axis=-1),
+        np.stack([-half * drift - half * l1 * mixing + half * l1 * dl1,
+                  +half * drift + half * l1 * mixing - half * l2 * dl1], axis=-1),
+    ], axis=1)
+    scenario = build_linear_benchmark(
+        J=J, cfl=cfl, T=T, mu=mu, xi=xi, kappa12=kappa12, kappa21=kappa21, l=l,
+        speeds=lam, source=gamma, p_plus=p_plus, p_minus=p_minus,
+        ic=lambda x: np.repeat(np.cos(2.0 * np.pi * x)[:, None], 2, axis=1))
+    return replace(scenario, name="isothermal_euler")

@@ -96,17 +96,17 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
     """Recorded interior snapshots, one row per (level, cell)."""
     if result.history is None:
         raise ValueError("simulation was run without history recording")
-    k = result.history[0][1].shape[1]
+    J, k = result.history[0][1].shape
     header = ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)]
-    xs = [repr(x) for x in centers[1:-1].tolist()]
+    cells = [f"{j},{x!r}," for j, x in enumerate(centers[1:-1].tolist())]
+    row = ("{}{}" + ",".join(["{!r}"] * k) + "\n").format   # level, cell, w1 .. wk
 
-    def lines():
+    def snapshots():
         for n, interior in result.history:
             level = f"{n},{result.times[n].item()!r},"
-            for j, (x, w) in enumerate(zip(xs, interior.tolist())):
-                yield f"{level}{j},{x},{','.join(map(repr, w))}\n"
+            yield "".join(map(row, itertools.repeat(level, J), cells, *interior.T.tolist()))
 
-    _write_lines(path, "trajectory", header, lines())
+    _write_lines(path, "trajectory", header, snapshots())
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict],

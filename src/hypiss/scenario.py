@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def _floats(mapping: dict, key: str, context: str, shape: Optional[tuple] = None
 
 def _ic_profile(spec: Any, context: str, k: int):
     """Initial data of k components: a constant state, or a sine or cosine
-    profile x -> state."""
+    profile taking the (J,) interior centers to (J, k)."""
     if isinstance(spec, (list, tuple)):
         spec = {"kind": "constant", "values": list(spec)}
     if not isinstance(spec, dict):
@@ -90,22 +90,9 @@ def _ic_profile(spec: Any, context: str, k: int):
         off = np.asarray(_floats(spec, "offset", context, (k,))) if "offset" in spec \
             else np.zeros_like(amp)
         freq = _number(spec, "frequency", context, 1.0)
-        trig = math.sin if kind == "sin" else math.cos
-        return lambda x: off + amp * trig(math.pi * freq * x)
+        trig = np.sin if kind == "sin" else np.cos
+        return lambda x: off + amp * trig(math.pi * freq * x)[:, None]
     raise ScenarioError(f"unknown initial-condition kind '{kind}' in '{context}'")
-
-
-def _velocity_profile(ic: dict) -> Callable[[float], float]:
-    """Initial velocity of the channel flow, ``model.ic.V0``: a number or a
-    one-component profile."""
-    V0 = ic["V0"]
-    if isinstance(V0, (int, float)):
-        v = _number(ic, "V0", "model.ic")
-        return lambda x: v
-    profile = _ic_profile(V0, "model.ic.V0", 1)
-    if callable(profile):
-        return lambda x: float(profile(x)[0])
-    return lambda x: profile[0]
 
 
 def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
@@ -134,6 +121,54 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
 _BUILDERS = {"linear2x2": build_linear_benchmark, "saint_venant": saint_venant_scenario,
              "isothermal_euler": euler_scenario}
 
+# The keys each section may hold, by model.  A nested dict is keyed by the
+# section's "kind", and its first kind is the default one.
+_TRIG = ("kind", "amplitude", "offset", "frequency")
+_PROFILE = {"constant": ("kind", "values"), "sin": _TRIG, "cos": _TRIG}
+_DISTURBANCE = {"zero": ("kind",), "constant": ("kind", "values"),
+                "pulsed_sine": ("kind", "amplitude", "cutoff", "pattern"),
+                "table": ("kind", "times", "values")}
+_KEYS = {
+    "": dict.fromkeys(_BUILDERS, ("grid", "model", "weights", "boundary", "xi")),
+    "grid": dict.fromkeys(_BUILDERS, ("l", "J", "T", "cfl")),
+    "weights": {"linear2x2": ("mu", "p_plus", "p_minus", "table"),
+                "saint_venant": ("mu", "p_plus", "p_minus"),
+                "isothermal_euler": ("mu", "p_plus", "p_minus")},
+    "model": {
+        "linear2x2": ("name", "speeds", "source", "ic"),
+        "saint_venant": ("name", "g", "Cf", "Sb", "Hstar", "Vstar", "gamma_override",
+                         "kappa_override", "ic"),
+        "isothermal_euler": ("name", "a", "f_over_D", "rho0", "q_star"),
+    },
+    "model.ic": {"linear2x2": _PROFILE, "saint_venant": ("H0", "V0")},
+    "model.ic.V0": {"saint_venant": _PROFILE},
+    # Saint-Venant and Euler files may hold a disturbance; their builders ignore it
+    "boundary": {
+        "linear2x2": ("kappa12", "kappa21", "M", "disturbance"),
+        "saint_venant": ("kappa12", "kappa21", "k0", "kl", "disturbance"),
+        "isothermal_euler": ("kappa12", "kappa21", "disturbance"),
+    },
+    "boundary.disturbance": dict.fromkeys(_BUILDERS, _DISTURBANCE),
+}
+
+
+def _reject_unknown_keys(raw: dict, model: str) -> None:
+    """Raise on the first key that ``_KEYS`` does not allow.  Sections that
+    are not objects, and unknown kinds, are left to the parser to report."""
+    for path, by_model in _KEYS.items():
+        section = raw
+        for key in filter(None, path.split(".")):
+            section = section.get(key) if isinstance(section, dict) else None
+        if not isinstance(section, dict) or model not in by_model:
+            continue
+        allowed = by_model[model]
+        if isinstance(allowed, dict):
+            kind = section.get("kind", next(iter(allowed)))
+            allowed = allowed.get(kind, ()) if isinstance(kind, str) else ()
+        for key in section:
+            if allowed and key not in allowed:
+                raise ScenarioError(f"unknown field '{_name(path, key)}' for model '{model}'")
+
 
 @dataclass
 class ScenarioSpec:
@@ -147,10 +182,10 @@ class ScenarioSpec:
             _object(self.raw, key, "")
         _require(self.raw, "xi", "")
         model = self.raw["model"]
-        if "name" not in model:
-            raise ScenarioError("missing field 'model.name'")
+        _require(model, "name", "model")
         if model["name"] not in _BUILDERS:
             raise ScenarioError(f"unknown model '{model['name']}'")
+        _reject_unknown_keys(self.raw, model["name"])
 
     @property
     def model_name(self) -> str:
@@ -163,8 +198,6 @@ class ScenarioSpec:
         linear file tabulates the weights."""
         name, grid = self.model_name, self.raw["grid"]
         model, weights, boundary = self.raw["model"], self.raw["weights"], self.raw["boundary"]
-        if "table" in weights and name != "linear2x2":
-            raise ScenarioError(f"{name} scenarios need implicit weights (mu)")
         params = {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
                   "xi": _number(self.raw, "xi", ""),
                   "mu": None if "table" in weights else _number(weights, "mu", "weights")}
@@ -202,7 +235,10 @@ class ScenarioSpec:
             if "H0" in ic:
                 params["H0"] = _number(ic, "H0", "model.ic")
             if "V0" in ic:
-                params["V0"] = _velocity_profile(ic)
+                V0 = ic["V0"]   # a number or a one-component profile
+                if isinstance(V0, (int, float)):
+                    V0 = [_number(ic, "V0", "model.ic")]
+                params["V0"] = _ic_profile(V0, "model.ic.V0", 1)
         else:
             params["params"] = EulerParams(**{key: _number(model, key, "model")
                                               for key in ("a", "f_over_D", "rho0", "q_star")

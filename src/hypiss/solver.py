@@ -9,7 +9,8 @@ buffers allocated once per run:
 * source: the explicit Euler update ``W + (-dt_n) (Pi W)``, with ``Pi W``
   summed from component-wise products with the columns of ``Pi``;
 * boundary: ghost cells from the feedback law ``K w_in + M b(t^{n+1})``,
-  where ``w_in = (W+_{J-1}, W-_0)`` is the freshly computed trace;
+  where ``w_in = (W+_{J-1}, W-_0)`` is the freshly computed trace and
+  ``b`` is sampled at every time level once, before the march;
 * functional: ``L^{n+1} = dx sum_j W_j^T P_j W_j`` over interior cells.
 
 Both sub-steps use the same step size ``dt_n``: the nominal ``dt``, and
@@ -107,22 +108,21 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     comp = np.arange(k)
     cell_in = np.where(comp < m, J, 1)
     cell_out = np.where(comp < m, 0, J + 1)
-    K, M, b = coeffs.K, coeffs.M, coeffs.b
+    K, M = coeffs.K, coeffs.M
     W[comp, cell_out] = K @ W[comp, cell_in]
 
     times = grid.times()
+    b = coeffs.b(times)
+    b_sq = np.einsum("nk,nk->n", b, b)
     lyap = np.empty(N + 1)
-    b_sq = np.empty(N + 1)
     lyap[0] = functional()
     history: Optional[List[Tuple[int, np.ndarray]]] = None
     if stride is not None:
         history = [(0, inner.T.copy())]
-    b_current = b(0.0)
     for n in range(N):
         if n == N - 1:
             step = times[N] - times[N - 1]
             r_lam = (step / dx) * lam_up
-        b_sq[n] = float(b_current @ b_current)
         np.subtract(pos, pos_up, out=tilde_pos)
         np.subtract(neg_up, neg, out=tilde_neg)
         tilde *= r_lam
@@ -136,11 +136,9 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
         L = functional()
         if not math.isfinite(L) and not np.all(np.isfinite(inner)):
             raise BlowupError(step=n + 1, t=times[n + 1])
-        b_current = b(times[n + 1])
-        W[comp, cell_out] = K @ W[comp, cell_in] + M * b_current
+        W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
         lyap[n + 1] = L
         if history is not None and ((n + 1) % stride == 0 or n + 1 == N):
             history.append((n + 1, inner.T.copy()))
-    b_sq[N] = float(b_current @ b_current)
     return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq,
                             final=W.T.copy(), history=history)

@@ -177,10 +177,12 @@ def test_08_quadratic_identity_suite():
 
 def test_09_exact_advection():
     J, steps = 64, 100
-    g = core.build_grid(1.0, J, steps / J, 1.0, 1.0)
+    g = core.Grid1D(1.0, J, steps / J, 1.0, 1.0)
     assert g.N == steps
     lam = np.array([1.0, -1.0])
-    coeffs = core.sample_coefficients(lambda x: lam, lambda x: np.zeros((2, 2)), g)
+    coeffs = core.SystemCoefficients(k=2, m=1, lam=np.tile(lam, (J + 2, 1)),
+                                     pi=np.zeros((J, 2, 2)), K=np.zeros((2, 2)),
+                                     M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
     rng = np.random.default_rng(9)
     init = rng.uniform(-0.5, 0.5, size=(J, 2))
     weights = core.WeightField.from_samples(np.ones((J + 2, 2)))

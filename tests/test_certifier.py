@@ -49,7 +49,7 @@ class TestConditionMatrixIndexing:
 
     def random_setup(self, seed, J=17):
         rng = np.random.default_rng(seed)
-        g = core.build_grid(1.0, J, 1.0, 0.75, 4.0)
+        g = core.Grid1D(1.0, J, 1.0, 0.75, 4.0)
         lam = np.column_stack([rng.uniform(0.5, 3.0, J + 2),
                                -rng.uniform(0.5, 3.0, J + 2)])
         pi = rng.normal(size=(J, 2, 2))
@@ -141,7 +141,7 @@ class TestThreeComponents:
 
     def setup(self, seed, shift, J=40):
         rng = np.random.default_rng(seed)
-        g = core.build_grid(1.0, J, 1.0, 0.75, 4.0)
+        g = core.Grid1D(1.0, J, 1.0, 0.75, 4.0)
         x = g.centers
         lam = np.column_stack([2.0 + 0.8 * np.sin(2 * np.pi * x), 1.0 + 0.5 * x,
                                -1.5 - 0.6 * np.cos(2 * np.pi * x)])

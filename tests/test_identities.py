@@ -44,7 +44,7 @@ def test_weighted_young_inequality():
 
 def test_weight_sandwich_on_random_states():
     rng = np.random.default_rng(3)
-    grid = core.build_grid(1.0, 32, 1.0, 0.8, 1.0)
+    grid = core.Grid1D(1.0, 32, 1.0, 0.8, 1.0)
     weights = core.WeightField.implicit([0.7], [1.3], 0.9, grid)
     zeta, beta = weights.eigen_bounds()
     for _ in range(200):

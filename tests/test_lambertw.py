@@ -68,16 +68,40 @@ def test_domain_errors():
 
 
 def test_against_mpmath():
-    # relative error against mpmath's branch -1 at 40 digits; near the
-    # branch point the cancellation in 1 + e z costs about five digits
+    # relative error against mpmath's branch -1 at 40 digits, from one array
+    # call that mixes the Newton lanes with the branch-point series lanes;
+    # near the branch point the cancellation in 1 + e z costs about five digits
     mpmath = pytest.importorskip("mpmath")
+    far_z = -np.exp(np.linspace(-300.0, -1.0, 3000, endpoint=False))
+    near_z = -math.exp(-1.0) + np.geomspace(1e-12, 0.1, 1000)
+    z = np.concatenate([far_z, near_z])
+    assert np.any(1.0 + math.e * z < 1e-6) and np.any(1.0 + math.e * z >= 1e-6)
+    w = lambert_w_minus1(z)
 
-    def rel_err(z):
+    def rel_err(z, w):
         with mpmath.workdps(40):
             ref = mpmath.lambertw(mpmath.mpf(z), -1)
-            return float(abs((lambert_w_minus1(z) - ref) / ref))
+            return float(abs((w - ref) / ref))
 
-    far = max(rel_err(-math.exp(s)) for s in np.linspace(-300.0, -1.0, 3000, endpoint=False))
-    near = max(rel_err(-math.exp(-1.0) + d) for d in np.geomspace(1e-12, 0.1, 1000))
-    assert far <= 1e-15
-    assert near <= 1e-10
+    errors = [rel_err(a, b) for a, b in zip(z.tolist(), w.tolist())]
+    assert max(errors[:far_z.size]) <= 1e-15
+    assert max(errors[far_z.size:]) <= 1e-10
+
+
+def test_arrays_keep_their_shape_and_match_single_calls():
+    z = np.array([[-1.0 / math.e, -1.0 / math.e + 1e-9, -1.0 / math.e + 1e-7],
+                  [-0.1, -1e-8, -225.0 * math.exp(-225.0)]])
+    w = lambert_w_minus1(z)
+    assert w.shape == z.shape
+    for zi, wi in zip(z.ravel().tolist(), w.ravel().tolist()):
+        assert lambert_w_minus1(zi) == wi
+    assert lambert_w_minus1(np.empty(0)).shape == (0,)
+
+
+def test_domain_error_names_the_first_bad_value():
+    with pytest.raises(ValueError, match="got 0.5"):
+        lambert_w_minus1(np.array([-0.1, 0.5, 0.7]))
+    with pytest.raises(ValueError, match="got nan"):
+        lambert_w_minus1(np.array([-0.1, math.nan]))
+    with pytest.raises(ValueError, match="too close to 0"):
+        lambert_w_minus1(-5e-324)

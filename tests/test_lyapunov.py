@@ -9,20 +9,21 @@ from hypiss.models import build_linear_benchmark
 
 class TestEvaluate:
     def test_zero_state(self):
-        g = core.build_grid(1.0, 4, 1.0, 1.0, 1.0)
+        g = core.Grid1D(1.0, 4, 1.0, 1.0, 1.0)
         w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
         assert lyapunov.evaluate(np.zeros((4, 2)), w, g) == 0.0
 
     def test_single_cell_arithmetic(self):
-        g = core.Grid1D(l=1.0, J=1, T=1.0, cfl=1.0, lambda_max=1.0)
-        w = core.WeightField.from_samples([[1.0, 1.0], [2.0, 3.0], [1.0, 1.0]])
-        assert lyapunov.evaluate(np.array([[1.0, 1.0]]), w, g) == pytest.approx(5.0)
+        # two unit cells, the second one empty
+        g = core.Grid1D(l=2.0, J=2, T=1.0, cfl=1.0, lambda_max=1.0)
+        w = core.WeightField.from_samples([[1.0, 1.0], [2.0, 3.0], [7.0, 7.0], [1.0, 1.0]])
+        assert lyapunov.evaluate(np.array([[1.0, 1.0], [0.0, 0.0]]), w, g) == pytest.approx(5.0)
 
     def test_benchmark_initial_value_against_quadrature(self):
         # constant data (-0.5, 0.5): L0 = dx sum 0.25 (e^{-mu x_j} + e^{mu x_j}),
         # a midpoint sum of the closed-form integral 0.5 sinh(mu)/mu
         mu, J = 0.575, 1600
-        g = core.build_grid(1.0, J, 10.0, 0.75, 1.0)
+        g = core.Grid1D(1.0, J, 10.0, 0.75, 1.0)
         w = core.WeightField.implicit([1.0], [1.0], mu, g)
         state = np.tile([-0.5, 0.5], (J, 1))
         L0 = lyapunov.evaluate(state, w, g)
@@ -33,7 +34,7 @@ class TestEvaluate:
         assert L0 == pytest.approx(0.528, abs=5e-4)
 
     def test_quadratic_scaling(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         w = core.WeightField.implicit([1.0], [2.0], 0.3, g)
         rng = np.random.default_rng(11)
         state = rng.normal(size=(8, 2))
@@ -75,7 +76,7 @@ class TestGronwall:
 
 class TestEnvelope:
     def grid(self):
-        return core.build_grid(1.0, 16, 2.0, 0.8, 1.0)
+        return core.Grid1D(1.0, 16, 2.0, 0.8, 1.0)
 
     def test_starts_at_initial_value(self):
         g = self.grid()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -161,9 +162,32 @@ def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path,
     ("linear_benchmark", "boundary.disturbance",
      {"kind": "table", "times": [0.0, 1.0], "values": [[0.1, 0.2, 0.3]] * 2},
      "boundary.disturbance.values"),
+    # misspelt or misplaced keys
+    ("isothermal_euler", "boundary.kapa21", 0.3, "'boundary.kapa21'"),
+    ("linear_benchmark", "Xi", 0.2, "'Xi'"),
+    ("linear_benchmark", "grid.dt", 0.1, "'grid.dt'"),
+    ("linear_benchmark", "model.ic.offset", [0.0, 0.0], "'model.ic.offset'"),
+    ("isothermal_euler", "model.ic", {"kind": "cos", "amplitude": [1.0, 1.0]}, "'model.ic'"),
+    ("saint_venant", "model.ic.V0.ampltude", [4.0], "'model.ic.V0.ampltude'"),
+    ("saint_venant", "boundary.M", [1.0, 1.0], "'boundary.M'"),
+    ("saint_venant", "boundary.disturbance.cutof", 5.0, "'boundary.disturbance.cutof'"),
 ])
 def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, field):
     _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
+
+
+def test_shipped_and_benchmark_files_hold_only_known_keys(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SCENARIOS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    files = list(SCENARIOS.glob("*.json"))
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 1):
+            dest = tmp_path / f"{workload}-{seed}"
+            files += workloads.write_inputs(workload, seed, SCENARIOS, dest).values()
+    for path in files:
+        load_scenario(str(path)).params()
 
 
 def _certify_fails_naming(tmp_path, capsys, shipped, path, value, field):

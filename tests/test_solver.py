@@ -8,8 +8,10 @@ from hypiss.models import Scenario
 def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
     lam = np.asarray(lam, dtype=float)
     gamma = np.zeros((2, 2)) if gamma is None else np.asarray(gamma, dtype=float)
-    return core.sample_coefficients(lambda x: lam, lambda x: gamma, grid,
-                                    K=K, M=M, b=b)
+    return core.SystemCoefficients(
+        k=2, m=1, lam=np.tile(lam, (grid.J + 2, 1)), pi=np.tile(gamma, (grid.J, 1, 1)),
+        K=np.zeros((2, 2)) if K is None else K, M=np.zeros(2) if M is None else M,
+        b=core.DisturbanceSignal.zero(2) if b is None else b)
 
 
 def scenario(grid, coeffs, initial, weights=None):
@@ -84,7 +86,7 @@ class TestTransport:
             assert out[j, 1] == pytest.approx(minus, rel=1e-14)
 
     def test_runtime_cfl_check(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         c = make_coeffs(g, lam=(2.0, -1.0))  # faster than the grid allows
         with pytest.raises(ValueError, match="CFL"):
             march(g, c, np.zeros((8, 2)))
@@ -103,17 +105,17 @@ class TestSource:
         assert np.allclose(out, init, rtol=0, atol=0)
 
     def test_symmetric_source_hand_value(self):
-        # (1,1) with Pi = [[0.3,-0.1],[-0.1,0.3]], dt = 0.1:
-        # Pi w = (0.2, 0.2), w - dt Pi w = (0.98, 0.98)
-        g = core.Grid1D(l=1.0, J=1, T=0.1, cfl=0.1, lambda_max=1.0)
+        # (1,1) in both cells, matching ghosts, Pi = [[0.3,-0.1],[-0.1,0.3]],
+        # dt = 0.1: Pi w = (0.2, 0.2), w - dt Pi w = (0.98, 0.98)
+        g = core.Grid1D(l=2.0, J=2, T=0.1, cfl=0.1, lambda_max=1.0)
         assert g.dt == 0.1 and g.N == 1
         c = core.SystemCoefficients(
-            k=2, m=1, lam=np.tile([1.0, -1.0], (3, 1)),
-            pi=np.array([[[0.3, -0.1], [-0.1, 0.3]]]),
+            k=2, m=1, lam=np.tile([1.0, -1.0], (4, 1)),
+            pi=np.tile([[0.3, -0.1], [-0.1, 0.3]], (2, 1, 1)),
             K=np.array([[0.0, 1.0], [1.0, 0.0]]), M=np.zeros(2),
             b=core.DisturbanceSignal.zero(2))
-        out = march(g, c, [[1.0, 1.0]]).history[1][1]
-        assert out[0] == pytest.approx([0.98, 0.98], rel=1e-15)
+        out = march(g, c, [[1.0, 1.0], [1.0, 1.0]]).history[1][1]
+        assert out == pytest.approx(np.full((2, 2), 0.98), rel=1e-15)
 
     def test_scalar_explicit_euler(self):
         # unit Courant shifts (2, 3, -1) to (0, 2, 3) exactly (zero ghost)
@@ -170,7 +172,7 @@ class TestBoundary:
 class TestRun:
     def small_sim(self, J=24, T=1.0, cfl=0.75, lam=(1.0, -1.0), gamma=None,
                   K=None, M=None, b=None, initial=None):
-        g = core.build_grid(1.0, J, T, cfl, float(np.max(np.abs(lam))))
+        g = core.Grid1D(1.0, J, T, cfl, float(np.max(np.abs(lam))))
         c = make_coeffs(g, lam=lam, gamma=gamma, K=K, M=M, b=b)
         w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
         if initial is None:
@@ -227,7 +229,7 @@ class TestRun:
         assert exc.value.step == 143
 
     def test_shapes_checked_against_grid_and_system(self):
-        g = core.build_grid(1.0, 8, 1.0, 1.0, 1.0)
+        g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         c = make_coeffs(g)
         unit = core.WeightField.from_samples(np.ones((10, 2)))
         with pytest.raises(ValueError, match="initial data has shape"):
@@ -267,7 +269,7 @@ class TestRun:
         J = 32
         rng = np.random.default_rng(8)
         init = rng.uniform(-0.5, 0.5, size=(J, 2))
-        g = core.build_grid(1.0, J, 100.0 / J, 1.0, 1.0)
+        g = core.Grid1D(1.0, J, 100.0 / J, 1.0, 1.0)
         c = make_coeffs(g)
         res = march(g, c, init.copy())
         assert [n for n, _ in res.history] == list(range(g.N + 1))
