@@ -37,6 +37,8 @@ def evaluate(interior: np.ndarray, weights: WeightField, grid: Grid1D) -> float:
     """Weighted squared L2 norm dx * sum_j W_j^T P_j W_j of a (J, k) interior."""
     interior = np.atleast_2d(np.asarray(interior, dtype=float))
     p = weights.interior()
+    if np.any(p <= 0):
+        raise ValueError("nonpositive Lyapunov weight")
     if interior.shape != p.shape:
         raise ValueError(f"state shape {interior.shape} does not match weights {p.shape}")
     return float(grid.dx * np.sum(p * interior * interior))

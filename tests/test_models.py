@@ -27,6 +27,21 @@ class TestLinearBenchmark:
         assert d(4.5)[1] == pytest.approx(-0.01, abs=1e-16)
         assert np.all(d(5.0) == 0.0)
 
+    def test_sampled_fields_pass_through(self):
+        J = 8
+        x = (np.arange(-1, J + 1) + 0.5) / J
+        speeds = np.stack([1.0 + x, -2.0 + 0.5 * x], axis=1)
+        source = np.arange(J * 4, dtype=float).reshape(J, 2, 2)
+        sc = models.build_linear_benchmark(J=J, cfl=0.5, T=1.0, mu=0.5, xi=0.125,
+                                           kappa12=0.0, kappa21=0.0,
+                                           speeds=speeds, source=source)
+        assert np.array_equal(sc.coefficients.lam, speeds)
+        assert np.array_equal(sc.coefficients.pi, source)
+        assert sc.grid.lambda_max == float(np.max(np.abs(speeds)))
+        with pytest.raises(ValueError):
+            models.build_linear_benchmark(J=J, cfl=0.5, T=1.0, mu=0.5, xi=0.125,
+                                          kappa12=0.0, kappa21=0.0, speeds=speeds[1:])
+
     def test_rejects_bad_speeds(self):
         with pytest.raises(ValueError):
             models.build_linear_benchmark(J=16, cfl=1.0, T=1.0, mu=0.5, xi=0.125,
@@ -109,6 +124,33 @@ class TestEuler:
         assert lam[1, 0] == pytest.approx(0.2 / 3.0 + 1.0, abs=1e-4)
         # lam1 - lam2 = 2a at every sample
         assert np.allclose(lam[:, 0] - lam[:, 1], 2.0, rtol=1e-13)
+
+    def test_arrays_match_a_per_cell_loop(self):
+        # the pipe-flow speeds and sources from per-center scalar evaluations
+        # of rho*; the dx/10 centered difference magnifies last-bit
+        # differences of exp and log by about l/h, hence the source tolerance
+        J, p = 64, models.EulerParams()
+        sc = models.euler_scenario(J=J)
+        a, fD, q = p.a, p.f_over_D, p.q_star
+        h = sc.grid.dx / 10.0
+        lam1 = lambda x: q / float(p.rho_star(x)) + a
+        lam2 = lambda x: q / float(p.rho_star(x)) - a
+        lam = np.array([[lam1(x), lam2(x)] for x in sc.grid.centers.tolist()])
+        assert np.allclose(sc.coefficients.lam, lam, rtol=1e-15, atol=0.0)
+        pi = []
+        for x in sc.grid.centers[1:-1].tolist():
+            r, l1, l2 = float(p.rho_star(x)), lam1(x), lam2(x)
+            dl1 = (lam1(x + h) - lam1(x - h)) / (2.0 * h)
+            dl2 = (lam2(x + h) - lam2(x - h)) / (2.0 * h)
+            drift = l2 * dl1 + l1 * dl2 + fD * q * q / (2.0 * r * r)
+            mixing = 2.0 * q / (r * r) - fD * q / r
+            half = 1.0 / (2.0 * a)
+            pi.append([[-half * drift - half * l1 * mixing + half * dl2,
+                        half * drift + half * l2 * mixing - half * dl2],
+                       [-half * drift - half * l1 * mixing + half * l1 * dl1,
+                        half * drift + half * l1 * mixing - half * l2 * dl1]])
+        pi = np.array(pi)
+        assert np.max(np.abs(sc.coefficients.pi - pi)) <= 1e-12 * np.max(np.abs(pi))
 
     def test_source_sign_pattern(self):
         sc = models.euler_scenario(J=64)
