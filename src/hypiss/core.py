@@ -115,7 +115,8 @@ class DisturbanceSignal:
     @classmethod
     def constant(cls, values: Sequence[float]) -> "DisturbanceSignal":
         v = np.asarray(values, dtype=float)
-        return cls(v.size, lambda t: np.full(t.shape + v.shape, v), f"constant({v.tolist()})")
+        return cls(v.size, lambda t: np.full(t.shape + v.shape, v),
+                   f"constant({v.tolist()})")
 
     @classmethod
     def pulsed_sine(cls, k: int, amplitude: float = 0.01, cutoff: float = 5.0,
@@ -134,8 +135,8 @@ class DisturbanceSignal:
                 raise ValueError("pattern length must equal k")
 
         def fn(t: np.ndarray) -> np.ndarray:
-            # float_power rounds the square like Python's float ** (C pow);
-            # t ** 2 multiplies, which differs in the last bit at a few levels
+            # float_power squares through C pow, as Python's float ** does;
+            # an array ** 2 multiplies, which rounds differently at a few levels
             pulse = amplitude * np.float_power(np.sin(np.pi * t), 2.0)
             return np.where((t < cutoff)[..., None], pat * pulse[..., None], 0.0)
 

@@ -35,8 +35,8 @@ def _halley_polish(w: np.ndarray, z: np.ndarray, iterations: int = 3) -> np.ndar
         with np.errstate(divide="ignore", invalid="ignore"):
             denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
             step = f / denom
-        # stay on the lower branch
-        w_next = np.minimum(w - step, -1.0 - 1e-17)
+        # stay on the lower branch, w <= -1
+        w_next = np.minimum(w - step, -1.0)
         w = np.where(moving, w_next, w)
         moving &= ~(np.abs(step) <= 1e-16 * (2.0 + np.abs(w)))
         if not moving.any():
@@ -88,5 +88,6 @@ def lambert_w_minus1(z):
     newton = sigma >= 1e-6
     w[newton] = _newton(z[newton])
     if np.any(newton & (w >= -1.0)):
-        raise ValueError(f"z = {z[newton & (w >= -1.0)][0]} is too close to 0 for double precision")
+        raise ValueError(f"z = {z[newton & (w >= -1.0)][0]} is too close to 0 "
+                         "for double precision")
     return w.reshape(shape)[()]

@@ -246,7 +246,7 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     dx = l / J
     h = dx / 10.0
     x = (np.arange(-1, J + 1) + 0.5) * dx      # the grid's cell centers
-    rho, ahead, behind = params.rho_star(np.stack([x, x + h, x - h]))
+    rho, ahead, behind = (params.rho_star(x + shift) for shift in (0.0, h, -h))
     lam = np.stack([q / rho + a, q / rho - a], axis=1)
     dl1 = ((q / ahead + a) - (q / behind + a))[1:-1] / (2.0 * h)
     dl2 = ((q / ahead - a) - (q / behind - a))[1:-1] / (2.0 * h)

@@ -101,12 +101,12 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
     cells = [f"{j},{x!r}," for j, x in enumerate(centers[1:-1].tolist())]
     row = ("{}{}" + ",".join(["{!r}"] * k) + "\n").format   # level, cell, w1 .. wk
 
-    def snapshots():
+    def lines():
         for n, interior in result.history:
             level = f"{n},{result.times[n].item()!r},"
-            yield "".join(map(row, itertools.repeat(level, J), cells, *interior.T.tolist()))
+            yield from map(row, itertools.repeat(level, J), cells, *interior.T.tolist())
 
-    _write_lines(path, "trajectory", header, snapshots())
+    _write_lines(path, "trajectory", header, lines())
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict],
