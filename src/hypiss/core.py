@@ -138,7 +138,9 @@ class DisturbanceSignal:
             # float_power squares through C pow, as Python's float ** does;
             # an array ** 2 multiplies, which rounds differently at a few levels
             pulse = amplitude * np.float_power(np.sin(np.pi * t), 2.0)
-            return np.where((t < cutoff)[..., None], pat * pulse[..., None], 0.0)
+            out = pulse[..., None] * pat
+            out[t >= cutoff] = 0.0
+            return out
 
         return cls(k, fn, f"pulsed_sine(amplitude={float(amplitude)!r}, "
                           f"cutoff={float(cutoff)!r}, pattern={pat.tolist()})")

@@ -164,9 +164,11 @@ def _reject_unknown_keys(raw: dict, model: str) -> None:
         allowed = by_model[model]
         if isinstance(allowed, dict):
             kind = section.get("kind", next(iter(allowed)))
-            allowed = allowed.get(kind, ()) if isinstance(kind, str) else ()
+            if not isinstance(kind, str) or kind not in allowed:
+                continue
+            allowed = allowed[kind]
         for key in section:
-            if allowed and key not in allowed:
+            if key not in allowed:
                 raise ScenarioError(f"unknown field '{_name(path, key)}' for model '{model}'")
 
 
