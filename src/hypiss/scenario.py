@@ -112,64 +112,43 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
             cutoff=_number(spec, "cutoff", context, 5.0),
             pattern=_floats(spec, "pattern", context, (k,)) if "pattern" in spec else None)
     if kind == "table":
-        times = _floats(spec, "times", context)
+        times = np.asarray(_floats(spec, "times", context))
+        if times.ndim != 1 or np.any(np.diff(times) <= 0):
+            raise ScenarioError(f"field '{context}.times' must be a strictly increasing "
+                                f"list, got {spec['times']!r}")
         return DisturbanceSignal.tabulated(times, _floats(spec, "values", context,
-                                                          (len(times), k)))
-    raise ScenarioError(f"unknown disturbance kind '{kind}'")
+                                                          (times.size, k)))
+    raise ScenarioError(f"unknown disturbance kind '{kind}' in '{context}'")
 
 
 _BUILDERS = {"linear2x2": build_linear_benchmark, "saint_venant": saint_venant_scenario,
              "isothermal_euler": euler_scenario}
 
-# The keys each section may hold, by model.  A nested dict is keyed by the
-# section's "kind", and its first kind is the default one.
-_TRIG = ("kind", "amplitude", "offset", "frequency")
-_PROFILE = {"constant": ("kind", "values"), "sin": _TRIG, "cos": _TRIG}
-_DISTURBANCE = {"zero": ("kind",), "constant": ("kind", "values"),
-                "pulsed_sine": ("kind", "amplitude", "cutoff", "pattern"),
-                "table": ("kind", "times", "values")}
-_KEYS = {
-    "": dict.fromkeys(_BUILDERS, ("grid", "model", "weights", "boundary", "xi")),
-    "grid": dict.fromkeys(_BUILDERS, ("l", "J", "T", "cfl")),
-    "weights": {"linear2x2": ("mu", "p_plus", "p_minus", "table"),
-                "saint_venant": ("mu", "p_plus", "p_minus"),
-                "isothermal_euler": ("mu", "p_plus", "p_minus")},
-    "model": {
-        "linear2x2": ("name", "speeds", "source", "ic"),
-        "saint_venant": ("name", "g", "Cf", "Sb", "Hstar", "Vstar", "gamma_override",
-                         "kappa_override", "ic"),
-        "isothermal_euler": ("name", "a", "f_over_D", "rho0", "q_star"),
-    },
-    "model.ic": {"linear2x2": _PROFILE, "saint_venant": ("H0", "V0")},
-    "model.ic.V0": {"saint_venant": _PROFILE},
-    # Saint-Venant and Euler files may hold a disturbance; their builders ignore it
-    "boundary": {
-        "linear2x2": ("kappa12", "kappa21", "M", "disturbance"),
-        "saint_venant": ("kappa12", "kappa21", "k0", "kl", "disturbance"),
-        "isothermal_euler": ("kappa12", "kappa21", "disturbance"),
-    },
-    "boundary.disturbance": dict.fromkeys(_BUILDERS, _DISTURBANCE),
-}
 
+class _Read(dict):
+    """A section of the file that records the keys read from it with ``[]``
+    or ``.get``, nested sections included; ``in`` tests do not count."""
 
-def _reject_unknown_keys(raw: dict, model: str) -> None:
-    """Raise on the first key that ``_KEYS`` does not allow.  Sections that
-    are not objects, and unknown kinds, are left to the parser to report."""
-    for path, by_model in _KEYS.items():
-        section = raw
-        for key in filter(None, path.split(".")):
-            section = section.get(key) if isinstance(section, dict) else None
-        if not isinstance(section, dict) or model not in by_model:
-            continue
-        allowed = by_model[model]
-        if isinstance(allowed, dict):
-            kind = section.get("kind", next(iter(allowed)))
-            if not isinstance(kind, str) or kind not in allowed:
-                continue
-            allowed = allowed[kind]
-        for key in section:
-            if key not in allowed:
-                raise ScenarioError(f"unknown field '{_name(path, key)}' for model '{model}'")
+    def __init__(self, raw: dict):
+        super().__init__((k, _Read(v) if isinstance(v, dict) else v) for k, v in raw.items())
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def unread(self, context: str = "") -> Optional[str]:
+        """Dotted name of the first key nothing read, or None."""
+        for key, value in self.items():
+            if key not in self.read:
+                return _name(context, key)
+            if isinstance(value, _Read) and (name := value.unread(_name(context, key))):
+                return name
+        return None
 
 
 @dataclass
@@ -180,14 +159,7 @@ class ScenarioSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("grid", "model", "weights", "boundary"):
-            _object(self.raw, key, "")
-        _require(self.raw, "xi", "")
-        model = self.raw["model"]
-        _require(model, "name", "model")
-        if model["name"] not in _BUILDERS:
-            raise ScenarioError(f"unknown model '{model['name']}'")
-        _reject_unknown_keys(self.raw, model["name"])
+        self.params()   # checks every field but grid.J and grid.cfl, once, at load
 
     @property
     def model_name(self) -> str:
@@ -197,24 +169,37 @@ class ScenarioSpec:
         """Keyword arguments of the model's builder, all but ``J`` and
         ``cfl``.  Optional fields the file leaves out are left out here
         too, so each default lives in the builder; ``mu`` is None when a
-        linear file tabulates the weights."""
-        name, grid = self.model_name, self.raw["grid"]
-        model, weights, boundary = self.raw["model"], self.raw["weights"], self.raw["boundary"]
+        linear file tabulates the weights.  A field that no line below
+        reads is an error, so this parser is the file's schema."""
+        raw = _Read(self.raw)
+        grid, model, weights, boundary = (_object(raw, key, "")
+                                          for key in ("grid", "model", "weights", "boundary"))
+        name = _require(model, "name", "model")
+        if name not in _BUILDERS:
+            raise ScenarioError(f"unknown model '{name}'")
+        table = name == "linear2x2" and "table" in weights
         params = {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
-                  "xi": _number(self.raw, "xi", ""),
-                  "mu": None if "table" in weights else _number(weights, "mu", "weights")}
+                  "xi": _number(raw, "xi", "")}
+        # table --J-list and --cfl override these two, so build() checks them
+        grid.read.update(("J", "cfl"))
+        if "mu" in weights or not table:
+            params["mu"] = _number(weights, "mu", "weights")
         for key in ("p_plus", "p_minus"):
             if key in weights:
                 params[key] = _floats(weights, key, "weights", (1,))
+        if table:   # it wins over mu, p_plus and p_minus; build() checks its shape
+            _floats(weights, "table", "weights")
+            params["mu"] = None
+        # the Saint-Venant and Euler builders take no disturbance yet
+        b = _disturbance(boundary.get("disturbance"), 2)
         if name == "linear2x2":
             params.update(kappa12=_number(boundary, "kappa12", "boundary"),
-                          kappa21=_number(boundary, "kappa21", "boundary"),
-                          b=_disturbance(boundary.get("disturbance"), 2))
+                          kappa21=_number(boundary, "kappa21", "boundary"), b=b)
             for key, section, field, shape in (("speeds", "model", "speeds", (2,)),
                                                ("source", "model", "source", (2, 2)),
                                                ("m_diag", "boundary", "M", (2,))):
-                if field in self.raw[section]:
-                    params[key] = _floats(self.raw[section], field, section, shape)
+                if field in raw[section]:
+                    params[key] = _floats(raw[section], field, section, shape)
             if "ic" in model:
                 params["ic"] = _ic_profile(model["ic"], "model.ic", 2)
         elif name == "saint_venant":
@@ -248,16 +233,25 @@ class ScenarioSpec:
             for key in ("kappa12", "kappa21"):
                 if key in boundary:
                     params[key] = _number(boundary, key, "boundary")
+        unread = raw.unread()
+        if unread:
+            raise ScenarioError(f"field '{unread}' is unknown for model '{name}' "
+                                "or overridden by another field")
         return params
 
     def build(self, J: Optional[int] = None, cfl: Optional[float] = None) -> Scenario:
         grid_cfg = self.raw["grid"]
         weights_cfg = self.raw["weights"]
-        J = int(J if J is not None else _number(grid_cfg, "J", "grid"))
+        if J is None:
+            J = _number(grid_cfg, "J", "grid")
+            if J != int(J) or J < 2:
+                raise ScenarioError(
+                    f"field 'grid.J' must be an integer >= 2, got {grid_cfg['J']!r}")
+            J = int(J)
         cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
         scenario = _BUILDERS[self.model_name](J=J, cfl=cfl, **self.params())
         if "table" in weights_cfg:
-            table = np.asarray(_floats(weights_cfg, "table", "weights"))
+            table = np.asarray(weights_cfg["table"], dtype=float)
             if table.shape != (J + 2, scenario.coefficients.k):
                 raise ScenarioError(
                     f"weights.table must have shape (J+2, k) = ({J + 2}, "

@@ -160,6 +160,17 @@ class TestTableCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2 and all("failed" in r and "grid.cfl" in r for r in rows)
 
+    def test_bad_field_outside_grid_fails_at_load(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
+        raw["boundary"]["kappa21"] = math.nan
+        path = tmp_path / "bad_gain.json"
+        path.write_text(json.dumps(raw))
+        code = main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                     "--J-list", "32,64"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "boundary.kappa21" in err
+
     def test_failing_row_does_not_block_the_rest(self, tmp_path, capsys):
         # slow speeds make dt huge at J=2, breaking the source condition
         # there while J=80 still certifies

@@ -171,6 +171,24 @@ def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path,
     ("saint_venant", "model.ic.V0.ampltude", [4.0], "'model.ic.V0.ampltude'"),
     ("saint_venant", "boundary.M", [1.0, 1.0], "'boundary.M'"),
     ("saint_venant", "boundary.disturbance.cutof", 5.0, "'boundary.disturbance.cutof'"),
+    # Saint-Venant and Euler disturbances are checked though not used yet
+    ("saint_venant", "boundary.disturbance.kind", "chirp", "'boundary.disturbance'"),
+    ("isothermal_euler", "boundary.disturbance.amplitude", "big",
+     "boundary.disturbance.amplitude"),
+    ("isothermal_euler", "boundary.disturbance.pattern", [1.0, -1.0, 1.0],
+     "boundary.disturbance.pattern"),
+    # a gain source that another one overrides
+    ("saint_venant", "model.kappa_override", [0.25, -0.3], "'boundary.kappa12'"),
+    ("saint_venant", "boundary.k0", 1.5, "'boundary.k0'"),
+    ("linear_benchmark", "grid.J", 2.5, "'grid.J'"),
+    ("isothermal_euler", "grid.J", 0, "'grid.J'"),
+    ("isothermal_euler", "grid.J", -3, "'grid.J'"),
+    ("linear_benchmark", "boundary.disturbance",
+     {"kind": "table", "times": [0.0, 1.0, 1.0], "values": [[0.1, 0.2]] * 3},
+     "'boundary.disturbance.times'"),
+    ("linear_benchmark", "boundary.disturbance",
+     {"kind": "table", "times": [[0.0, 1.0]], "values": [[0.1, 0.2]]},
+     "'boundary.disturbance.times'"),
 ])
 def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, field):
     _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
@@ -210,6 +228,9 @@ class TestBuildOptions:
             assert sc.initial.shape == (J, 2)
         sc = spec.build(J=16, cfl=1.0)
         assert sc.grid.dt == pytest.approx(sc.grid.dx)
+        raw = benchmark_raw()
+        raw["grid"]["J"] = 16.0
+        assert ScenarioSpec(raw=raw).build().grid.J == 16
 
     def test_explicit_weight_table(self):
         raw = benchmark_raw()
