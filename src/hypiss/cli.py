@@ -75,6 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "measured_decay_rate": measured,
         "max_envelope_violation": max_violation,
         "steps": int(result.steps),
+        "march_backend": result.backend,
     }
     reports.write_summary(out / "summary.json", summary)
     print(f"final L = {summary['final_L']:.6g} at t = {summary['final_t']:.6g}"

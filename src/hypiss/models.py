@@ -241,6 +241,8 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     semi-definite, so certification fails at the source check.  That is
     not a proof that the system lacks the ISS property.
     """
+    if J != int(J) or J < 2:     # checked here: dx = l / J comes before the grid
+        raise ValueError(f"J must be an integer >= 2, got {J!r}")
     params = params or EulerParams()
     a, fD, q = params.a, params.f_over_D, params.q_star
     dx = l / J

@@ -19,12 +19,32 @@ Both sub-steps use the same step size ``dt_n``: the nominal ``dt``, and
 compatibility condition, which carries no disturbance term.  The state is
 held component-major, shape (k, J+2), so every update runs on contiguous
 rows.
+
+The kernel has two backends.  The compiled one, ``_march.c``, does the
+same operations in the same order on the same buffers, so the state is
+bit-identical to the NumPy kernel's; it sums ``L`` pairwise, as numpy
+sums a contiguous array, so ``L`` matches too as long as numpy keeps that
+summation.  The first call of :func:`run` in a process, not the
+import, builds it with ``cc`` into
+``~/.cache/hypiss/march-<sha256 of source and command>.so`` (or into a
+private temporary directory when that one cannot be written) and loads it
+with :mod:`ctypes`; later processes reuse the cached build.  :func:`run`
+calls it once per stretch of equal step size between snapshot levels and
+falls back to the NumPy kernel when there is no compiler or the build
+fails.  The backend is logged once per process at INFO and recorded in
+:attr:`SimulationResult.backend`.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import logging
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,6 +56,13 @@ __all__ = [
     "SimulationResult",
     "run",
 ]
+
+logger = logging.getLogger(__name__)
+
+_BACKEND = "c"      # "numpy" forces the NumPy kernel; the tests run both
+_CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_march.c")
+_kernel = None      # until the first march: then the C function, or False if it failed
 
 
 class BlowupError(RuntimeError):
@@ -53,11 +80,69 @@ class SimulationResult:
     lyapunov: np.ndarray              # L^n at each level
     b_sq: np.ndarray                  # |b(t^n)|^2 at each level
     final: np.ndarray                 # state at t^N, (J+2, k) with ghosts
+    backend: str                      # "c" or "numpy": the kernel that marched
     history: Optional[List[Tuple[int, np.ndarray]]] = None   # (n, interior) snapshots
 
     @property
     def steps(self) -> int:
         return len(self.times) - 1
+
+
+def _compile(out: Path) -> Path:
+    """Compile ``_march.c`` into ``out``; raises OSError when it fails."""
+    import subprocess   # imported here, not at import of hypiss, which need not pay for it
+    done = subprocess.run([*_CC, "-o", str(out), str(_SOURCE)], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise OSError(f"{_CC[0]} exited with {done.returncode}: {done.stderr.strip()}")
+    return out
+
+
+def _build() -> Path:
+    """Path of the compiled kernel: the cached build of this source and
+    command, compiled into the cache first when missing.  When the cache
+    cannot be written, the kernel is compiled into a directory private to
+    this process and removed at exit.  Raises OSError when the compiler
+    is missing or fails."""
+    import hashlib      # as subprocess in _compile
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CC).encode()).hexdigest()
+    cache = Path.home() / ".cache" / "hypiss"
+    target = cache / f"march-{key}.so"
+    if target.is_file():
+        return target
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        work = tempfile.mkdtemp(dir=cache)
+    except OSError:
+        private = tempfile.mkdtemp(prefix="hypiss-march-")
+        atexit.register(shutil.rmtree, private, True)
+        return _compile(Path(private) / target.name)
+    try:
+        # built aside and renamed, so a concurrent build never loads half a file
+        _compile(Path(work) / target.name).replace(target)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return target
+
+
+def _load():
+    """The compiled kernel, built and loaded on the first call; None when
+    it cannot be built (no compiler, or the build fails)."""
+    global _kernel
+    if _kernel is None:
+        try:
+            path = _build()
+            fn = ctypes.CDLL(str(path)).hypiss_march
+        except OSError as exc:
+            logger.info("march backend: numpy; the C kernel could not be built or loaded: %s",
+                        exc)
+            _kernel = False
+        else:
+            fn.restype = ctypes.c_long
+            fn.argtypes = ([ctypes.c_long] * 3 + [ctypes.c_void_p] * 10
+                           + [ctypes.c_double] * 2 + [ctypes.c_long] * 2)
+            logger.info("march backend: c, %s", path)
+            _kernel = fn
+    return _kernel or None
 
 
 def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
@@ -94,8 +179,6 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
 
     lam_up = np.ascontiguousarray(
         np.concatenate([coeffs.lam[:-2, :m], coeffs.lam[2:, m:]], axis=1).T)
-    step = grid.dt
-    r_lam = (step / dx) * lam_up
     pi_cols = np.ascontiguousarray(coeffs.pi.transpose(2, 1, 0))  # [c, a, j] = Pi_j[a, c]
     first_term, *more_terms = [(pi_cols[c], tilde[c]) for c in range(k)]
 
@@ -108,37 +191,64 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     comp = np.arange(k)
     cell_in = np.where(comp < m, J, 1)
     cell_out = np.where(comp < m, 0, J + 1)
-    K, M = coeffs.K, coeffs.M
+    K, M = np.ascontiguousarray(coeffs.K), np.ascontiguousarray(coeffs.M)
     W[comp, cell_out] = K @ W[comp, cell_in]
 
     times = grid.times()
-    b = coeffs.b(times)
+    b = np.ascontiguousarray(coeffs.b(times))
     b_sq = np.einsum("nk,nk->n", b, b)
     lyap = np.empty(N + 1)
     lyap[0] = functional()
+
+    def numpy_steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
+        """Levels n0 -> n1; returns the first non-finite level, or -1."""
+        for n in range(n0, n1):
+            np.subtract(pos, pos_up, out=tilde_pos)
+            np.subtract(neg_up, neg, out=tilde_neg)
+            np.multiply(tilde, r_lam, out=tilde)
+            np.subtract(inner, tilde, out=tilde)
+            np.multiply(*first_term, out=acc)
+            for term in more_terms:
+                np.multiply(*term, out=prod)
+                np.add(acc, prod, out=acc)
+            np.multiply(acc, -step, out=acc)
+            np.add(tilde, acc, out=inner)
+            L = functional()
+            if not math.isfinite(L) and not np.all(np.isfinite(inner)):
+                return n + 1
+            W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
+            lyap[n + 1] = L
+        return -1
+
+    kernel = _load() if _BACKEND == "c" else None
+    if kernel is None:
+        steps = numpy_steps
+    else:
+        buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap, tilde, acc)]
+
+        def steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
+            return kernel(k, m, J, W.ctypes.data, r_lam.ctypes.data, *buffers,
+                          step, dx, n0, n1)
+
+    # one call per stretch of equal step size between snapshot levels; the
+    # final step, possibly shortened to land on T, is a stretch of its own
+    stops = {N - 1, N} | (set(range(stride, N, stride)) if stride else set())
+    stops.discard(0)
     history: Optional[List[Tuple[int, np.ndarray]]] = None
     if stride is not None:
         history = [(0, inner.T.copy())]
-    for n in range(N):
-        if n == N - 1:
+    step = grid.dt
+    r_lam = (step / dx) * lam_up
+    n = 0
+    for end in sorted(stops):
+        if end == N:
             step = times[N] - times[N - 1]
             r_lam = (step / dx) * lam_up
-        np.subtract(pos, pos_up, out=tilde_pos)
-        np.subtract(neg_up, neg, out=tilde_neg)
-        tilde *= r_lam
-        np.subtract(inner, tilde, out=tilde)
-        np.multiply(*first_term, out=acc)
-        for term in more_terms:
-            np.multiply(*term, out=prod)
-            acc += prod
-        acc *= -step
-        np.add(tilde, acc, out=inner)
-        L = functional()
-        if not math.isfinite(L) and not np.all(np.isfinite(inner)):
-            raise BlowupError(step=n + 1, t=times[n + 1])
-        W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
-        lyap[n + 1] = L
-        if history is not None and ((n + 1) % stride == 0 or n + 1 == N):
-            history.append((n + 1, inner.T.copy()))
-    return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq,
-                            final=W.T.copy(), history=history)
+        blown = steps(n, end, step, r_lam)
+        if blown >= 0:
+            raise BlowupError(step=blown, t=times[blown])
+        n = end
+        if history is not None and (end % stride == 0 or end == N):
+            history.append((end, inner.T.copy()))
+    return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq, final=W.T.copy(),
+                            backend="numpy" if kernel is None else "c", history=history)

@@ -6,6 +6,16 @@ from hypiss.models import build_linear_benchmark, saint_venant_scenario
 BENCHMARK_J = (200, 400, 800, 1600)
 
 
+@pytest.fixture(params=["c", "numpy"])
+def march_backend(request, monkeypatch):
+    """Runs the test once with the compiled step kernel and once with the
+    NumPy one; the compiled case is skipped when it cannot be built."""
+    if request.param == "c" and solver._load() is None:
+        pytest.skip("the compiled step kernel could not be built")
+    monkeypatch.setattr(solver, "_BACKEND", request.param)
+    return request.param
+
+
 def run_scenario(scenario):
     report = certifier.certify(scenario)
     return report, lyapunov.build_trace(solver.run(scenario), scenario, report)

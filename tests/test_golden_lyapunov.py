@@ -43,14 +43,25 @@ def marched_series(name: str, tmp: Path) -> dict:
     return {"steps": N, "levels": levels, "L": [float(rows[n]["L"]) for n in levels]}
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_lyapunov_series_matches_golden(name, tmp_path):
+def check_golden(name: str, tmp: Path) -> None:
     frozen = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
-    got = marched_series(name, tmp_path)
+    got = marched_series(name, tmp)
     assert got["steps"] == frozen["steps"]
     assert got["levels"] == frozen["levels"]
     for n, a, b in zip(got["levels"], got["L"], frozen["L"]):
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), f"L^{n}: {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_lyapunov_series_matches_golden(name, tmp_path):
+    check_golden(name, tmp_path)
+
+
+def test_each_backend_matches_golden(march_backend, tmp_path):
+    for name in NAMES:
+        check_golden(name, tmp_path)
+        summary = json.loads((tmp_path / name / "summary.json").read_text(encoding="utf-8"))
+        assert summary["march_backend"] == march_backend
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypiss import models
 from hypiss.lambertw import lambert_w_minus1
+from hypiss.scenario import load_scenario
 
 
 class TestLinearBenchmark:
@@ -113,6 +115,15 @@ class TestEuler:
             h = 1e-6
             num = (p.rho_star(x + h) - p.rho_star(x - h)) / (2 * h)
             assert num == pytest.approx(rho / (2 * (1 + W)), rel=1e-6)
+
+    @pytest.mark.parametrize("J", [0, -3])
+    def test_too_few_cells_named(self, J):
+        # the library entry points, which no scenario-file check guards
+        spec = load_scenario(str(Path(__file__).resolve().parent.parent
+                                 / "scenarios" / "isothermal_euler.json"))
+        for build in (models.euler_scenario, spec.build):
+            with pytest.raises(ValueError, match=r"^J must be an integer >= 2"):
+                build(J=J)
 
     def test_speeds_at_left_end(self):
         p = models.EulerParams()

@@ -1,8 +1,16 @@
+import logging
+import shutil
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hypiss import core, solver
 from hypiss.models import Scenario
+from hypiss.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
@@ -347,3 +355,75 @@ class TestThreeComponents:
         for (n, got), want in zip(res.history, snapshots):
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale), f"level {n}"
         assert np.allclose(res.final, W, rtol=1e-13, atol=1e-13 * scale)
+
+
+class TestBackends:
+    """The compiled step kernel against the NumPy one it replaces."""
+
+    @pytest.mark.parametrize("name", ["linear_benchmark", "saint_venant", "isothermal_euler"])
+    def test_shipped_scenarios_agree(self, name, monkeypatch):
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        sc = load_scenario(str(SCENARIOS / f"{name}.json")).build(J=200)
+        runs = {}
+        for backend in ("c", "numpy"):
+            monkeypatch.setattr(solver, "_BACKEND", backend)
+            runs[backend] = solver.run(sc, stride=50)
+            assert runs[backend].backend == backend
+        c, ref = runs["c"], runs["numpy"]
+        assert np.array_equal(c.final, ref.final)
+        assert [n for n, _ in c.history] == [n for n, _ in ref.history]
+        for (n, got), (_, want) in zip(c.history, ref.history):
+            assert np.array_equal(got, want), f"level {n}"
+        assert np.array_equal(c.b_sq, ref.b_sq)
+        assert np.allclose(c.lyapunov, ref.lyapunov, rtol=1e-14, atol=0)
+
+    def test_three_components_each_backend(self, march_backend):
+        for seed in range(3):
+            TestThreeComponents().test_march_matches_per_cell_loop(seed)
+
+    def test_blowup_each_backend(self, march_backend):
+        TestRun().test_blowup_detection_reports_step()
+
+    def benchmark(self):
+        return load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=40)
+
+    def test_missing_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
+        monkeypatch.setattr(solver, "_kernel", None)
+        sc = self.benchmark()
+        with caplog.at_level(logging.INFO, logger="hypiss.solver"):
+            got = solver.run(sc, stride=100)
+        assert got.backend == "numpy"
+        assert "march backend: numpy; the C kernel could not be built" in caplog.text
+        monkeypatch.setattr(solver, "_BACKEND", "numpy")
+        want = solver.run(sc, stride=100)
+        assert np.array_equal(got.final, want.final)
+        assert np.array_equal(got.lyapunov, want.lyapunov)
+
+    def test_build_is_cached_per_source_and_command(self, monkeypatch, tmp_path):
+        if shutil.which(solver._CC[0]) is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        path = solver._build()
+        assert path.parent == tmp_path / ".cache" / "hypiss"
+        assert path.name.startswith("march-") and path.suffix == ".so"
+        assert [p.name for p in path.parent.iterdir()] == [path.name]   # no leftovers
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("compiled again")
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert solver._build() == path
+
+    def test_unwritable_cache_builds_privately(self, monkeypatch, tmp_path, caplog):
+        if shutil.which(solver._CC[0]) is None:
+            pytest.skip("no C compiler")
+        home = tmp_path / "home"
+        home.write_text("")        # a file, so ~/.cache cannot be made
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(solver, "_kernel", None)
+        with caplog.at_level(logging.INFO, logger="hypiss.solver"):
+            assert solver.run(self.benchmark()).backend == "c"
+        path = Path(caplog.text.split("march backend: c, ")[1].split()[0])
+        assert path.is_file() and tmp_path not in path.parents
