@@ -1,9 +1,11 @@
 /* Compiled step kernel of hypiss.solver.run.
  *
- * hypiss_march advances the component-major state W, shape (k, J+2) with
- * ghost columns 0 and J+1, from level n0 to level n1 with one step size.
- * Each step does the operations of the NumPy kernel in solver.py, in the
- * same order and on the same buffers, so the state is bit-identical:
+ * hypiss_march advances the component-major state W, shape (2, J+2) with
+ * ghost columns 0 and J+1, of a 2x2 system with one positive and one
+ * negative speed (k = 2, m = 1, the shape of every shipped scenario) from
+ * level n0 to level n1 with one step size; every other shape marches in
+ * the NumPy kernel only.  Each step does the operations of the NumPy
+ * kernel in solver.py in the same order, so the state is bit-identical:
  *
  *   transport   tilde = inner - (upwind difference) * r_lam
  *   source      inner = tilde + (sum_c Pi[:, c] tilde[c]) * (-step)
@@ -11,8 +13,6 @@
  *               numpy sums a contiguous array (pairwise, 8 accumulators)
  *   boundary    ghosts = K w_in + M * b[n+1]
  *
- * k = 2 with m = 1, the shape of every shipped scenario, takes a fused
- * single-pass loop (step_2x2); any other k takes the row loops.
  * lyap[n+1] receives L.  The return value is the first level whose
  * interior holds a non-finite value, or -1.  Compile without
  * -ffast-math and with -ffp-contract=off, so that no reassociation or
@@ -50,50 +50,10 @@ static double pairwise_sum(const double *a, ptrdiff_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* One step of the transport and source updates for any k, row by row as
- * the NumPy kernel does; prod receives the functional's terms. */
-static void step_rows(long k, long m, long J, double *W, const double *r_lam,
-                      const double *pi_cols, const double *p, double *tilde,
-                      double *prod, double neg_step)
-{
-    const ptrdiff_t w = J + 2;
-    for (long i = 0; i < k; i++) {
-        const double *row = W + i * w;
-        const double *r = r_lam + i * J;
-        double *t = tilde + i * J;
-        if (i < m)
-            for (long j = 0; j < J; j++)
-                t[j] = row[j + 1] - (row[j + 1] - row[j]) * r[j];
-        else
-            for (long j = 0; j < J; j++)
-                t[j] = row[j + 1] - (row[j + 2] - row[j + 1]) * r[j];
-    }
-    for (long a = 0; a < k; a++) {
-        double *s = prod + a * J;   /* Pi tilde, then the functional's terms */
-        const double *pc = pi_cols + a * J;
-        for (long j = 0; j < J; j++)
-            s[j] = pc[j] * tilde[j];
-        for (long c = 1; c < k; c++) {
-            const double *pcc = pi_cols + (c * k + a) * J;
-            const double *tc = tilde + c * J;
-            for (long j = 0; j < J; j++)
-                s[j] += pcc[j] * tc[j];
-        }
-        const double *ta = tilde + a * J;
-        const double *pa = p + a * J;
-        double *inner = W + a * w + 1;
-        for (long j = 0; j < J; j++) {
-            inner[j] = ta[j] + s[j] * neg_step;
-            s[j] = (pa[j] * inner[j]) * inner[j];
-        }
-    }
-}
-
-/* The same step for k = 2, m = 1 in one pass over the cells: the same
- * operations as step_rows, so the same bits.  The
- * positive row is read from a copy, old, because the pass overwrites
- * the upwind cell it needs; the negative row's upwind cell is still
- * unwritten when it is read. */
+/* One step of the transport and source updates in one pass over the
+ * cells; prod receives the functional's terms.  The positive row is read
+ * from a copy, old, because the pass overwrites the upwind cell it needs;
+ * the negative row's upwind cell is still unwritten when it is read. */
 static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
                      const double *restrict pi_cols, const double *restrict p,
                      double *restrict old, double *restrict prod, double neg_step)
@@ -118,34 +78,30 @@ static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
     }
 }
 
-/* r_lam, p, tilde, prod: (k, J); pi_cols: (k, k, J) with
- * pi_cols[c][a][j] = Pi_j[a][c]; K: (k, k); M: (k); b: (levels, k). */
-long hypiss_march(long k, long m, long J, double *W, const double *r_lam,
-                  const double *pi_cols, const double *p, const double *K,
-                  const double *M, const double *b, double *lyap,
-                  double *tilde, double *prod, double step, double dx,
-                  long n0, long n1)
+/* r_lam, p, prod: (2, J); old: J + 1 doubles of scratch; pi_cols:
+ * (2, 2, J) with pi_cols[c][a][j] = Pi_j[a][c]; K: (2, 2); M: (2);
+ * b: (levels, 2). */
+long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
+                  const double *p, const double *K, const double *M,
+                  const double *b, double *lyap, double *old, double *prod,
+                  double step, double dx, long n0, long n1)
 {
     const ptrdiff_t w = J + 2;
     for (long n = n0; n < n1; n++) {
-        if (k == 2 && m == 1)
-            step_2x2(J, W, r_lam, pi_cols, p, tilde, prod, -step);
-        else
-            step_rows(k, m, J, W, r_lam, pi_cols, p, tilde, prod, -step);
-        double L = dx * pairwise_sum(prod, k * J);
-        if (!isfinite(L)) {
-            for (long i = 0; i < k; i++)
-                for (long j = 1; j <= J; j++)
-                    if (!isfinite(W[i * w + j]))
-                        return n + 1;
-        }
-        /* (W+_{J-1}, W-_0) are columns J and 1; the ghosts are 0 and J+1 */
-        const double *bn = b + (n + 1) * k;
-        for (long i = 0; i < k; i++) {
+        step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step);
+        double L = dx * pairwise_sum(prod, 2 * J);
+        if (!isfinite(L))   /* a non-finite interior makes L non-finite */
+            for (long j = 1; j <= J; j++)
+                if (!isfinite(W[j]) || !isfinite(W[w + j]))
+                    return n + 1;
+        /* the feedback reads (W+_{J-1}, W-_0), columns J and 1, and writes
+         * the ghosts W+_{-1} and W-_J, columns 0 and J+1 */
+        const double w0 = W[J], w1 = W[w + 1], *bn = b + 2 * (n + 1);
+        for (long i = 0; i < 2; i++) {
             double g = 0.0;
-            for (long c = 0; c < k; c++)
-                g += K[i * k + c] * W[c * w + (c < m ? J : 1)];
-            W[i * w + (i < m ? 0 : J + 1)] = g + M[i] * bn[i];
+            g += K[2 * i] * w0;
+            g += K[2 * i + 1] * w1;
+            W[i == 0 ? 0 : w + J + 1] = g + M[i] * bn[i];
         }
         lyap[n + 1] = L;
     }

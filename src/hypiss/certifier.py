@@ -76,6 +76,7 @@ class SourceCheck:
     passed: bool
     min_eigenvalues: np.ndarray  # (J,) smallest eigenvalue per cell
     eigenvalues: np.ndarray      # (J, k) full ascending spectra
+    failing_cells: int           # cells below -PSD_REL_TOL * scale, the verdict's test
     witness: Optional[Witness] = None
 
 
@@ -173,7 +174,7 @@ def check_source(coefficients: SystemCoefficients, weights: WeightField,
         j = int(np.argmin(min_eigs / scale))
         witness = Witness("C2", j, None, float(min_eigs[j]))
     return SourceCheck(passed=passed, min_eigenvalues=min_eigs, eigenvalues=eigs,
-                       witness=witness)
+                       failing_cells=int(np.sum(~ok)), witness=witness)
 
 
 def _boundary_diagonals(coefficients: SystemCoefficients,
@@ -296,7 +297,7 @@ class CertificateReport:
             "c2": {
                 "passed": self.c2.passed,
                 "min_eigenvalue": float(np.min(self.c2.min_eigenvalues)),
-                "failing_cells": int(np.sum(self.c2.min_eigenvalues < 0)),
+                "failing_cells": self.c2.failing_cells,
                 "witness": w(self.c2.witness),
             },
             "c3": {

@@ -20,24 +20,22 @@ compatibility condition, which carries no disturbance term.  The state is
 held component-major, shape (k, J+2), so every update runs on contiguous
 rows.
 
-The kernel has two backends.  The compiled one, ``_march.c``, does the
-same operations in the same order on the same buffers, so the state is
-bit-identical to the NumPy kernel's; it sums ``L`` pairwise, as numpy
-sums a contiguous array, so ``L`` matches too as long as numpy keeps that
-summation.  The first call of :func:`run` in a process, not the
-import, builds it with ``cc`` into
-``~/.cache/hypiss/march-<sha256 of source and command>.so`` (or into a
-private temporary directory when that one cannot be written) and loads it
-with :mod:`ctypes`; later processes reuse the cached build.  :func:`run`
-calls it once per stretch of equal step size between snapshot levels and
-falls back to the NumPy kernel when there is no compiler or the build
-fails.  The backend is logged once per process at INFO and recorded in
-:attr:`SimulationResult.backend`.
+The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
+of every shipped scenario; the NumPy kernel marches every other shape and
+is the fallback.  The C kernel does the same operations in the same
+order, so the state is bit-identical, and sums ``L`` pairwise, as numpy
+sums a contiguous array.  The first 2x2 :func:`run` of a process compiles
+it with ``cc`` into ``~/.cache/hypiss/march-<sha256 of source and
+command>.so``, which later processes reuse, and removes cached builds over
+30 days old (an unwritable cache gets a private temporary directory); no
+compiler or a failed build selects NumPy.  The backend is logged once per
+process at INFO and recorded in :attr:`SimulationResult.backend`.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import logging
 import math
@@ -62,6 +60,7 @@ logger = logging.getLogger(__name__)
 _BACKEND = "c"      # "numpy" forces the NumPy kernel; the tests run both
 _CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_march.c")
+_STALE_S = 30 * 86400   # a new build removes cached builds older than this
 _kernel = None      # until the first march: then the C function, or False if it failed
 
 
@@ -99,10 +98,10 @@ def _compile(out: Path) -> Path:
 
 def _build() -> Path:
     """Path of the compiled kernel: the cached build of this source and
-    command, compiled into the cache first when missing.  When the cache
-    cannot be written, the kernel is compiled into a directory private to
-    this process and removed at exit.  Raises OSError when the compiler
-    is missing or fails."""
+    command, compiled into the cache first when missing, which removes the
+    cached builds older than ``_STALE_S``.  An unwritable cache compiles
+    into a directory private to this process, removed at exit.  Raises
+    OSError when the compiler is missing or fails."""
     import hashlib      # as subprocess in _compile
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CC).encode()).hexdigest()
     cache = Path.home() / ".cache" / "hypiss"
@@ -121,6 +120,11 @@ def _build() -> Path:
         _compile(Path(work) / target.name).replace(target)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    stale = target.stat().st_mtime - _STALE_S     # just built, so its mtime is now
+    for old in cache.glob("march-*.so"):
+        with contextlib.suppress(OSError):    # a concurrent build may remove it first
+            if old.stat().st_mtime < stale:
+                old.unlink()
     return target
 
 
@@ -138,7 +142,7 @@ def _load():
             _kernel = False
         else:
             fn.restype = ctypes.c_long
-            fn.argtypes = ([ctypes.c_long] * 3 + [ctypes.c_void_p] * 10
+            fn.argtypes = ([ctypes.c_long] + [ctypes.c_void_p] * 10
                            + [ctypes.c_double] * 2 + [ctypes.c_long] * 2)
             logger.info("march backend: c, %s", path)
             _kernel = fn
@@ -220,15 +224,14 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
             lyap[n + 1] = L
         return -1
 
-    kernel = _load() if _BACKEND == "c" else None
+    kernel = _load() if _BACKEND == "c" and (k, m) == (2, 1) else None
     if kernel is None:
         steps = numpy_steps
     else:
         buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap, tilde, acc)]
 
         def steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
-            return kernel(k, m, J, W.ctypes.data, r_lam.ctypes.data, *buffers,
-                          step, dx, n0, n1)
+            return kernel(J, W.ctypes.data, r_lam.ctypes.data, *buffers, step, dx, n0, n1)
 
     # one call per stretch of equal step size between snapshot levels; the
     # final step, possibly shortened to land on T, is a stretch of its own

@@ -289,6 +289,20 @@ class TestCertify:
         assert rep.nu > 0
         assert "FAIL" in rep.to_text()
 
+    @pytest.mark.parametrize("eps,passed,failing", [(1e-13, True, 0), (1e-3, False, 50)])
+    def test_c2_failing_cells_follow_the_verdict(self, eps, passed, failing):
+        # a PSD rank-one source tilted by -eps u u^T: its C2 minimum
+        # eigenvalue is about -2 eps at every cell, inside PSD_REL_TOL for
+        # the small eps and outside it for the large one
+        v, u = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+        sc = build_linear_benchmark(J=50, cfl=0.75, T=1.0, mu=None, xi=0.125,
+                                    kappa12=0.5, kappa21=0.5,
+                                    source=0.3 * np.outer(v, v) - eps * np.outer(u, u))
+        c2 = certifier.certify(sc).to_dict()["c2"]
+        assert c2["min_eigenvalue"] < 0
+        assert c2["passed"] is passed
+        assert c2["failing_cells"] == failing
+
     def test_gain_outside_bound_fails_boundary_check(self):
         sc = benchmark(J=64, k12=0.95)  # above the 0.9428 admissible bound
         rep = certifier.certify(sc)

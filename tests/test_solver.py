@@ -1,6 +1,8 @@
 import logging
+import os
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import numpy as np
@@ -378,15 +380,28 @@ class TestBackends:
         assert np.array_equal(c.b_sq, ref.b_sq)
         assert np.allclose(c.lyapunov, ref.lyapunov, rtol=1e-14, atol=0)
 
-    def test_three_components_each_backend(self, march_backend):
-        for seed in range(3):
-            TestThreeComponents().test_march_matches_per_cell_loop(seed)
-
     def test_blowup_each_backend(self, march_backend):
         TestRun().test_blowup_detection_reports_step()
 
     def benchmark(self):
         return load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=40)
+
+    def test_backend_follows_shape(self, monkeypatch):
+        # only k = 2 with m = 1 loads the compiled kernel; k = 3 and k = 1
+        # march in NumPy without building it
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_BACKEND", "c")
+            mp.setattr(solver, "_load", lambda: pytest.fail("the compiled kernel was loaded"))
+            for k, m in ((3, 2), (1, 1)):
+                g = one_step_grid(4, 1.0)
+                lam = np.where(np.arange(k) < m, 1.0, -1.0)
+                c = core.SystemCoefficients(
+                    k=k, m=m, lam=np.tile(lam, (g.J + 2, 1)), pi=np.full((g.J, k, k), 0.1),
+                    K=np.zeros((k, k)), M=np.zeros(k), b=core.DisturbanceSignal.zero(k))
+                assert march(g, c, np.ones((g.J, k))).backend == "numpy"
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        assert solver.run(self.benchmark()).backend == "c"
 
     def test_missing_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -415,6 +430,26 @@ class TestBackends:
             raise AssertionError("compiled again")
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert solver._build() == path
+
+    def test_new_build_removes_stale_builds(self, monkeypatch, tmp_path):
+        if shutil.which(solver._CC[0]) is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        cache = tmp_path / ".cache" / "hypiss"
+        cache.mkdir(parents=True)
+        stale, fresh = cache / f"march-{'0' * 64}.so", cache / f"march-{'1' * 64}.so"
+        sixty_days_ago = time.time() - 60 * 86400
+
+        def make_stale():
+            stale.write_bytes(b"")
+            os.utime(stale, (sixty_days_ago, sixty_days_ago))
+        make_stale()
+        fresh.write_bytes(b"")
+        path = solver._build()
+        assert sorted(cache.iterdir()) == sorted([fresh, path])
+        make_stale()
+        assert solver._build() == path          # a cache hit removes nothing
+        assert sorted(cache.iterdir()) == sorted([stale, fresh, path])
 
     def test_unwritable_cache_builds_privately(self, monkeypatch, tmp_path, caplog):
         if shutil.which(solver._CC[0]) is None:
