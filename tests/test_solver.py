@@ -380,6 +380,11 @@ class TestBackends:
         assert np.array_equal(c.b_sq, ref.b_sq)
         assert np.allclose(c.lyapunov, ref.lyapunov, rtol=1e-14, atol=0)
 
+    def test_three_components_each_backend(self, march_backend):
+        # under "c" the k = 3 march is routed to NumPy; its result must not change
+        for seed in range(3):
+            TestThreeComponents().test_march_matches_per_cell_loop(seed)
+
     def test_blowup_each_backend(self, march_backend):
         TestRun().test_blowup_detection_reports_step()
 
