@@ -1,15 +1,24 @@
-"""March benchmark: ns per cell-step of each backend on the shipped scenarios.
+"""March and writer benchmark: each backend on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_1.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_2.json]
 
-For each shipped scenario at J = 200 and J = 1600 (its other fields as
-shipped) this times ``hypiss.solver.run`` with the compiled and with the
-NumPy kernel, alternating the two in every repeat, and reports the
-median and the minimum over the repeats of the wall time divided by the
-J * N cell-steps marched.  The compiled kernel is built and loaded
-before the first timed run.  The result, with the environment it was
-measured in, is written as JSON to ``--out`` (``BENCH_1.json`` at the
-repository root by default).
+March rows: for each shipped scenario at J = 200 and J = 1600 (its other
+fields as shipped) this times ``hypiss.solver.run`` with the compiled and
+with the NumPy kernel, alternating the two in every repeat, and reports
+the median and the minimum over the repeats of the wall time divided by
+the J * N cell-steps marched.
+
+Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
+(Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
+``write_trace_csv`` and ``write_trajectory_csv`` with the compiled
+formatter and with the Python writers, alternating them in every repeat,
+and reports the median and minimum wall time and the median ns per float
+value written.
+
+The compiled library is built and loaded before the first timed run.  The
+result, with the environment it was measured in, is written as JSON to
+``--out`` (``BENCH_2.json`` at the repository root by default;
+``BENCH_1.json`` holds the march rows of the previous version).
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,11 +39,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from hypiss import __version__, load_scenario, solver  # noqa: E402
+from hypiss import __version__, certifier, load_scenario, lyapunov, reports, solver  # noqa: E402
+from hypiss.scenario import ScenarioSpec  # noqa: E402
 
 SCENARIOS = ("linear_benchmark", "saint_venant", "isothermal_euler")
 J_LIST = (200, 1600)
 BACKENDS = ("c", "numpy")
+WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
 
 
 def _first_line(argv) -> str | None:
@@ -66,13 +78,52 @@ def ns_per_cell_step(scenario, backend: str) -> float:
     return elapsed / (scenario.grid.J * result.steps) * 1e9
 
 
+def writer_rows(repeats: int) -> list:
+    """Wall time of each CSV writer under each backend, on one recorded run."""
+    raw = json.loads((ROOT / "scenarios" / f"{WRITER_SHAPE['scenario']}.json").read_text())
+    raw["grid"]["T"] = WRITER_SHAPE["T"]
+    scenario = ScenarioSpec(raw).build(J=WRITER_SHAPE["J"])
+    solver._BACKEND = "c"
+    result = solver.run(scenario, WRITER_SHAPE["stride"])
+    trace = lyapunov.build_trace(result, scenario, certifier.certify(scenario))
+    J, k = result.history[0][1].shape
+    writers = {   # name: (call, float values written)
+        "trace.csv": (lambda path: reports.write_trace_csv(path, trace),
+                      trace.times.size * (3 + (trace.envelope is not None))),
+        "trajectory.csv": (lambda path: reports.write_trajectory_csv(
+            path, result, scenario.grid.centers), len(result.history) * (1 + J * (1 + k))),
+    }
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (write, values) in writers.items():
+            times = {backend: [] for backend in BACKENDS}
+            for _ in range(repeats):
+                for backend in BACKENDS:
+                    solver._BACKEND = backend
+                    start = time.perf_counter()
+                    write(Path(tmp) / name)
+                    times[backend].append(time.perf_counter() - start)
+            row = {"file": name, **WRITER_SHAPE, "N": result.steps, "values": values,
+                   "bytes": (Path(tmp) / name).stat().st_size,
+                   **{backend: {"median_s": statistics.median(t), "min_s": min(t),
+                                "ns_per_value": statistics.median(t) / values * 1e9}
+                      for backend, t in times.items()}}
+            row["speedup_median"] = row["numpy"]["median_s"] / row["c"]["median_s"]
+            rows.append(row)
+            print(f"{name:17s} c {row['c']['median_s']:.4f} s  numpy "
+                  f"{row['numpy']['median_s']:.4f} s  "
+                  f"({row['c']['ns_per_value']:.0f} vs {row['numpy']['ns_per_value']:.0f} "
+                  f"ns per value)  x{row['speedup_median']:.1f}", file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_2.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
-        print("the compiled kernel could not be built; nothing to compare", file=sys.stderr)
+        print("the compiled library could not be built; nothing to compare", file=sys.stderr)
         return 1
     rows = []
     for name in SCENARIOS:
@@ -91,8 +142,9 @@ def main(argv=None) -> int:
             print(f"{name:17s} J={J:5d}  c {row['c']['median']:7.2f}  "
                   f"numpy {row['numpy']['median']:7.2f} ns per cell-step  "
                   f"x{row['speedup_median']:.1f}", file=sys.stderr)
-    report = {"benchmark": "march", "unit": "ns per cell-step", "repeats": args.repeats,
-              "environment": environment(), "rows": rows}
+    report = {"benchmark": "march and writers", "unit": "ns per cell-step",
+              "repeats": args.repeats, "environment": environment(), "rows": rows,
+              "writers": writer_rows(args.repeats)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -39,6 +39,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     scenario = load_scenario(args.scenario).build()
+    # a run that aborts, or records no snapshots, must not leave a previous run's outputs
+    for name in ("trace.csv", "trajectory.csv", "summary.json"):
+        (out / name).unlink(missing_ok=True)
     report = certifier.certify(scenario)
     reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
     sys.stdout.write(report.to_text())
@@ -139,6 +142,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stride(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_j_list(text: str) -> List[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
@@ -183,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     common(p_run)
     p_run.add_argument("--force", action="store_true",
                        help="simulate even if the certificate fails")
-    p_run.add_argument("--stride", type=int, default=None,
+    p_run.add_argument("--stride", type=_stride, default=None,
                        help="record interior snapshots every STRIDE steps")
     p_run.set_defaults(fn=cmd_run)
 

@@ -3,18 +3,28 @@
 All CSV files start with a ``# hypiss-v1`` comment naming the payload;
 floats are written with Python's shortest round-trip representation so
 reruns diff cleanly.
+
+The trace and trajectory writers format their rows with
+``hypiss_csv_rows``, compiled with the march kernel in ``_march.c``, in
+chunks of at most ``_CHUNK`` rows through one reused buffer.  It prints
+each float as ``repr`` does, so the bytes are those of the Python writers,
+which run instead under the NumPy backend or when the library cannot be
+built.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import inspect
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from . import solver
 from .core import DisturbanceSignal
 from .lyapunov import LyapunovTrace
 from .models import build_linear_benchmark
@@ -56,6 +66,65 @@ REFERENCE_GAP_NORMS = {
 }
 
 
+_CHUNK = 4096      # rows per call of the compiled formatter
+_FIELD = 25        # bytes of a float field: the comma and at most 24 characters
+
+
+@functools.cache
+def _schubfach_table() -> np.ndarray:
+    """The compiled formatter's table, made on its first use:
+    g = floor(10^-k 2^-r) + 1 with r = floor(log2 10^-k) - 125, for
+    k = -324 .. 292, as rows (g >> 63, g mod 2^63); exact integers, and r
+    from the fixed-point logarithm that ``_march.c`` uses."""
+    table = []
+    for k in range(-324, 293):
+        r = ((-k * 913124641741) >> 38) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        table.append((g >> 63, g & (2 ** 63 - 1)))
+    return np.array(table, dtype=np.uint64)
+
+
+def _compiled_rows():
+    """The compiled ``hypiss_csv_rows`` with its table bound, or None under
+    the NumPy backend or when the library cannot be built."""
+    lib = solver._load() if solver._BACKEND == "c" else None
+    if lib is None:
+        return None
+    return functools.partial(lib.hypiss_csv_rows, _schubfach_table().ctypes.data)
+
+
+def _compiled_chunks(rows_fn, blocks: Iterable[tuple]) -> Iterator[np.ndarray]:
+    """The rows of each block ``(prefix, count, columns)`` formatted by the
+    compiled ``rows_fn``: for i < count, ``prefix``, i, and a comma and
+    ``repr`` of ``column[i]`` per 1-D float64 column, or only the comma for
+    None.  Each chunk is a view of one reused buffer, valid until the next
+    is drawn."""
+    buf = np.empty(0, dtype=np.uint8)
+    for prefix, count, columns in blocks:
+        if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
+                                  or c.strides[0] % 8) for c in columns):
+            raise ValueError(f"each column must hold {count} float64 values")
+        cols = (ctypes.c_void_p * len(columns))(
+            *(None if c is None else c.ctypes.data for c in columns))
+        strides = (ctypes.c_long * len(columns))(
+            *(0 if c is None else c.strides[0] // 8 for c in columns))
+        size = min(count, _CHUNK) * (len(prefix) + 21 + _FIELD * len(columns))
+        if buf.size < size:
+            buf = np.empty(size, dtype=np.uint8)
+        for first in range(0, count, _CHUNK):
+            n = rows_fn(buf.ctypes.data, prefix, len(prefix), first,
+                        min(_CHUNK, count - first), len(columns), cols, strides)
+            yield buf[:n]
+
+
+def _write_chunks(path: Path, tag: str, header: Sequence[str],
+                  chunks: Iterable[np.ndarray]) -> None:
+    """The bytes ``_write_lines`` writes, with the rows already encoded."""
+    with path.open("wb") as fh:
+        fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n".encode())
+        fh.writelines(chunks)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -83,12 +152,20 @@ def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     """Columns n, t, L, envelope, sup_b_sq; the supremum column holds the
     running sup of |b|^2 over levels strictly before n (what the envelope
     at level n uses)."""
+    header = ("n", "t", "L", "envelope", "sup_b_sq")
+    rows_fn = _compiled_rows()
+    if rows_fn is not None:
+        columns = [None if a is None else np.asarray(a, dtype=np.float64)
+                   for a in (trace.times, trace.L, trace.envelope, trace.sup_b_sq)]
+        _write_chunks(path, "lyapunov-trace", header,
+                      _compiled_chunks(rows_fn, [(b"", trace.times.size, columns)]))
+        return
     env = (itertools.repeat("") if trace.envelope is None
            else map(repr, trace.envelope.tolist()))
     lines = (f"{n},{t!r},{L!r},{e},{s!r}\n" for n, (t, L, e, s) in
              enumerate(zip(trace.times.tolist(), trace.L.tolist(), env,
                            trace.sup_b_sq.tolist())))
-    _write_lines(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"), lines)
+    _write_lines(path, "lyapunov-trace", header, lines)
 
 
 def write_trajectory_csv(path: Path, result: SimulationResult,
@@ -98,6 +175,14 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
         raise ValueError("simulation was run without history recording")
     J, k = result.history[0][1].shape
     header = ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)]
+    rows_fn = _compiled_rows()
+    if rows_fn is not None:
+        x = np.asarray(centers[1:-1], dtype=np.float64)
+        blocks = ((f"{n},{result.times[n].item()!r},".encode(), J,
+                   [x, *np.asarray(interior, dtype=np.float64).T])
+                  for n, interior in result.history)
+        _write_chunks(path, "trajectory", header, _compiled_chunks(rows_fn, blocks))
+        return
     cells = [f"{j},{x!r}," for j, x in enumerate(centers[1:-1].tolist())]
     row = ("{}{}" + ",".join(["{!r}"] * k) + "\n").format   # level, cell, w1 .. wk
 

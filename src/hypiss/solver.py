@@ -24,12 +24,14 @@ The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
 of every shipped scenario; the NumPy kernel marches every other shape and
 is the fallback.  The C kernel does the same operations in the same
 order, so the state is bit-identical, and sums ``L`` pairwise, as numpy
-sums a contiguous array.  The first 2x2 :func:`run` of a process compiles
-it with ``cc`` into ``~/.cache/hypiss/march-<sha256 of source and
-command>.so``, which later processes reuse, and removes cached builds over
-30 days old (an unwritable cache gets a private temporary directory); no
-compiler or a failed build selects NumPy.  The backend is logged once per
-process at INFO and recorded in :attr:`SimulationResult.backend`.
+sums a contiguous array.  The first 2x2 :func:`run` of a process (or the
+first compiled CSV writer of ``reports``, whose row formatter is in the
+same file) compiles it with ``cc`` into ``~/.cache/hypiss/march-<sha256
+of source and command>.so``, which later processes reuse, and removes
+cached builds over 30 days old (an unwritable cache gets a private
+temporary directory); no compiler or a failed build selects NumPy and the
+Python writers.  The backend is logged once per process at INFO and
+recorded in :attr:`SimulationResult.backend`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _BACKEND = "c"      # "numpy" forces the NumPy kernel; the tests run both
 _CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_march.c")
 _STALE_S = 30 * 86400   # a new build removes cached builds older than this
-_kernel = None      # until the first march: then the C function, or False if it failed
+_lib = None         # until the first load: then the compiled library, or False if it failed
 
 
 class BlowupError(RuntimeError):
@@ -129,24 +131,27 @@ def _build() -> Path:
 
 
 def _load():
-    """The compiled kernel, built and loaded on the first call; None when
-    it cannot be built (no compiler, or the build fails)."""
-    global _kernel
-    if _kernel is None:
+    """The compiled library, built and loaded on the first call, with the
+    signatures of ``hypiss_march`` and ``hypiss_csv_rows`` declared; None
+    when it cannot be built (no compiler, or the build fails)."""
+    global _lib
+    if _lib is None:
         try:
             path = _build()
-            fn = ctypes.CDLL(str(path)).hypiss_march
+            lib = ctypes.CDLL(str(path))
         except OSError as exc:
             logger.info("march backend: numpy; the C kernel could not be built or loaded: %s",
                         exc)
-            _kernel = False
+            _lib = False
         else:
-            fn.restype = ctypes.c_long
-            fn.argtypes = ([ctypes.c_long] + [ctypes.c_void_p] * 10
-                           + [ctypes.c_double] * 2 + [ctypes.c_long] * 2)
+            long, ptr = ctypes.c_long, ctypes.c_void_p
+            march, rows = lib.hypiss_march, lib.hypiss_csv_rows
+            march.restype = rows.restype = long
+            march.argtypes = [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 2
+            rows.argtypes = [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
             logger.info("march backend: c, %s", path)
-            _kernel = fn
-    return _kernel or None
+            _lib = lib
+    return _lib or None
 
 
 def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
@@ -224,10 +229,11 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
             lyap[n + 1] = L
         return -1
 
-    kernel = _load() if _BACKEND == "c" and (k, m) == (2, 1) else None
-    if kernel is None:
+    lib = _load() if _BACKEND == "c" and (k, m) == (2, 1) else None
+    if lib is None:
         steps = numpy_steps
     else:
+        kernel = lib.hypiss_march
         buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap, tilde, acc)]
 
         def steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
@@ -254,4 +260,4 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
         if history is not None and (end % stride == 0 or end == N):
             history.append((end, inner.T.copy()))
     return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq, final=W.T.copy(),
-                            backend="numpy" if kernel is None else "c", history=history)
+                            backend="numpy" if lib is None else "c", history=history)

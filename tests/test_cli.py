@@ -95,6 +95,34 @@ class TestRunCommand:
                      "--force"]) == 0
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("rerun", ["uncertified", "blow-up", "no-stride"])
+    def test_rerun_leaves_no_stale_outputs(self, tmp_path, rerun):
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
+                     "--stride", "16"]) == 0
+        if rerun == "uncertified":
+            path, extra, code = small_benchmark(tmp_path, **{"boundary.kappa12": 0.95}), [], 1
+        elif rerun == "blow-up":
+            # an anti-dissipative source that overflows the state within T
+            path = small_benchmark(tmp_path, **{"model.source": [[-1e4, 0.0], [0.0, -1e4]]})
+            extra, code = ["--force"], 2
+        else:
+            path, extra, code = small_benchmark(tmp_path), [], 0
+        assert main(["run", "--scenario", str(path), "--out", str(out), *extra]) == code
+        left = {name for name in ("trace.csv", "trajectory.csv", "summary.json")
+                if (out / name).exists()}
+        assert left == ({"trace.csv", "summary.json"} if code == 0 else set())
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_non_positive_stride_rejected_before_any_output(self, tmp_path, capsys, stride):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
+                  "--stride", stride])
+        assert exc.value.code == 2
+        assert "argument --stride: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_are_bit_identical(self, tmp_path):
         path = small_benchmark(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -411,7 +411,7 @@ class TestBackends:
     def test_missing_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
-        monkeypatch.setattr(solver, "_kernel", None)
+        monkeypatch.setattr(solver, "_lib", None)
         sc = self.benchmark()
         with caplog.at_level(logging.INFO, logger="hypiss.solver"):
             got = solver.run(sc, stride=100)
@@ -462,7 +462,7 @@ class TestBackends:
         home = tmp_path / "home"
         home.write_text("")        # a file, so ~/.cache cannot be made
         monkeypatch.setenv("HOME", str(home))
-        monkeypatch.setattr(solver, "_kernel", None)
+        monkeypatch.setattr(solver, "_lib", None)
         with caplog.at_level(logging.INFO, logger="hypiss.solver"):
             assert solver.run(self.benchmark()).backend == "c"
         path = Path(caplog.text.split("march backend: c, ")[1].split()[0])
