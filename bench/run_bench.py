@@ -11,7 +11,7 @@ the J * N cell-steps marched.
 Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
 ``write_trace_csv`` and ``write_trajectory_csv`` with the compiled
-formatter and with the Python writers, alternating them in every repeat,
+formatter and with the Python row formatter, alternating them in every repeat,
 and reports the median and minimum wall time and the median ns per float
 value written.
 
@@ -68,8 +68,15 @@ def environment() -> dict:
             "commit": _first_line(["git", "-C", str(ROOT), "describe", "--always", "--dirty"])}
 
 
+def use(backend: str) -> None:
+    """Select the compiled library, or none, as on a host without a compiler."""
+    solver._lib = None if backend == "c" else False
+    if backend == "c" and solver._load() is None:
+        raise RuntimeError("the compiled library could not be loaded")
+
+
 def ns_per_cell_step(scenario, backend: str) -> float:
-    solver._BACKEND = backend
+    use(backend)
     start = time.perf_counter()
     result = solver.run(scenario)
     elapsed = time.perf_counter() - start
@@ -83,7 +90,7 @@ def writer_rows(repeats: int) -> list:
     raw = json.loads((ROOT / "scenarios" / f"{WRITER_SHAPE['scenario']}.json").read_text())
     raw["grid"]["T"] = WRITER_SHAPE["T"]
     scenario = ScenarioSpec(raw).build(J=WRITER_SHAPE["J"])
-    solver._BACKEND = "c"
+    use("c")
     result = solver.run(scenario, WRITER_SHAPE["stride"])
     trace = lyapunov.build_trace(result, scenario, certifier.certify(scenario))
     J, k = result.history[0][1].shape
@@ -99,7 +106,7 @@ def writer_rows(repeats: int) -> list:
             times = {backend: [] for backend in BACKENDS}
             for _ in range(repeats):
                 for backend in BACKENDS:
-                    solver._BACKEND = backend
+                    use(backend)
                     start = time.perf_counter()
                     write(Path(tmp) / name)
                     times[backend].append(time.perf_counter() - start)

@@ -22,8 +22,8 @@
  * hypiss_csv_rows writes CSV rows with every double printed as Python's
  * repr prints it: the shortest decimal that rounds back to it, found with
  * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
- * in repr's layout.  The Python writers in reports.py are the fallback and
- * write the same bytes.
+ * in repr's layout.  Its Python twin, _python_rows in reports.py, formats
+ * the rows when this library cannot be built, with the same bytes.
  */
 
 #include <math.h>

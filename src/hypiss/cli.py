@@ -38,10 +38,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    scenario = load_scenario(args.scenario).build()
-    # a run that aborts, or records no snapshots, must not leave a previous run's outputs
-    for name in ("trace.csv", "trajectory.csv", "summary.json"):
+    # a run that fails to load, aborts or records no snapshots leaves no earlier run's outputs
+    for name in ("certificate.json", "certificate.txt", "trace.csv", "trajectory.csv",
+                 "summary.json"):
         (out / name).unlink(missing_ok=True)
+    scenario = load_scenario(args.scenario).build()
     report = certifier.certify(scenario)
     reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
     sys.stdout.write(report.to_text())

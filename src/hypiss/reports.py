@@ -4,12 +4,10 @@ All CSV files start with a ``# hypiss-v1`` comment naming the payload;
 floats are written with Python's shortest round-trip representation so
 reruns diff cleanly.
 
-The trace and trajectory writers format their rows with
-``hypiss_csv_rows``, compiled with the march kernel in ``_march.c``, in
-chunks of at most ``_CHUNK`` rows through one reused buffer.  It prints
-each float as ``repr`` does, so the bytes are those of the Python writers,
-which run instead under the NumPy backend or when the library cannot be
-built.
+The trace and trajectory writers hand blocks of float columns to
+``_write_blocks``.  Its rows come from the compiled ``hypiss_csv_rows``,
+which prints each float as ``repr`` does, when ``solver._load()`` has the
+library, and otherwise from ``_python_rows``: the same bytes either way.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import inspect
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +64,7 @@ REFERENCE_GAP_NORMS = {
 }
 
 
-_CHUNK = 4096      # rows per call of the compiled formatter
+_CHUNK = 4096      # rows per call of the row formatter
 _FIELD = 25        # bytes of a float field: the comma and at most 24 characters
 
 
@@ -84,45 +82,58 @@ def _schubfach_table() -> np.ndarray:
     return np.array(table, dtype=np.uint64)
 
 
-def _compiled_rows():
-    """The compiled ``hypiss_csv_rows`` with its table bound, or None under
-    the NumPy backend or when the library cannot be built."""
-    lib = solver._load() if solver._BACKEND == "c" else None
+def _python_rows():
+    """``hypiss_csv_rows`` in Python; a column that repeats for the same
+    rows, as the trajectory's ``x`` does at every level, is formatted once."""
+    reprs = functools.lru_cache(16)(lambda raw: list(map(repr, np.frombuffer(raw).tolist())))
+
+    def rows(prefix, first, count, columns):
+        fields = [itertools.repeat("", count) if c is None
+                  else reprs(c[first:first + count].tobytes()) for c in columns]
+        head = prefix.decode()
+        lines = map(",".join, zip(map(str, range(first, first + count)), *fields))
+        return "".join(f"{head}{line}\n" for line in lines).encode()
+    return rows
+
+
+def _row_formatter():
+    """``_python_rows()``, or when the library loads, ``hypiss_csv_rows``
+    with its table bound, returning a view of one reused buffer."""
+    lib = solver._load()
     if lib is None:
-        return None
-    return functools.partial(lib.hypiss_csv_rows, _schubfach_table().ctypes.data)
-
-
-def _compiled_chunks(rows_fn, blocks: Iterable[tuple]) -> Iterator[np.ndarray]:
-    """The rows of each block ``(prefix, count, columns)`` formatted by the
-    compiled ``rows_fn``: for i < count, ``prefix``, i, and a comma and
-    ``repr`` of ``column[i]`` per 1-D float64 column, or only the comma for
-    None.  Each chunk is a view of one reused buffer, valid until the next
-    is drawn."""
+        return _python_rows()
+    fn, ptr, long = lib.hypiss_csv_rows, ctypes.c_void_p, ctypes.c_long
+    fn.restype, fn.argtypes = long, [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
+    table = _schubfach_table().ctypes.data
     buf = np.empty(0, dtype=np.uint8)
-    for prefix, count, columns in blocks:
-        if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
-                                  or c.strides[0] % 8) for c in columns):
-            raise ValueError(f"each column must hold {count} float64 values")
-        cols = (ctypes.c_void_p * len(columns))(
-            *(None if c is None else c.ctypes.data for c in columns))
-        strides = (ctypes.c_long * len(columns))(
-            *(0 if c is None else c.strides[0] // 8 for c in columns))
-        size = min(count, _CHUNK) * (len(prefix) + 21 + _FIELD * len(columns))
+
+    def rows(prefix, first, count, columns):
+        nonlocal buf
+        size = count * (len(prefix) + 21 + _FIELD * len(columns))
         if buf.size < size:
             buf = np.empty(size, dtype=np.uint8)
-        for first in range(0, count, _CHUNK):
-            n = rows_fn(buf.ctypes.data, prefix, len(prefix), first,
-                        min(_CHUNK, count - first), len(columns), cols, strides)
-            yield buf[:n]
+        ptrs = (ptr * len(columns))(*(None if c is None else c.ctypes.data for c in columns))
+        steps = (long * len(columns))(*(0 if c is None else c.strides[0] // 8 for c in columns))
+        n = fn(table, buf.ctypes.data, prefix, len(prefix), first, count, len(columns), ptrs, steps)
+        return buf[:n]
+    return rows
 
 
-def _write_chunks(path: Path, tag: str, header: Sequence[str],
-                  chunks: Iterable[np.ndarray]) -> None:
-    """The bytes ``_write_lines`` writes, with the rows already encoded."""
+def _write_blocks(path: Path, tag: str, header: Sequence[str],
+                  blocks: Iterable[tuple]) -> None:
+    """Tag line, header, then for each block ``(prefix, count, columns)``
+    and i < count the row ``prefix``, i, and per column a comma and
+    ``repr(column[i])``, or only the comma for None, in chunks of at most
+    ``_CHUNK`` rows.  The columns are checked before any row is formatted."""
+    rows = _row_formatter()
     with path.open("wb") as fh:
         fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n".encode())
-        fh.writelines(chunks)
+        for prefix, count, columns in blocks:
+            if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
+                                      or c.strides[0] % 8) for c in columns):
+                raise ValueError(f"each column must hold {count} float64 values")
+            for first in range(0, count, _CHUNK):
+                fh.write(rows(prefix, first, min(_CHUNK, count - first), columns))
 
 
 def _fmt(value) -> str:
@@ -133,39 +144,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_lines(path: Path, tag: str, header: Sequence[str],
-                 lines: Iterable[str]) -> None:
-    """Tag line, header, then ``lines`` (each ending in a newline) streamed."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# hypiss-v1 {tag}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
-
 def _write_csv(path: Path, tag: str, header: Sequence[str],
                rows: Iterable[Sequence]) -> None:
-    _write_lines(path, tag, header,
-                 (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     """Columns n, t, L, envelope, sup_b_sq; the supremum column holds the
     running sup of |b|^2 over levels strictly before n (what the envelope
     at level n uses)."""
-    header = ("n", "t", "L", "envelope", "sup_b_sq")
-    rows_fn = _compiled_rows()
-    if rows_fn is not None:
-        columns = [None if a is None else np.asarray(a, dtype=np.float64)
-                   for a in (trace.times, trace.L, trace.envelope, trace.sup_b_sq)]
-        _write_chunks(path, "lyapunov-trace", header,
-                      _compiled_chunks(rows_fn, [(b"", trace.times.size, columns)]))
-        return
-    env = (itertools.repeat("") if trace.envelope is None
-           else map(repr, trace.envelope.tolist()))
-    lines = (f"{n},{t!r},{L!r},{e},{s!r}\n" for n, (t, L, e, s) in
-             enumerate(zip(trace.times.tolist(), trace.L.tolist(), env,
-                           trace.sup_b_sq.tolist())))
-    _write_lines(path, "lyapunov-trace", header, lines)
+    columns = [trace.times, trace.L, trace.envelope, trace.sup_b_sq]
+    _write_blocks(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"),
+                  [(b"", trace.times.size, columns)])
 
 
 def write_trajectory_csv(path: Path, result: SimulationResult,
@@ -174,24 +166,11 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
     if result.history is None:
         raise ValueError("simulation was run without history recording")
     J, k = result.history[0][1].shape
-    header = ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)]
-    rows_fn = _compiled_rows()
-    if rows_fn is not None:
-        x = np.asarray(centers[1:-1], dtype=np.float64)
-        blocks = ((f"{n},{result.times[n].item()!r},".encode(), J,
-                   [x, *np.asarray(interior, dtype=np.float64).T])
-                  for n, interior in result.history)
-        _write_chunks(path, "trajectory", header, _compiled_chunks(rows_fn, blocks))
-        return
-    cells = [f"{j},{x!r}," for j, x in enumerate(centers[1:-1].tolist())]
-    row = ("{}{}" + ",".join(["{!r}"] * k) + "\n").format   # level, cell, w1 .. wk
-
-    def lines():
-        for n, interior in result.history:
-            level = f"{n},{result.times[n].item()!r},"
-            yield from map(row, itertools.repeat(level, J), cells, *interior.T.tolist())
-
-    _write_lines(path, "trajectory", header, lines())
+    x = centers[1:-1]
+    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, [x, *interior.T])
+              for n, interior in result.history)
+    _write_blocks(path, "trajectory", ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)],
+                  blocks)
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict],

@@ -25,13 +25,14 @@ of every shipped scenario; the NumPy kernel marches every other shape and
 is the fallback.  The C kernel does the same operations in the same
 order, so the state is bit-identical, and sums ``L`` pairwise, as numpy
 sums a contiguous array.  The first 2x2 :func:`run` of a process (or the
-first compiled CSV writer of ``reports``, whose row formatter is in the
-same file) compiles it with ``cc`` into ``~/.cache/hypiss/march-<sha256
+first trace or trajectory writer of ``reports``, whose row formatter is in
+the same file) compiles it with ``cc`` into ``~/.cache/hypiss/march-<sha256
 of source and command>.so``, which later processes reuse, and removes
 cached builds over 30 days old (an unwritable cache gets a private
-temporary directory); no compiler or a failed build selects NumPy and the
-Python writers.  The backend is logged once per process at INFO and
-recorded in :attr:`SimulationResult.backend`.
+temporary directory).  :func:`_load` returning None, as without a compiler
+or after a failed build, is the one backend selector: NumPy marches and
+``reports`` formats in Python.  The backend is logged once per process at
+INFO and recorded in :attr:`SimulationResult.backend`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BACKEND = "c"      # "numpy" forces the NumPy kernel; the tests run both
 _CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_march.c")
 _STALE_S = 30 * 86400   # a new build removes cached builds older than this
@@ -132,8 +132,8 @@ def _build() -> Path:
 
 def _load():
     """The compiled library, built and loaded on the first call, with the
-    signatures of ``hypiss_march`` and ``hypiss_csv_rows`` declared; None
-    when it cannot be built (no compiler, or the build fails)."""
+    signature of ``hypiss_march`` declared; None when it cannot be built
+    (no compiler, or the build fails)."""
     global _lib
     if _lib is None:
         try:
@@ -144,11 +144,10 @@ def _load():
                         exc)
             _lib = False
         else:
-            long, ptr = ctypes.c_long, ctypes.c_void_p
-            march, rows = lib.hypiss_march, lib.hypiss_csv_rows
-            march.restype = rows.restype = long
-            march.argtypes = [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 2
-            rows.argtypes = [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
+            long = ctypes.c_long
+            lib.hypiss_march.restype = long
+            lib.hypiss_march.argtypes = ([long] + [ctypes.c_void_p] * 10
+                                         + [ctypes.c_double] * 2 + [long] * 2)
             logger.info("march backend: c, %s", path)
             _lib = lib
     return _lib or None
@@ -211,25 +210,26 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
 
     def numpy_steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
         """Levels n0 -> n1; returns the first non-finite level, or -1."""
-        for n in range(n0, n1):
-            np.subtract(pos, pos_up, out=tilde_pos)
-            np.subtract(neg_up, neg, out=tilde_neg)
-            np.multiply(tilde, r_lam, out=tilde)
-            np.subtract(inner, tilde, out=tilde)
-            np.multiply(*first_term, out=acc)
-            for term in more_terms:
-                np.multiply(*term, out=prod)
-                np.add(acc, prod, out=acc)
-            np.multiply(acc, -step, out=acc)
-            np.add(tilde, acc, out=inner)
-            L = functional()
-            if not math.isfinite(L) and not np.all(np.isfinite(inner)):
-                return n + 1
-            W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
-            lyap[n + 1] = L
+        with np.errstate(over="ignore", invalid="ignore"):   # BlowupError names the level
+            for n in range(n0, n1):
+                np.subtract(pos, pos_up, out=tilde_pos)
+                np.subtract(neg_up, neg, out=tilde_neg)
+                np.multiply(tilde, r_lam, out=tilde)
+                np.subtract(inner, tilde, out=tilde)
+                np.multiply(*first_term, out=acc)
+                for term in more_terms:
+                    np.multiply(*term, out=prod)
+                    np.add(acc, prod, out=acc)
+                np.multiply(acc, -step, out=acc)
+                np.add(tilde, acc, out=inner)
+                L = functional()
+                if not math.isfinite(L) and not np.all(np.isfinite(inner)):
+                    return n + 1
+                W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
+                lyap[n + 1] = L
         return -1
 
-    lib = _load() if _BACKEND == "c" and (k, m) == (2, 1) else None
+    lib = _load() if (k, m) == (2, 1) else None
     if lib is None:
         steps = numpy_steps
     else:

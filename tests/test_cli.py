@@ -95,23 +95,28 @@ class TestRunCommand:
                      "--force"]) == 0
         assert (out / "trace.csv").exists()
 
-    @pytest.mark.parametrize("rerun", ["uncertified", "blow-up", "no-stride"])
+    @pytest.mark.parametrize("rerun", ["uncertified", "blow-up", "no-stride", "bad-load"])
     def test_rerun_leaves_no_stale_outputs(self, tmp_path, rerun):
         out = tmp_path / "o"
         assert main(["run", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
                      "--stride", "16"]) == 0
+        certificate = {"certificate.json", "certificate.txt"}
         if rerun == "uncertified":
-            path, extra, code = small_benchmark(tmp_path, **{"boundary.kappa12": 0.95}), [], 1
+            path = small_benchmark(tmp_path, **{"boundary.kappa12": 0.95})
+            extra, code, want = [], 1, certificate
         elif rerun == "blow-up":
             # an anti-dissipative source that overflows the state within T
             path = small_benchmark(tmp_path, **{"model.source": [[-1e4, 0.0], [0.0, -1e4]]})
-            extra, code = ["--force"], 2
+            extra, code, want = ["--force"], 2, certificate
+        elif rerun == "bad-load":
+            path, extra, code, want = small_benchmark(tmp_path, J=1), [], 2, set()
         else:
             path, extra, code = small_benchmark(tmp_path), [], 0
+            want = certificate | {"trace.csv", "summary.json"}
         assert main(["run", "--scenario", str(path), "--out", str(out), *extra]) == code
-        left = {name for name in ("trace.csv", "trajectory.csv", "summary.json")
+        left = {name for name in (*certificate, "trace.csv", "trajectory.csv", "summary.json")
                 if (out / name).exists()}
-        assert left == ({"trace.csv", "summary.json"} if code == 0 else set())
+        assert left == want
 
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_non_positive_stride_rejected_before_any_output(self, tmp_path, capsys, stride):

@@ -1,7 +1,7 @@
-"""The trace and trajectory writers: the streamed Python writers against
-the generic row writer ``reports._write_csv``, which formats each value of
-a row tuple, and the compiled writers against the Python ones, whose
-``repr`` is the oracle of the compiled float formatter."""
+"""The trace and trajectory writers: each, with and without the compiled
+library, against the generic row writer ``reports._write_csv``, which
+formats each value of a row tuple; and the compiled row formatter against
+``reports._python_rows``, whose ``repr`` is its oracle."""
 
 import math
 from dataclasses import replace
@@ -44,17 +44,16 @@ def test_streamed_writers_match_row_writer(tmp_path, march_backend):
 
 @pytest.fixture(scope="module")
 def compiled_rows():
-    rows_fn = reports._compiled_rows()
-    if rows_fn is None:
+    """The compiled library's row formatter; skipped when it cannot be built."""
+    if solver._load() is None:
         pytest.skip("the compiled library could not be built")
-    return rows_fn
+    return reports._row_formatter()
 
 
 def formatted(rows_fn, values):
     """The compiled formatter's text for each value, through one column."""
     column = np.asarray(values, dtype=np.float64)
-    text = b"".join(bytes(c) for c in reports._compiled_chunks(
-        rows_fn, [(b"", column.size, [column])])).decode()
+    text = bytes(rows_fn(b"", 0, column.size, [column])).decode()
     return [line.split(",", 1)[1] for line in text.splitlines()]
 
 
@@ -90,17 +89,18 @@ def test_formatter_matches_repr_on_any_float(compiled_rows, values):
     assert formatted(compiled_rows, values) == [repr(float(v)) for v in values]
 
 
-def test_formatter_rejects_columns_it_cannot_read(compiled_rows):
+def test_formatter_rejects_columns_it_cannot_read(tmp_path):
     for column in (np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros((4, 1))):
         with pytest.raises(ValueError, match="4 float64 values"):
-            list(reports._compiled_chunks(compiled_rows, [(b"", 4, [column])]))
+            reports._write_blocks(tmp_path / "rows.csv", "rows", ["n", "v"],
+                                  [(b"", 4, [column])])
 
 
 def backend_bytes(monkeypatch, tmp_path, write):
-    """What ``write(path)`` writes under each backend."""
+    """What ``write(path)`` writes with the compiled library and without it."""
     out = {}
-    for backend in ("c", "numpy"):
-        monkeypatch.setattr(solver, "_BACKEND", backend)
+    for backend, lib in (("c", solver._load()), ("numpy", False)):
+        monkeypatch.setattr(solver, "_lib", lib)
         write(tmp_path / backend)
         out[backend] = (tmp_path / backend).read_bytes()
     return out
@@ -153,5 +153,5 @@ def test_writers_fall_back_without_compiler(compiled_rows, monkeypatch, tmp_path
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
     monkeypatch.setattr(solver, "_lib", None)
-    assert reports._compiled_rows() is None
+    assert solver._load() is None
     assert write(tmp_path / "fallback") == compiled
