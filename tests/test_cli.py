@@ -23,6 +23,16 @@ def small_benchmark(tmp_path, J=64, T=4.0, **overrides):
     return path
 
 
+def deviation_block(tmp_path, capsys, path, *args):
+    """The deviation lines ``table`` prints for ``path``, or None without them."""
+    out = tmp_path / "o"
+    assert main(["table", "--scenario", str(path), "--out", str(out), *args]) == 0
+    text = capsys.readouterr().out
+    assert text == (out / "table.txt").read_text()
+    _, found, block = text.partition("\n\nrelative deviation from benchmark reference values:\n")
+    return block.splitlines() if found else None
+
+
 class TestCertifyCommand:
     def test_benchmark_passes(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
@@ -154,12 +164,15 @@ class TestTableCommand:
         assert etas == sorted(etas)  # eta grows toward mu as J grows
 
     def test_reference_deviations_printed_for_benchmark(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        code = main(["table", "--scenario", str(SCENARIOS / "linear_benchmark.json"),
-                     "--out", str(out), "--J-list", "200"])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "relative deviation" in text
+        assert deviation_block(tmp_path, capsys, SCENARIOS / "linear_benchmark.json",
+                               "--J-list", "200") == [
+            "   200 sup     0.16%  l2     0.40%  eta     0.000%"]
+
+    def test_reference_deviations_at_unit_courant(self, tmp_path, capsys):
+        assert deviation_block(tmp_path, capsys, SCENARIOS / "linear_benchmark.json",
+                               "--cfl", "1.0", "--J-list", "200,400") == [
+            "   200 sup     1.77%  l2     6.29%  eta     0.000%",
+            "   400 sup     1.29%  l2     6.03%  eta     0.001%"]
 
     @pytest.mark.parametrize("variant", ["pattern", "table"])
     def test_no_reference_deviations_for_other_parameters(self, tmp_path, capsys, variant):
