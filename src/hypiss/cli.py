@@ -3,7 +3,9 @@
 Exit codes: ``certify`` is nonzero exactly when the certificate fails;
 ``run`` is nonzero when the solver aborts on a non-finite state or when
 the certificate fails and ``--force`` was not given; ``table`` is nonzero
-when any row fails.  Every command runs sequentially in one thread.
+when any row fails.  A bad ``--stride``, ``--J-list`` or ``--xi-range``
+exits 2 from argparse, before any file is made.  Every command runs
+sequentially in one thread.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import certifier, lyapunov, reports, solver
-from .scenario import ScenarioError, ScenarioSpec, _number, load_scenario
+from .scenario import ScenarioError, ScenarioSpec, load_scenario
 
 __all__ = ["main"]
 
@@ -91,6 +93,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
     try:
         scenario = spec.build(J=J, cfl=cfl)
+        # before certify and the march, so its temporaries are freed before the trace exists
+        reference = reports.reference_values(scenario)
         report = certifier.certify(scenario)
         if not report.overall:
             cond = report.first_failure.condition if report.first_failure else "eta*dt"
@@ -98,37 +102,16 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
         trace = lyapunov.build_trace(solver.run(scenario), scenario, report)
         sup_gap, l2_gap = lyapunov.envelope_gap_norms(trace)
         return {"J": J, "sup_gap": sup_gap, "l2_gap": l2_gap,
-                "mu": scenario.weights.mu, "eta": report.eta}
+                "mu": scenario.weights.mu, "eta": report.eta, "reference": reference}
     except (ValueError, ScenarioError, solver.BlowupError) as exc:
         return {"J": J, "error": str(exc)}
-
-
-def _reference_cfl(spec: ScenarioSpec, cfl: Optional[float]) -> Optional[float]:
-    """The Courant number to look up in the reference tables, or None when
-    the file is not the reference benchmark."""
-    if spec.model_name != "linear2x2":
-        return None
-    try:
-        if not reports.is_reference_benchmark(spec.params()):
-            return None
-        return cfl if cfl is not None else _number(spec.raw["grid"], "cfl", "grid")
-    except ScenarioError:
-        return None  # every row already reports the error
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     spec = load_scenario(args.scenario)
-    j_list = _parse_j_list(args.J_list)
-    rows = [_table_row(spec, J, args.cfl) for J in j_list]
-    reference = None
-    cfl = _reference_cfl(spec, args.cfl)
-    if cfl is not None:
-        gaps = {J: reports.REFERENCE_GAP_NORMS.get((cfl, J)) for J in j_list}
-        reference = {J: (g[0], g[1], reports.REFERENCE_ETA[J])
-                     for J, g in gaps.items()
-                     if g is not None and J in reports.REFERENCE_ETA}
-    text = reports.write_table(out / "table.csv", out / "table.txt", rows, reference)
+    rows = [_table_row(spec, J, args.cfl) for J in args.J_list]
+    text = reports.write_table(out / "table.csv", out / "table.txt", rows)
     sys.stdout.write(text)
     return 0 if all("error" not in r for r in rows) else 1
 
@@ -136,8 +119,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     scenario = load_scenario(args.scenario).build()
-    xi_values = _parse_xi_range(args.xi_range)
-    rows = certifier.sweep_xi(scenario, xi_values)
+    rows = certifier.sweep_xi(scenario, args.xi_range)
     text = reports.write_sweep(out / "sweep.csv", out / "sweep.txt", rows)
     sys.stdout.write(text)
     return 0
@@ -153,28 +135,28 @@ def _stride(text: str) -> int:
     return value
 
 
-def _parse_j_list(text: str) -> List[int]:
+def _j_list(text: str) -> List[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise SystemExit(f"--J-list must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
     if not values or any(v < 2 for v in values):
-        raise SystemExit("--J-list entries must be >= 2")
+        raise argparse.ArgumentTypeError("entries must be >= 2")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise SystemExit("--J-list must be strictly increasing")
+        raise argparse.ArgumentTypeError("must be strictly increasing")
     return values
 
 
-def _parse_xi_range(text: str) -> List[float]:
+def _xi_range(text: str) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise SystemExit("--xi-range must be a:b:steps")
+        raise argparse.ArgumentTypeError("must be a:b:steps")
     try:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise SystemExit("--xi-range must be a:b:steps with numeric a, b")
+        raise argparse.ArgumentTypeError("must be a:b:steps with numeric a, b")
     if a <= 0 or b <= 0 or steps < 1:
-        raise SystemExit("--xi-range needs positive endpoints and steps >= 1")
+        raise argparse.ArgumentTypeError("needs positive endpoints and steps >= 1")
     return [float(x) for x in np.linspace(a, b, steps)]
 
 
@@ -203,7 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_table = sub.add_parser("table", help="envelope-gap convergence table over J")
     common(p_table)
-    p_table.add_argument("--J-list", dest="J_list", default="200,400,800,1600",
+    p_table.add_argument("--J-list", dest="J_list", type=_j_list, default="200,400,800,1600",
                          help="comma-separated strictly increasing cell counts")
     p_table.add_argument("--cfl", type=float, default=None,
                          help="override the scenario Courant number")
@@ -211,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="gain bounds and envelope constant over xi")
     common(p_sweep)
-    p_sweep.add_argument("--xi-range", dest="xi_range", default="0.05:1.0:20",
+    p_sweep.add_argument("--xi-range", dest="xi_range", type=_xi_range, default="0.05:1.0:20",
                          help="xi grid as a:b:steps")
     p_sweep.set_defaults(fn=cmd_sweep)
 

@@ -84,15 +84,13 @@ class DisturbanceSignal:
 
     Wraps a callable that samples every time in an array at once,
     returning shape ``t.shape + (k,)``, and offers the constructors used
-    by the built-in scenarios.  Each constructor records its arguments in
-    ``description``; two signals are equal when they are the same object
-    or share a nonempty description.
+    by the built-in scenarios.  Two signals are compared by their samples,
+    as ``reports.reference_values`` does at a grid's time levels.
     """
 
-    def __init__(self, k: int, fn: Callable[[np.ndarray], np.ndarray], description: str = ""):
+    def __init__(self, k: int, fn: Callable[[np.ndarray], np.ndarray]):
         self.k = k
         self.fn = fn
-        self.description = description
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -102,21 +100,14 @@ class DisturbanceSignal:
                              f"expected {t.shape + (self.k,)}")
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DisturbanceSignal):
-            return NotImplemented
-        return self is other or (self.description != ""
-                                 and self.description == other.description)
-
     @classmethod
     def zero(cls, k: int) -> "DisturbanceSignal":
-        return cls(k, lambda t: np.zeros(t.shape + (k,)), f"zero({k})")
+        return cls(k, lambda t: np.zeros(t.shape + (k,)))
 
     @classmethod
     def constant(cls, values: Sequence[float]) -> "DisturbanceSignal":
         v = np.asarray(values, dtype=float)
-        return cls(v.size, lambda t: np.full(t.shape + v.shape, v),
-                   f"constant({v.tolist()})")
+        return cls(v.size, lambda t: np.full(t.shape + v.shape, v))
 
     @classmethod
     def pulsed_sine(cls, k: int, amplitude: float = 0.01, cutoff: float = 5.0,
@@ -142,8 +133,7 @@ class DisturbanceSignal:
             out[t >= cutoff] = 0.0
             return out
 
-        return cls(k, fn, f"pulsed_sine(amplitude={float(amplitude)!r}, "
-                          f"cutoff={float(cutoff)!r}, pattern={pat.tolist()})")
+        return cls(k, fn)
 
     @classmethod
     def tabulated(cls, times: Sequence[float], values: Sequence[Sequence[float]]) -> "DisturbanceSignal":
@@ -159,7 +149,7 @@ class DisturbanceSignal:
         def fn(t: np.ndarray) -> np.ndarray:
             return np.stack([np.interp(t, ts, vs[:, i]) for i in range(k)], axis=-1)
 
-        return cls(k, fn, f"tabulated({ts.tolist()}, {vs.tolist()})")
+        return cls(k, fn)
 
 
 @dataclass

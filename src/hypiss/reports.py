@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import inspect
 import itertools
 import json
 from pathlib import Path
@@ -23,9 +22,8 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import solver
-from .core import DisturbanceSignal
 from .lyapunov import LyapunovTrace
-from .models import build_linear_benchmark
+from .models import Scenario, build_linear_benchmark
 from .solver import SimulationResult
 
 __all__ = [
@@ -37,20 +35,15 @@ __all__ = [
     "write_summary",
     "REFERENCE_GAP_NORMS",
     "REFERENCE_ETA",
-    "REFERENCE_PARAMS",
-    "is_reference_benchmark",
+    "REFERENCE_ARGS",
+    "reference_values",
 ]
 
-# Reference values for the standard constant-coefficient benchmark
-# (REFERENCE_PARAMS): decay rates and envelope-gap norms by (cfl, J).  The
-# table command reports relative deviations against these when the
-# scenario matches the benchmark.
-REFERENCE_PARAMS = {
-    "l": 1.0, "T": 10.0, "mu": 0.575, "xi": 0.125, "kappa12": 0.5, "kappa21": 0.5,
-    "speeds": (1.0, -1.0), "source": ((0.3, -0.1), (-0.1, 0.3)), "ic": (-0.5, 0.5),
-    "p_plus": (1.0,), "p_minus": (1.0,), "m_diag": (1.0, 1.0),
-    "b": DisturbanceSignal.pulsed_sine(2, amplitude=0.01, cutoff=5.0),
-}
+# Reference values for the standard constant-coefficient benchmark, which
+# ``build_linear_benchmark(J, cfl, **REFERENCE_ARGS)`` builds: decay rates
+# and envelope-gap norms by (cfl, J).  The table command reports relative
+# deviations against these for each row whose scenario is that benchmark.
+REFERENCE_ARGS = {"T": 10.0, "mu": 0.575, "xi": 0.125, "kappa12": 0.5, "kappa21": 0.5}
 REFERENCE_ETA = {200: 0.57335, 400: 0.57417, 800: 0.57459, 1600: 0.57479}
 REFERENCE_GAP_NORMS = {
     (0.75, 200): (0.23286, 0.36365),
@@ -124,14 +117,17 @@ def _write_blocks(path: Path, tag: str, header: Sequence[str],
     """Tag line, header, then for each block ``(prefix, count, columns)``
     and i < count the row ``prefix``, i, and per column a comma and
     ``repr(column[i])``, or only the comma for None, in chunks of at most
-    ``_CHUNK`` rows.  The columns are checked before any row is formatted."""
+    ``_CHUNK`` rows.  Every block's columns are checked before the file is
+    opened, so a bad column leaves no file behind."""
+    blocks = list(blocks)
+    for _, count, columns in blocks:
+        if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
+                                  or c.strides[0] % 8) for c in columns):
+            raise ValueError(f"each column must hold {count} float64 values")
     rows = _row_formatter()
     with path.open("wb") as fh:
         fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n".encode())
         for prefix, count, columns in blocks:
-            if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
-                                      or c.strides[0] % 8) for c in columns):
-                raise ValueError(f"each column must hold {count} float64 values")
             for first in range(0, count, _CHUNK):
                 fh.write(rows(prefix, first, min(_CHUNK, count - first), columns))
 
@@ -173,12 +169,11 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
                   blocks)
 
 
-def write_table(csv_path: Path, txt_path: Path, rows: List[dict],
-                reference: Optional[dict] = None) -> str:
+def write_table(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:
     """Convergence table (J, gap norms, mu, eta) as CSV plus aligned text.
 
-    ``reference`` maps J -> (sup_ref, l2_ref, eta_ref); deviations are
-    appended to the text report only.
+    A row whose ``reference`` holds ``reference_values`` gets its relative
+    deviations from them appended to the text report only.
     """
     header = ("J", "sup_gap", "l2_gap", "mu", "eta")
     _write_csv(csv_path, "convergence-table", header,
@@ -192,18 +187,15 @@ def write_table(csv_path: Path, txt_path: Path, rows: List[dict],
         mu = "n/a" if r["mu"] is None else f"{r['mu']:.4g}"
         lines.append(f"{r['J']:>6d} {r['sup_gap']:>12.5f} {r['l2_gap']:>12.5f} "
                      f"{mu:>8s} {r['eta']:>10.5f}")
-    if reference:
-        lines.append("")
-        lines.append("relative deviation from benchmark reference values:")
-        for r in rows:
-            ref = reference.get(r.get("J"))
-            if ref is None or "error" in r:
-                continue
-            sup_ref, l2_ref, eta_ref = ref
-            lines.append(
-                f"{r['J']:>6d} sup {abs(r['sup_gap'] - sup_ref) / sup_ref:>9.2%}"
-                f"  l2 {abs(r['l2_gap'] - l2_ref) / l2_ref:>9.2%}"
-                f"  eta {abs(r['eta'] - eta_ref) / eta_ref:>10.3%}")
+    referenced = [r for r in rows if r.get("reference")]
+    if referenced:
+        lines += ["", "relative deviation from benchmark reference values:"]
+    for r in referenced:
+        sup_ref, l2_ref, eta_ref = r["reference"]
+        lines.append(
+            f"{r['J']:>6d} sup {abs(r['sup_gap'] - sup_ref) / sup_ref:>9.2%}"
+            f"  l2 {abs(r['l2_gap'] - l2_ref) / l2_ref:>9.2%}"
+            f"  eta {abs(r['eta'] - eta_ref) / eta_ref:>10.3%}")
     text = "\n".join(lines) + "\n"
     txt_path.write_text(text, encoding="utf-8")
     return text
@@ -237,9 +229,19 @@ def write_summary(path: Path, summary: dict) -> None:
                     encoding="utf-8")
 
 
-def is_reference_benchmark(params: dict) -> bool:
-    """True when linear-model parameters (``ScenarioSpec.params``),
-    with the builder's defaults applied, are the reference parameter set."""
-    bound = inspect.signature(build_linear_benchmark).bind_partial(**params)
-    bound.apply_defaults()
-    return bound.arguments == REFERENCE_PARAMS
+def reference_values(scenario: Scenario) -> Optional[tuple]:
+    """(sup_ref, l2_ref, eta_ref) when ``scenario`` is the reference
+    benchmark at a tabulated (cfl, J): its grid, ``xi``, ``mu``, sampled
+    coefficients, weights, initial data and disturbance at every time level
+    all equal those that ``build_linear_benchmark`` makes there; else None."""
+    grid, c = scenario.grid, scenario.coefficients
+    gaps = REFERENCE_GAP_NORMS.get((grid.cfl, grid.J))
+    if gaps is None:
+        return None
+    ref = build_linear_benchmark(grid.J, grid.cfl, **REFERENCE_ARGS)
+    w, rw, rc, t = scenario.weights, ref.weights, ref.coefficients, grid.times()
+    same = (grid == ref.grid and scenario.xi == ref.xi and w.mu == rw.mu
+            and all(map(np.array_equal, (c.lam, c.pi, c.K, c.M, w.values, scenario.initial),
+                        (rc.lam, rc.pi, rc.K, rc.M, rw.values, ref.initial)))
+            and np.array_equal(c.b(t), rc.b(t)))
+    return (*gaps, REFERENCE_ETA[grid.J]) if same else None

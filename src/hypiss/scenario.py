@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -157,9 +157,10 @@ class ScenarioSpec:
 
     raw: dict
     path: Optional[str] = None
+    _params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.params()   # checks every field but grid.J and grid.cfl, once, at load
+        self._params = self.params()   # checks every field but grid.J and grid.cfl
 
     @property
     def model_name(self) -> str:
@@ -249,7 +250,7 @@ class ScenarioSpec:
                     f"field 'grid.J' must be an integer >= 2, got {grid_cfg['J']!r}")
             J = int(J)
         cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
-        scenario = _BUILDERS[self.model_name](J=J, cfl=cfl, **self.params())
+        scenario = _BUILDERS[self.model_name](J=J, cfl=cfl, **self._params)
         if "table" in weights_cfg:
             table = np.asarray(weights_cfg["table"], dtype=float)
             if table.shape != (J + 2, scenario.coefficients.k):

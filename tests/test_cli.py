@@ -191,6 +191,17 @@ class TestTableCommand:
         assert code == 0
         assert "relative deviation" not in capsys.readouterr().out
 
+    def test_reference_deviations_for_an_equivalent_file(self, tmp_path, capsys):
+        # other fields, the same discrete problem: a zero-amplitude sine
+        # about the constant state, and the default pattern written out
+        raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
+        raw["model"]["ic"] = {"kind": "sin", "amplitude": [0, 0], "offset": [-0.5, 0.5]}
+        raw["boundary"]["disturbance"]["pattern"] = [1, -1]
+        path = tmp_path / "equivalent.json"
+        path.write_text(json.dumps(raw))
+        assert deviation_block(tmp_path, capsys, path, "--J-list", "200") == [
+            "   200 sup     0.16%  l2     0.40%  eta     0.000%"]
+
     @pytest.mark.parametrize("cfl", ["missing", [0.75]])
     def test_bad_cfl_fails_every_row_with_field(self, tmp_path, capsys, cfl):
         raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
@@ -234,14 +245,15 @@ class TestTableCommand:
         ok_rows = [l for l in lines[2:] if l.split(",")[1]]
         assert len(ok_rows) == 1 and ok_rows[0].startswith("80,")
 
-    def test_j_list_validation(self, tmp_path):
+    def test_j_list_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
-                  "--J-list", "64,32"])
-        with pytest.raises(SystemExit):
-            main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
-                  "--J-list", "1,64"])
+        for j_list in ("64,32", "1,64"):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                      "--J-list", j_list])
+            assert exc.value.code == 2
+            assert "argument --J-list:" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:
@@ -260,11 +272,12 @@ class TestSweepCommand:
         bounds = [float(line.split(",")[1]) for line in lines[2:]]
         assert bounds == sorted(bounds, reverse=True)
 
-    def test_range_validation(self, tmp_path):
+    def test_range_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
-                  "--xi-range", "0:1:5"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
-                  "--xi-range", "0.1:1.0"])
+        for xi_range in ("0:1:5", "0.1:1.0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                      "--xi-range", xi_range])
+            assert exc.value.code == 2
+            assert "argument --xi-range:" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()

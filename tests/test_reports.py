@@ -96,6 +96,14 @@ def test_formatter_rejects_columns_it_cannot_read(tmp_path):
                                   [(b"", 4, [column])])
 
 
+def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="4 float64 values"):
+        reports._write_blocks(path, "rows", ["n", "v"],
+                              [(b"", 2, [np.arange(2.0)]), (b"", 4, [np.zeros(3)])])
+    assert not path.exists()
+
+
 def backend_bytes(monkeypatch, tmp_path, write):
     """What ``write(path)`` writes with the compiled library and without it."""
     out = {}
