@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiss import certifier, load_scenario, lyapunov, reports, solver
+from hypiss.core import DisturbanceSignal
 from hypiss.models import build_linear_benchmark
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -102,6 +103,15 @@ def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
         reports._write_blocks(path, "rows", ["n", "v"],
                               [(b"", 2, [np.arange(2.0)]), (b"", 4, [np.zeros(3)])])
     assert not path.exists()
+
+
+def test_reference_values_read_the_disturbance_at_every_level():
+    sc = build_linear_benchmark(1600, 0.75, **reports.REFERENCE_ARGS)
+    assert reports.reference_values(sc) == (0.22813, 0.35801, 0.57479)
+    b, T = sc.coefficients.b, sc.grid.T
+    # only the last of the 21335 levels differs
+    sc.coefficients.b = DisturbanceSignal(2, lambda t: b(t) + 1e-3 * (t == T)[..., None])
+    assert reports.reference_values(sc) is None
 
 
 def backend_bytes(monkeypatch, tmp_path, write):
