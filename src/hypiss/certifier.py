@@ -265,11 +265,11 @@ class CertificateReport:
     zeta: float
     beta: float
     C1_const: float
-    C2_const: Optional[float]
+    C2_const: float
     dt: float
     eta_dt_ok: bool
+    continuous_sampled_ok: bool
     first_failure: Optional[Witness] = None
-    continuous_sampled_ok: Optional[bool] = None
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -329,12 +329,10 @@ class CertificateReport:
         lines.append(f"  eta = {eta_s}  (tight ratio {self.c1.eta_ratio:.6g})")
         lines.append(f"  nu = {self.nu:.6g}  xi = {self.xi:.6g}")
         lines.append(f"  zeta = {self.zeta:.6g}  beta = {self.beta:.6g}"
-                     f"  C1 = {self.C1_const:.6g}  C2 = "
-                     + ("n/a" if self.C2_const is None else f"{self.C2_const:.6g}"))
+                     f"  C1 = {self.C1_const:.6g}  C2 = {self.C2_const:.6g}")
         lines.append(f"  eta*dt < 1 : {'ok' if self.eta_dt_ok else 'VIOLATED'}")
-        if self.continuous_sampled_ok is not None:
-            lines.append(f"  sampled continuous check: "
-                         f"{'ok' if self.continuous_sampled_ok else 'not satisfied'}")
+        lines.append(f"  sampled continuous check: "
+                     f"{'ok' if self.continuous_sampled_ok else 'not satisfied'}")
         if self.first_failure is not None:
             fw = self.first_failure
             comp = "" if fw.component is None else f", component {fw.component}"

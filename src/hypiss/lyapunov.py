@@ -6,8 +6,8 @@ splitting parameter ``xi``: at level n the bound is
 
     U^n = exp(-eta t^n) L^0 + (nu/eta)(1 + 1/xi) sup_{s<n} |b^s|^2,
 
-the majorant of the one-step recursion y^{n+1} <= (1 - eta dt) y^n + dt z
-that :func:`gronwall_closed_form` solves in closed form.
+a majorant of the one-step recursion y^{n+1} <= (1 - eta dt) y^n + dt z
+with z = nu (1 + 1/xi) |b^n|^2, valid while eta dt < 1.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .certifier import CertificateReport
-from .core import Grid1D, WeightField
 from .models import Scenario
 from .solver import SimulationResult
 
 __all__ = [
-    "evaluate",
-    "gronwall_closed_form",
-    "gronwall_envelope",
     "LyapunovTrace",
     "build_trace",
     "envelope_gap_norms",
@@ -33,52 +29,9 @@ __all__ = [
 ]
 
 
-def evaluate(interior: np.ndarray, weights: WeightField, grid: Grid1D) -> float:
-    """Weighted squared L2 norm dx * sum_j W_j^T P_j W_j of a (J, k) interior."""
-    interior = np.atleast_2d(np.asarray(interior, dtype=float))
-    p = weights.interior()
-    if np.any(p <= 0):
-        raise ValueError("nonpositive Lyapunov weight")
-    if interior.shape != p.shape:
-        raise ValueError(f"state shape {interior.shape} does not match weights {p.shape}")
-    return float(grid.dx * np.sum(p * interior * interior))
-
-
-def gronwall_closed_form(c: float, a: float, z: float, dt: float, n: int) -> float:
-    """Bound on y^{n+1} given y^0 = c and the one-step decay recursion.
-
-    Closed form (c - z/a)(1 - a dt)^{n+1} + z/a of the recursion
-    y^{m+1} <= (1 - a dt) y^m + dt z, valid while 0 < a dt < 1.
-    """
-    if a <= 0:
-        raise ValueError("decay coefficient must be positive")
-    if not 0.0 < a * dt < 1.0:
-        raise ValueError(f"discrete decay bound needs 0 < a*dt < 1, got {a * dt}")
-    return (c - z / a) * (1.0 - a * dt) ** (n + 1) + z / a
-
-
-def gronwall_envelope(L0: float, eta: float, nu: float, xi: float,
-                      sup_b_sq: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Envelope U^n = exp(-eta t^n) L0 + (nu/eta)(1 + 1/xi) sup_b_sq[n], n = 0 .. N.
-
-    ``sup_b_sq[n]`` must hold sup_{s<n} |b^s|^2 (zero at n = 0).
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if xi <= 0:
-        raise ValueError("xi must be positive")
-    if eta * grid.dt >= 1.0:
-        raise ValueError(
-            f"eta*dt = {eta * grid.dt:.6g} >= 1: discrete decay bound inapplicable")
-    supb = np.asarray(sup_b_sq, dtype=float)
-    if supb.shape != (grid.N + 1,):
-        raise ValueError("running supremum series must have N+1 entries")
-    return np.exp(-eta * grid.times()) * L0 + (nu / eta) * (1.0 + 1.0 / xi) * supb
-
-
 @dataclass
 class LyapunovTrace:
-    """Lyapunov series, its envelope and the constants that define it.
+    """Lyapunov series, its envelope and the rate ``eta`` it was drawn with.
 
     ``sup_b_sq[n]`` is sup_{s<n} |b^s|^2, the disturbance term of the
     envelope at level n.  ``l2_weight`` is the quadrature weight of the
@@ -91,8 +44,6 @@ class LyapunovTrace:
     envelope: Optional[np.ndarray]
     sup_b_sq: np.ndarray
     eta: Optional[float]
-    nu: Optional[float]
-    xi: float
     l2_weight: float
 
 
@@ -111,11 +62,13 @@ def build_trace(result: SimulationResult, scenario: Scenario,
     grid = scenario.grid
     env = None
     if eta is not None:
-        env = gronwall_envelope(float(result.lyapunov[0]), eta, report.nu, scenario.xi,
-                                sup_b_sq, grid)
+        if eta * grid.dt >= 1.0:
+            raise ValueError(
+                f"eta*dt = {eta * grid.dt:.6g} >= 1: discrete decay bound inapplicable")
+        env = (np.exp(-eta * result.times) * result.lyapunov[0]
+               + (report.nu / eta) * (1.0 + 1.0 / scenario.xi) * sup_b_sq)
     return LyapunovTrace(times=result.times, L=result.lyapunov, envelope=env,
-                         sup_b_sq=sup_b_sq, eta=eta, nu=report.nu, xi=scenario.xi,
-                         l2_weight=grid.dt / grid.cfl)
+                         sup_b_sq=sup_b_sq, eta=eta, l2_weight=grid.dt / grid.cfl)
 
 
 def envelope_gap_norms(trace: LyapunovTrace) -> Tuple[float, float]:

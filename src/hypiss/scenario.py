@@ -156,7 +156,6 @@ class ScenarioSpec:
     """Parsed scenario description, rebuildable at other resolutions."""
 
     raw: dict
-    path: Optional[str] = None
     _params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -264,9 +263,12 @@ class ScenarioSpec:
 def load_scenario(path: str) -> ScenarioSpec:
     """Parse a scenario file; raises ScenarioError with a line/field hint."""
     p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
-    text = p.read_bytes()
+    try:
+        text = p.read_bytes()
+    except FileNotFoundError as exc:
+        raise ScenarioError(f"scenario file not found: {path}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc.strerror}") from exc
     if p.suffix.lower() == ".toml":
         try:
             import tomllib
@@ -285,4 +287,4 @@ def load_scenario(path: str) -> ScenarioSpec:
                 f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    return ScenarioSpec(raw=raw, path=str(p))
+    return ScenarioSpec(raw=raw)

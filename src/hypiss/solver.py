@@ -110,6 +110,8 @@ def _build() -> Path:
     target = cache / f"march-{key}.so"
     if target.is_file():
         return target
+    if shutil.which(_CC[0]) is None:    # checked first, so no cache directory is left behind
+        raise OSError(f"C compiler not found: {_CC[0]}")
     try:
         cache.mkdir(parents=True, exist_ok=True)
         work = tempfile.mkdtemp(dir=cache)

@@ -12,7 +12,7 @@ from hypiss.models import Scenario
 from hypiss.cli import main as cli_main
 from hypiss.lambertw import lambert_w_minus1
 from hypiss.models import build_linear_benchmark
-from tests.conftest import BENCHMARK_J, run_scenario
+from tests.conftest import BENCHMARK_J, gronwall_closed_form, run_scenario
 
 def report_line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -141,7 +141,7 @@ def test_07_discrete_decay_bound_oracle():
         y = c
         for _ in range(n + 1):
             y = (1.0 - a * dt) * y + dt * z
-        closed = lyapunov.gronwall_closed_form(c, a, z, dt, n)
+        closed = gronwall_closed_form(c, a, z, dt, n)
         worst = max(worst, abs(closed - y) / max(abs(y), abs(closed), 1e-30))
     report_line(7, worst <= 1e-12,
                 f"closed-form decay bound equals the direct recursion, "
@@ -228,10 +228,11 @@ def test_11_per_step_iss_margin(benchmark_traces):
     for (cfl, J), (report, trace) in sorted(benchmark_traces.items()):
         assert report.overall
         dt = np.diff(trace.times)
-        b_sq = np.array([float(b(t) @ b(t)) for t in trace.times[:-1]])
+        B = b(trace.times[:-1])
+        b_sq = np.einsum("nk,nk->n", B, B)
         L = trace.L
         margin = ((1.0 - report.eta * dt) * L[:-1]
-                  + dt * report.nu * (1.0 + 1.0 / trace.xi) * b_sq - L[1:])
+                  + dt * report.nu * (1.0 + 1.0 / report.xi) * b_sq - L[1:])
         assert np.all(margin >= -1e-12 * L[:-1]), f"negative margin at cfl={cfl}, J={J}"
         worst = min(worst, float(np.min(margin / L[:-1])))
     report_line(11, True,

@@ -3,7 +3,8 @@ randomized draws, plus the eigenvalue sandwich for the weighted norm."""
 
 import numpy as np
 
-from hypiss import core, lyapunov
+from hypiss import core
+from tests.conftest import evaluate
 
 
 def test_quadratic_rearrangement_identity():
@@ -49,7 +50,7 @@ def test_weight_sandwich_on_random_states():
     zeta, beta = weights.eigen_bounds()
     for _ in range(200):
         w = rng.normal(size=(32, 2))
-        L = lyapunov.evaluate(w, weights, grid)
+        L = evaluate(w, weights, grid)
         norm_sq = grid.dx * float(np.sum(w * w))
         assert zeta * norm_sq <= L + 1e-14
         assert L <= beta * norm_sq + 1e-14

@@ -1,23 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hypiss import core, lyapunov, solver
+from hypiss import certifier, core, lyapunov, solver
 from hypiss.models import build_linear_benchmark
+from tests.conftest import evaluate, gronwall_closed_form, run_scenario
 
 
 class TestEvaluate:
     def test_zero_state(self):
         g = core.Grid1D(1.0, 4, 1.0, 1.0, 1.0)
         w = core.WeightField.implicit([1.0], [1.0], 0.5, g)
-        assert lyapunov.evaluate(np.zeros((4, 2)), w, g) == 0.0
+        assert evaluate(np.zeros((4, 2)), w, g) == 0.0
 
     def test_single_cell_arithmetic(self):
         # two unit cells, the second one empty
         g = core.Grid1D(l=2.0, J=2, T=1.0, cfl=1.0, lambda_max=1.0)
         w = core.WeightField.from_samples([[1.0, 1.0], [2.0, 3.0], [7.0, 7.0], [1.0, 1.0]])
-        assert lyapunov.evaluate(np.array([[1.0, 1.0], [0.0, 0.0]]), w, g) == pytest.approx(5.0)
+        assert evaluate(np.array([[1.0, 1.0], [0.0, 0.0]]), w, g) == pytest.approx(5.0)
 
     def test_benchmark_initial_value_against_quadrature(self):
         # constant data (-0.5, 0.5): L0 = dx sum 0.25 (e^{-mu x_j} + e^{mu x_j}),
@@ -26,30 +28,35 @@ class TestEvaluate:
         g = core.Grid1D(1.0, J, 10.0, 0.75, 1.0)
         w = core.WeightField.implicit([1.0], [1.0], mu, g)
         state = np.tile([-0.5, 0.5], (J, 1))
-        L0 = lyapunov.evaluate(state, w, g)
+        L0 = evaluate(state, w, g)
         midpoint = sum(0.25 * (math.exp(-mu * x) + math.exp(mu * x))
                        for x in g.centers[1:-1]) * g.dx
         assert L0 == pytest.approx(midpoint, rel=1e-13)
         assert L0 == pytest.approx(0.5 * math.sinh(mu) / mu, rel=1e-6)
         assert L0 == pytest.approx(0.528, abs=5e-4)
+        # the march records the same functional at t = 0; a short T is enough
+        sc = build_linear_benchmark(J=J, cfl=0.75, T=0.01, mu=mu, xi=0.125,
+                                    kappa12=0.5, kappa21=0.5)
+        assert sc.grid.dx == g.dx and np.array_equal(sc.initial, state)
+        assert solver.run(sc).lyapunov[0] == pytest.approx(midpoint, rel=1e-13)
 
     def test_quadratic_scaling(self):
         g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         w = core.WeightField.implicit([1.0], [2.0], 0.3, g)
         rng = np.random.default_rng(11)
         state = rng.normal(size=(8, 2))
-        base = lyapunov.evaluate(state, w, g)
-        assert lyapunov.evaluate(3.0 * state, w, g) == pytest.approx(9.0 * base, rel=1e-13)
+        base = evaluate(state, w, g)
+        assert evaluate(3.0 * state, w, g) == pytest.approx(9.0 * base, rel=1e-13)
 
 
 class TestGronwall:
     def test_single_substitution(self):
         # c=1, a=1, z=0, dt=0.5 -> bound at the first level is 0.5
-        assert lyapunov.gronwall_closed_form(1.0, 1.0, 0.0, 0.5, 0) == pytest.approx(0.5)
+        assert gronwall_closed_form(1.0, 1.0, 0.0, 0.5, 0) == pytest.approx(0.5)
 
     def test_fixed_point(self):
         for n in range(0, 40, 7):
-            assert lyapunov.gronwall_closed_form(1.0, 1.0, 1.0, 0.01, n) == pytest.approx(1.0)
+            assert gronwall_closed_form(1.0, 1.0, 1.0, 0.01, n) == pytest.approx(1.0)
 
     def test_closed_form_equals_direct_recursion(self):
         rng = np.random.default_rng(12)
@@ -63,40 +70,40 @@ class TestGronwall:
             y = c
             for _ in range(n + 1):
                 y = (1.0 - a * dt) * y + dt * z
-            closed = lyapunov.gronwall_closed_form(c, a, z, dt, n)
+            closed = gronwall_closed_form(c, a, z, dt, n)
             worst = max(worst, abs(closed - y) / max(abs(y), abs(closed), 1e-30))
         assert worst <= 1e-12
 
     def test_rejects_inapplicable_steps(self):
         with pytest.raises(ValueError):
-            lyapunov.gronwall_closed_form(1.0, 2.0, 0.0, 1.0, 3)
+            gronwall_closed_form(1.0, 2.0, 0.0, 1.0, 3)
         with pytest.raises(ValueError):
-            lyapunov.gronwall_closed_form(1.0, -1.0, 0.0, 0.1, 3)
+            gronwall_closed_form(1.0, -1.0, 0.0, 0.1, 3)
 
 
 class TestEnvelope:
-    def grid(self):
-        return core.Grid1D(1.0, 16, 2.0, 0.8, 1.0)
+    def benchmark(self):
+        return build_linear_benchmark(J=16, cfl=0.8, T=2.0, mu=0.5, xi=0.125,
+                                      kappa12=0.5, kappa21=0.5)
 
     def test_starts_at_initial_value(self):
-        g = self.grid()
-        supb = np.zeros(g.N + 1)
-        env = lyapunov.gronwall_envelope(2.5, 0.5, 1.0, 0.125, supb, g)
-        assert env[0] == pytest.approx(2.5)
+        report, trace = run_scenario(self.benchmark())
+        assert report.overall
+        assert trace.envelope[0] == trace.L[0]
 
     def test_rejects_large_eta_dt(self):
-        g = self.grid()
+        sc = self.benchmark()
+        report = dataclasses.replace(certifier.certify(sc), eta=1.0 / sc.grid.dt)
         with pytest.raises(ValueError, match="inapplicable"):
-            lyapunov.gronwall_envelope(1.0, 1.0 / g.dt, 1.0, 0.125,
-                                       np.zeros(g.N + 1), g)
+            lyapunov.build_trace(solver.run(sc), sc, report)
 
     def test_gap_norms_vanish_when_equal(self):
-        g = self.grid()
+        g = core.Grid1D(1.0, 16, 2.0, 0.8, 1.0)
         times = g.times()
         L = np.exp(-0.3 * times)
         trace = lyapunov.LyapunovTrace(times=times, L=L, envelope=L.copy(),
-                                       sup_b_sq=np.zeros_like(L), eta=0.3, nu=1.0,
-                                       xi=0.125, l2_weight=g.dt / g.cfl)
+                                       sup_b_sq=np.zeros_like(L), eta=0.3,
+                                       l2_weight=g.dt / g.cfl)
         assert lyapunov.envelope_gap_norms(trace) == (0.0, 0.0)
 
 
@@ -104,7 +111,7 @@ class TestFitDecayRate:
     def make_trace(self, times, L):
         return lyapunov.LyapunovTrace(times=times, L=L, envelope=None,
                                       sup_b_sq=np.zeros_like(times), eta=None,
-                                      nu=None, xi=0.125, l2_weight=times[1] - times[0])
+                                      l2_weight=times[1] - times[0])
 
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 2001)
@@ -128,7 +135,6 @@ class TestFitDecayRate:
             lyapunov.fit_decay_rate(bad, 0.0)
 
     def test_disturbance_free_benchmark_decays_at_least_at_certified_rate(self):
-        from hypiss import certifier
         sc = build_linear_benchmark(J=128, cfl=0.75, T=6.0, mu=0.575, xi=0.125,
                                     kappa12=0.5, kappa21=0.5,
                                     b=core.DisturbanceSignal.pulsed_sine(2, amplitude=0.0))

@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypiss import certifier
+from hypiss import certifier, reports
 from hypiss.cli import main
 from hypiss.scenario import ScenarioError, ScenarioSpec, load_scenario
 
@@ -15,6 +16,35 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def benchmark_raw():
     return json.loads((SCENARIOS / "linear_benchmark.json").read_text())
+
+
+# scenarios/linear_benchmark.json, transcribed to TOML
+BENCHMARK_TOML = """\
+xi = 0.125
+
+[grid]
+l = 1.0
+J = 1600
+T = 10.0
+cfl = 0.75
+
+[model]
+name = "linear2x2"
+speeds = [1.0, -1.0]
+source = [[0.3, -0.1], [-0.1, 0.3]]
+ic = {kind = "constant", values = [-0.5, 0.5]}
+
+[weights]
+p_plus = [1.0]
+p_minus = [1.0]
+mu = 0.575
+
+[boundary]
+kappa12 = 0.5
+kappa21 = 0.5
+M = [1.0, 1.0]
+disturbance = {kind = "pulsed_sine", amplitude = 0.01, cutoff = 5.0}
+"""
 
 
 class TestLoading:
@@ -71,6 +101,28 @@ class TestLoading:
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("nope/missing.json")
+
+    def test_unreadable_path_named_with_exit_2(self, tmp_path, capsys):
+        with pytest.raises(ScenarioError, match=re.escape(f"{tmp_path}: ")):
+            load_scenario(str(tmp_path))
+        code = main(["certify", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"scenario error: {tmp_path}: " in capsys.readouterr().err
+
+    def test_toml_benchmark_is_the_reference_benchmark(self, tmp_path):
+        pytest.importorskip("tomllib")
+        path = tmp_path / "benchmark.toml"
+        path.write_text(BENCHMARK_TOML)
+        spec = load_scenario(str(path))
+        assert spec.raw == benchmark_raw()
+        assert reports.reference_values(spec.build(J=200)) is not None
+
+    def test_toml_syntax_error_names_the_file(self, tmp_path):
+        pytest.importorskip("tomllib")
+        path = tmp_path / "benchmark.toml"
+        path.write_text(BENCHMARK_TOML.replace("[grid]", "[grid"))
+        with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+            load_scenario(str(path))
 
     def test_json_syntax_error_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -419,6 +419,7 @@ class TestBackends:
         want = solver.run(sc, stride=100)
         assert np.array_equal(got.final, want.final)
         assert np.array_equal(got.lyapunov, want.lyapunov)
+        assert not (tmp_path / ".cache").exists()
 
     def test_build_is_cached_per_source_and_command(self, monkeypatch, tmp_path):
         if shutil.which(solver._CC[0]) is None:
