@@ -68,7 +68,8 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
                            p_plus: Sequence[float] = (1.0,),
                            p_minus: Sequence[float] = (1.0,),
                            m_diag: Sequence[float] = (1.0, 1.0),
-                           b: Optional[DisturbanceSignal] = None) -> Scenario:
+                           b: Optional[DisturbanceSignal] = None,
+                           table: Optional[ArrayLike] = None) -> Scenario:
     """Linear 2x2 system with one positive and one negative speed.
 
     Defaults reproduce the standard test problem: speeds diag(1, -1),
@@ -77,8 +78,8 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
     b1 = -b2 = 0.01 sin^2(pi t) switched off at t = 5.  ``speeds`` is one
     pair or one pair per cell center, shape (J+2, 2); ``source`` is one
     matrix or one per interior cell, shape (J, 2, 2).  ``ic`` is either a
-    constant state or a profile; ``mu=None`` leaves unit weights in place
-    of a table the caller supplies.
+    constant state or a profile.  ``mu=None`` selects the tabulated weights
+    ``table``, shape (J+2, 2), or unit weights without one.
     """
     lam = np.asarray(speeds, dtype=float)
     grid = Grid1D(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
@@ -89,7 +90,7 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
         pi=np.broadcast_to(np.asarray(source, dtype=float), (J, 2, 2)).copy(),
         K=np.array([[0.0, kappa12], [kappa21, 0.0]]), M=m_diag, b=b)
     weights = (WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None
-               else WeightField.from_samples(np.ones((J + 2, 2))))
+               else WeightField.from_samples(np.ones((J + 2, 2)) if table is None else table))
     if callable(ic):
         initial = ic(grid.centers[1:-1])
     else:
@@ -107,16 +108,13 @@ class SaintVenantParams:
     Sb: float = 0.0459
     Hstar: float = 2.0
     Vstar: float = 3.0
-    k0: Optional[float] = None
-    kl: Optional[float] = None
 
 
-def saint_venant_kappa(params: SaintVenantParams) -> Tuple[float, float]:
+def saint_venant_kappa(k0: float, kl: float,
+                       params: SaintVenantParams) -> Tuple[float, float]:
     """Feedback gains induced by the physical boundary gains k0, kl."""
-    if params.k0 is None or params.kl is None:
-        raise ValueError("physical boundary gains k0, kl not set")
     scale = math.sqrt(params.Hstar / params.g)
-    s0, sl = params.k0 * scale, params.kl * scale
+    s0, sl = k0 * scale, kl * scale
     kappa12 = (s0 - 1.0) / (1.0 + s0)
     kappa21 = (sl - 1.0) / (1.0 + sl)
     if abs(kappa12 - 1.0) < 1e-14 or abs(kappa21 - 1.0) < 1e-14:
@@ -141,8 +139,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     source matrix, so it is built as a constant-coefficient 2x2 system.
     ``gamma_override`` replaces the source matrix (a disagreement with the
     formula beyond 1e-6 is flagged in the notes; None selects the formula),
-    ``kappa`` replaces the gains that ``params.k0``, ``params.kl`` map to
-    (see :func:`saint_venant_kappa`), and the injection diagonal is
+    ``kappa`` is the pair of feedback gains (:func:`saint_venant_kappa`
+    maps physical gains to it), and the injection diagonal is
     (1 - kappa12, 1 - kappa21).  Defaults reproduce the shipped experiment:
     equilibrium H* = 2, V* = 3, source constants via override, weights
     (0.0992, 0.2008), gains kappa12 = 0.5 and kappa21 = 1.5 exp(-mu),
@@ -174,10 +172,7 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
             logger.warning(msg)
             notes.append(msg)
         gamma = override
-    if kappa is None:
-        kappa = (saint_venant_kappa(params) if (params.k0, params.kl) != (None, None)
-                 else (0.5, 1.5 * math.exp(-mu)))
-    kappa12, kappa21 = kappa
+    kappa12, kappa21 = kappa if kappa is not None else (0.5, 1.5 * math.exp(-mu))
     if V0 is None:
         V0 = lambda x: 4.0 * np.sin(np.pi * x)[:, None]
     dh = (H0 - h) * math.sqrt(g / h)

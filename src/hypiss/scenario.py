@@ -14,14 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .core import DisturbanceSignal, WeightField
+from .core import DisturbanceSignal
 from .models import (EulerParams, SaintVenantParams, Scenario,
                      build_linear_benchmark, euler_scenario,
-                     saint_venant_scenario)
+                     saint_venant_kappa, saint_venant_scenario)
 
 __all__ = ["ScenarioError", "ScenarioSpec", "load_scenario"]
 
@@ -157,20 +157,18 @@ class ScenarioSpec:
 
     raw: dict
     _params: dict = field(init=False, repr=False, compare=False)
+    _builder: Callable[..., Scenario] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._params = self.params()   # checks every field but grid.J and grid.cfl
-
-    @property
-    def model_name(self) -> str:
-        return self.raw["model"]["name"]
+        self._params = self.params()   # checks every field
+        self._builder = _BUILDERS[self.raw["model"]["name"]]
 
     def params(self) -> dict:
-        """Keyword arguments of the model's builder, all but ``J`` and
-        ``cfl``.  Optional fields the file leaves out are left out here
-        too, so each default lives in the builder; ``mu`` is None when a
-        linear file tabulates the weights.  A field that no line below
-        reads is an error, so this parser is the file's schema."""
+        """Keyword arguments of the model's builder.  Optional fields the
+        file leaves out are left out here too, so each default lives in
+        the builder; when a linear file tabulates the weights, ``mu`` is
+        None and ``table`` holds them.  A field that no line below reads
+        is an error, so this parser is the file's schema."""
         raw = _Read(self.raw)
         grid, model, weights, boundary = (_object(raw, key, "")
                                           for key in ("grid", "model", "weights", "boundary"))
@@ -178,18 +176,22 @@ class ScenarioSpec:
         if name not in _BUILDERS:
             raise ScenarioError(f"unknown model '{name}'")
         table = name == "linear2x2" and "table" in weights
-        params = {"l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
+        J = _number(grid, "J", "grid")
+        if J != int(J) or J < 2:
+            raise ScenarioError(f"field 'grid.J' must be an integer >= 2, got {grid['J']!r}")
+        params = {"J": int(J), "cfl": _number(grid, "cfl", "grid"),
+                  "l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
                   "xi": _number(raw, "xi", "")}
-        # table --J-list and --cfl override these two, so build() checks them
-        grid.read.update(("J", "cfl"))
         if "mu" in weights or not table:
             params["mu"] = _number(weights, "mu", "weights")
         for key in ("p_plus", "p_minus"):
             if key in weights:
                 params[key] = _floats(weights, key, "weights", (1,))
-        if table:   # it wins over mu, p_plus and p_minus; build() checks its shape
-            _floats(weights, "table", "weights")
-            params["mu"] = None
+        if table:   # it wins over mu, p_plus and p_minus; build() checks its row count
+            params.update(mu=None, table=_floats(weights, "table", "weights"))
+            if np.shape(params["table"])[1:] != (2,):
+                raise ScenarioError(f"field 'weights.table' must have shape (J+2, 2), "
+                                    f"got {weights['table']!r}")
         # the Saint-Venant and Euler builders take no disturbance yet
         b = _disturbance(boundary.get("disturbance"), 2)
         if name == "linear2x2":
@@ -212,8 +214,8 @@ class ScenarioSpec:
                 params["kappa"] = (_number(boundary, "kappa12", "boundary"),
                                    _number(boundary, "kappa21", "boundary"))
             elif "k0" in boundary or "kl" in boundary:
-                sv.k0 = _number(boundary, "k0", "boundary")
-                sv.kl = _number(boundary, "kl", "boundary")
+                params["kappa"] = saint_venant_kappa(_number(boundary, "k0", "boundary"),
+                                                     _number(boundary, "kl", "boundary"), sv)
             params["params"] = sv
             # the builder's default is the shipped override; None selects the formula
             params["gamma_override"] = (_floats(model, "gamma_override", "model", (2, 2))
@@ -240,24 +242,14 @@ class ScenarioSpec:
         return params
 
     def build(self, J: Optional[int] = None, cfl: Optional[float] = None) -> Scenario:
-        grid_cfg = self.raw["grid"]
-        weights_cfg = self.raw["weights"]
-        if J is None:
-            J = _number(grid_cfg, "J", "grid")
-            if J != int(J) or J < 2:
-                raise ScenarioError(
-                    f"field 'grid.J' must be an integer >= 2, got {grid_cfg['J']!r}")
-            J = int(J)
-        cfl = float(cfl if cfl is not None else _number(grid_cfg, "cfl", "grid"))
-        scenario = _BUILDERS[self.model_name](J=J, cfl=cfl, **self._params)
-        if "table" in weights_cfg:
-            table = np.asarray(weights_cfg["table"], dtype=float)
-            if table.shape != (J + 2, scenario.coefficients.k):
-                raise ScenarioError(
-                    f"weights.table must have shape (J+2, k) = ({J + 2}, "
-                    f"{scenario.coefficients.k}), got {table.shape}")
-            scenario.weights = WeightField.from_samples(table)
-        return scenario
+        """The scenario on the file's grid, or with ``J`` and ``cfl`` in its place."""
+        params = dict(self._params)
+        params.update((key, v) for key, v in (("J", J), ("cfl", cfl)) if v is not None)
+        rows = len(params.get("table", ()))
+        if rows and rows != params["J"] + 2:
+            raise ScenarioError(f"weights.table must have shape (J+2, k) = "
+                                f"({params['J'] + 2}, 2), got ({rows}, 2)")
+        return self._builder(**params)
 
 
 def load_scenario(path: str) -> ScenarioSpec:

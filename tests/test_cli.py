@@ -203,7 +203,7 @@ class TestTableCommand:
             "   200 sup     0.16%  l2     0.40%  eta     0.000%"]
 
     @pytest.mark.parametrize("cfl", ["missing", [0.75]])
-    def test_bad_cfl_fails_every_row_with_field(self, tmp_path, capsys, cfl):
+    def test_bad_cfl_fails_at_load_with_field(self, tmp_path, capsys, cfl):
         raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())
         if cfl == "missing":
             del raw["grid"]["cfl"]
@@ -213,9 +213,10 @@ class TestTableCommand:
         path.write_text(json.dumps(raw))
         code = main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
                      "--J-list", "32,64"])
-        assert code == 1
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert len(rows) == 2 and all("failed" in r and "grid.cfl" in r for r in rows)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error:") and "grid.cfl" in captured.err
 
     def test_bad_field_outside_grid_fails_at_load(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "linear_benchmark.json").read_text())

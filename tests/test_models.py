@@ -69,13 +69,12 @@ class TestSaintVenant:
         assert np.allclose(w2, -4.1074 + 4 * np.sin(np.pi * xs), atol=5e-5)
 
     def test_physical_gain_map(self):
-        params = models.SaintVenantParams(k0=1.5, kl=2.0)
-        k12, k21 = models.saint_venant_kappa(params)
+        k12, k21 = models.saint_venant_kappa(1.5, 2.0, models.SaintVenantParams())
         s0 = 1.5 * math.sqrt(2.0 / 9.81)
         sl = 2.0 * math.sqrt(2.0 / 9.81)
         assert k12 == pytest.approx((s0 - 1) / (1 + s0), rel=1e-14)
         assert k21 == pytest.approx((sl - 1) / (1 + sl), rel=1e-14)
-        coeffs = models.saint_venant_scenario(J=16, params=params).coefficients
+        coeffs = models.saint_venant_scenario(J=16, kappa=(k12, k21)).coefficients
         assert coeffs.K[0, 1] == pytest.approx(k12)
         assert coeffs.K[1, 0] == pytest.approx(k21)
         assert coeffs.M[0] == pytest.approx(1 - k12)
