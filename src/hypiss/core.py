@@ -192,6 +192,8 @@ class SystemCoefficients:
             raise ValueError("coefficient array shapes inconsistent with k")
         if self.lam.shape[0] != self.pi.shape[0] + 2:
             raise ValueError("lam must be sampled at J+2 centers, pi at J interior cells")
+        if self.b.k != k:
+            raise ValueError(f"disturbance has {self.b.k} components, expected k={k}")
         wrong_sign = np.where(np.arange(k) < m, self.lam <= 0, self.lam >= 0)
         if np.any(wrong_sign):
             row, col = np.argwhere(wrong_sign)[0]

@@ -49,6 +49,9 @@ class Scenario:
     def __post_init__(self):
         if self.xi <= 0:
             raise ValueError("xi must be positive")
+        if self.coefficients.J != self.grid.J:
+            raise ValueError(f"coefficients are sampled on J={self.coefficients.J} cells, "
+                             f"the grid has J={self.grid.J}")
         self.initial = np.atleast_2d(np.asarray(self.initial, dtype=float))
         shape = (self.grid.J, self.coefficients.k)
         if self.initial.shape != shape:

@@ -107,6 +107,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="ordered"):
             self.coefficients(g, lambda x: np.array([-1.0, 1.0]))
 
+    def test_disturbance_of_another_size_rejected(self):
+        # the compiled march would read b with a row stride of 3
+        with pytest.raises(ValueError, match="disturbance has 3 components, expected k=2"):
+            build_linear_benchmark(J=16, cfl=0.75, T=1.0, mu=0.5, xi=0.125, kappa12=0.0,
+                                   kappa21=0.0, b=core.DisturbanceSignal.pulsed_sine(3))
+
     def test_feedback_block_structure_enforced(self):
         g = self.grid()
         with pytest.raises(ValueError, match="zero diagonal blocks"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,15 @@ class TestLinearBenchmark:
         with pytest.raises(ValueError):
             models.build_linear_benchmark(J=J, cfl=0.5, T=1.0, mu=0.5, xi=0.125,
                                           kappa12=0.0, kappa21=0.0, speeds=speeds[1:])
+
+    def test_coefficients_of_another_grid_rejected(self):
+        # the compiled march would read past the coarse coefficient arrays
+        def benchmark(J):
+            return models.build_linear_benchmark(J=J, cfl=0.75, T=1.0, mu=0.575, xi=0.125,
+                                                 kappa12=0.5, kappa21=0.5)
+        coarse = benchmark(40).coefficients
+        with pytest.raises(ValueError, match="sampled on J=40 cells, the grid has J=400"):
+            replace(benchmark(400), coefficients=coarse)
 
     def test_rejects_bad_speeds(self):
         with pytest.raises(ValueError):
