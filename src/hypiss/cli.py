@@ -4,7 +4,8 @@ Exit codes: ``certify`` is nonzero exactly when the certificate fails;
 ``run`` is nonzero when the solver aborts on a non-finite state or when
 the certificate fails and ``--force`` was not given; ``table`` is nonzero
 when any row fails.  A bad ``--stride``, ``--J-list`` or ``--xi-range``
-exits 2 from argparse, before any file is made.  Every command runs
+exits 2 from argparse, and a scenario that fails to load or build exits
+2, both before ``--out`` is made.  Every command runs
 sequentially in one thread.
 """
 
@@ -30,8 +31,8 @@ def _out_dir(spec: argparse.Namespace) -> Path:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     scenario = load_scenario(args.scenario).build()
+    out = _out_dir(args)
     report = certifier.certify(scenario)
     reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
     sys.stdout.write(report.to_text())
@@ -39,12 +40,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     # a run that fails to load, aborts or records no snapshots leaves no earlier run's outputs
     for name in ("certificate.json", "certificate.txt", "trace.csv", "trajectory.csv",
                  "summary.json"):
-        (out / name).unlink(missing_ok=True)
+        (Path(args.out) / name).unlink(missing_ok=True)
     scenario = load_scenario(args.scenario).build()
+    out = _out_dir(args)
     report = certifier.certify(scenario)
     reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
     sys.stdout.write(report.to_text())
@@ -108,8 +109,8 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     spec = load_scenario(args.scenario)
+    out = _out_dir(args)
     rows = [_table_row(spec, J, args.cfl) for J in args.J_list]
     text = reports.write_table(out / "table.csv", out / "table.txt", rows)
     sys.stdout.write(text)
@@ -117,8 +118,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     scenario = load_scenario(args.scenario).build()
+    out = _out_dir(args)
     rows = certifier.sweep_xi(scenario, args.xi_range)
     text = reports.write_sweep(out / "sweep.csv", out / "sweep.txt", rows)
     sys.stdout.write(text)

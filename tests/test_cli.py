@@ -282,3 +282,12 @@ class TestSweepCommand:
             assert exc.value.code == 2
             assert "argument --xi-range:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "sweep", "table"])
+def test_failed_load_makes_no_output_directory(tmp_path, capsys, command):
+    code = main([command, "--scenario", str(SCENARIOS),
+                 "--out", str(tmp_path / "o" / command / "deep")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("scenario error:")
+    assert not (tmp_path / "o").exists()
