@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -246,11 +247,18 @@ def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, f
     _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
 
 
-def test_shipped_and_benchmark_files_hold_only_known_keys(tmp_path):
+def _perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, which is not a package;
+    registered as ``perfbench_<name>``, so its dataclasses can find it."""
     spec = importlib.util.spec_from_file_location(
-        "workloads", SCENARIOS.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+        f"perfbench_{name}", SCENARIOS.parent / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_files_hold_only_known_keys(tmp_path):
+    workloads = _perfbench("workloads")
     files = list(SCENARIOS.glob("*.json"))
     for workload in workloads.WORKLOADS:
         for seed in (0, 1):
@@ -258,6 +266,14 @@ def test_shipped_and_benchmark_files_hold_only_known_keys(tmp_path):
             files += workloads.write_inputs(workload, seed, SCENARIOS, dest).values()
     for path in files:
         load_scenario(str(path)).params()
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps():
+    # a renamed target would silently read zero in its per-layer metrics
+    import hypiss.cli
+    spans = _perfbench("spans")
+    with spans.installed(spans.Recorder(), hypiss) as missing:
+        assert missing == []
 
 
 def _certify_fails_naming(tmp_path, capsys, shipped, path, value, field):
