@@ -191,7 +191,7 @@ class ScenarioSpec:
             params.update(mu=None, table=_floats(weights, "table", "weights"))
             if np.shape(params["table"])[1:] != (2,):
                 raise ScenarioError(f"field 'weights.table' must have shape (J+2, 2), "
-                                    f"got {weights['table']!r}")
+                                    f"got {np.shape(weights['table'])}")
         # the Saint-Venant and Euler builders take no disturbance yet
         b = _disturbance(boundary.get("disturbance"), 2)
         if name == "linear2x2":

@@ -315,6 +315,12 @@ class TestBuildOptions:
         with pytest.raises(ScenarioError, match="weights.table"):
             ScenarioSpec(raw=raw).build(J=8)
 
+    def test_table_column_count_checked_at_load(self):
+        raw = benchmark_raw()
+        raw["weights"] = {"table": [[1.0, 2.0, 3.0]] * 10}
+        with pytest.raises(ScenarioError, match=r"weights.table.*got \(10, 3\)"):
+            ScenarioSpec(raw=raw)
+
     def test_sine_initial_condition(self):
         raw = benchmark_raw()
         raw["model"]["ic"] = {"kind": "sin", "amplitude": [1.0, 0.5],
