@@ -257,10 +257,6 @@ class WeightField:
         ])
         return cls(values=vals, mu=mu)
 
-    @classmethod
-    def from_samples(cls, values: Sequence[Sequence[float]]) -> "WeightField":
-        return cls(values=np.asarray(values, dtype=float))
-
     def interior(self) -> np.ndarray:
         """Weights at interior cells j = 0 .. J-1, shape (J, k)."""
         return self.values[1:-1]

@@ -93,7 +93,7 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
         pi=np.broadcast_to(np.asarray(source, dtype=float), (J, 2, 2)).copy(),
         K=np.array([[0.0, kappa12], [kappa21, 0.0]]), M=m_diag, b=b)
     weights = (WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None
-               else WeightField.from_samples(np.ones((J + 2, 2)) if table is None else table))
+               else WeightField(np.ones((J + 2, 2)) if table is None else table))
     if callable(ic):
         initial = ic(grid.centers[1:-1])
     else:

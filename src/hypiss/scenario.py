@@ -58,9 +58,9 @@ def _object(mapping: dict, key: str, context: str) -> dict:
     return value
 
 
-def _floats(mapping: dict, key: str, context: str, shape: Optional[tuple] = None) -> tuple:
-    """A finite number array field as nested tuples, so parsed values compare
-    with ==; ``shape`` (when given) is the required array shape."""
+def _floats(mapping: dict, key: str, context: str, shape: tuple) -> np.ndarray:
+    """A read-only array field of finite numbers; ``shape`` is its required
+    shape, with None for a free length."""
     value = _require(mapping, key, context)
     try:
         arr = np.asarray(value, dtype=float)
@@ -69,26 +69,24 @@ def _floats(mapping: dict, key: str, context: str, shape: Optional[tuple] = None
             f"field '{_name(context, key)}' must be an array of numbers, got {value!r}") from None
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {value!r}")
-    if shape is not None and arr.shape != shape:
-        raise ScenarioError(
-            f"field '{_name(context, key)}' must have shape {shape}, got {value!r}")
-    return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.reshape(-1).tolist())
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ScenarioError(f"field '{_name(context, key)}' must have shape "
+                            f"{str(shape).replace('None', 'n')}, got {arr.shape}")
+    arr.setflags(write=False)   # every build shares it
+    return arr
 
 
 def _ic_profile(spec: Any, context: str, k: int):
     """Initial data of k components: a constant state, or a sine or cosine
     profile taking the (J,) interior centers to (J, k)."""
-    if isinstance(spec, (list, tuple)):
-        spec = {"kind": "constant", "values": list(spec)}
     if not isinstance(spec, dict):
-        raise ScenarioError(f"field '{context}' must be an object or a list")
+        raise ScenarioError(f"field '{context}' must be an object, got {spec!r}")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return _floats(spec, "values", context, (k,))
     if kind in ("sin", "cos"):
-        amp = np.asarray(_floats(spec, "amplitude", context, (k,)))
-        off = np.asarray(_floats(spec, "offset", context, (k,))) if "offset" in spec \
-            else np.zeros_like(amp)
+        amp = _floats(spec, "amplitude", context, (k,))
+        off = _floats(spec, "offset", context, (k,)) if "offset" in spec else np.zeros(k)
         freq = _number(spec, "frequency", context, 1.0)
         trig = np.sin if kind == "sin" else np.cos
         return lambda x: off + amp * trig(math.pi * freq * x)[:, None]
@@ -112,8 +110,8 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
             cutoff=_number(spec, "cutoff", context, 5.0),
             pattern=_floats(spec, "pattern", context, (k,)) if "pattern" in spec else None)
     if kind == "table":
-        times = np.asarray(_floats(spec, "times", context))
-        if times.ndim != 1 or np.any(np.diff(times) <= 0):
+        times = _floats(spec, "times", context, (None,))
+        if np.any(np.diff(times) <= 0):
             raise ScenarioError(f"field '{context}.times' must be a strictly increasing "
                                 f"list, got {spec['times']!r}")
         return DisturbanceSignal.tabulated(times, _floats(spec, "values", context,
@@ -188,10 +186,7 @@ class ScenarioSpec:
             if key in weights:
                 params[key] = _floats(weights, key, "weights", (1,))
         if table:   # it wins over mu, p_plus and p_minus; build() checks its row count
-            params.update(mu=None, table=_floats(weights, "table", "weights"))
-            if np.shape(params["table"])[1:] != (2,):
-                raise ScenarioError(f"field 'weights.table' must have shape (J+2, 2), "
-                                    f"got {np.shape(weights['table'])}")
+            params.update(mu=None, table=_floats(weights, "table", "weights", (None, 2)))
         # the Saint-Venant and Euler builders take no disturbance yet
         b = _disturbance(boundary.get("disturbance"), 2)
         if name == "linear2x2":
@@ -208,9 +203,7 @@ class ScenarioSpec:
             sv = SaintVenantParams(**{key: _number(model, key, "model")
                                       for key in ("g", "Cf", "Sb", "Hstar", "Vstar")
                                       if key in model})
-            if "kappa_override" in model:
-                params["kappa"] = _floats(model, "kappa_override", "model", (2,))
-            elif "kappa12" in boundary or "kappa21" in boundary:
+            if "kappa12" in boundary or "kappa21" in boundary:
                 params["kappa"] = (_number(boundary, "kappa12", "boundary"),
                                    _number(boundary, "kappa21", "boundary"))
             elif "k0" in boundary or "kl" in boundary:
@@ -223,11 +216,10 @@ class ScenarioSpec:
             ic = _object(model, "ic", "model") if "ic" in model else {}
             if "H0" in ic:
                 params["H0"] = _number(ic, "H0", "model.ic")
-            if "V0" in ic:
-                V0 = ic["V0"]   # a number or a one-component profile
-                if isinstance(V0, (int, float)):
-                    V0 = [_number(ic, "V0", "model.ic")]
-                params["V0"] = _ic_profile(V0, "model.ic.V0", 1)
+            if "V0" in ic:   # a number or a one-component profile
+                params["V0"] = ((_number(ic, "V0", "model.ic"),)
+                                if isinstance(ic["V0"], (int, float))
+                                else _ic_profile(ic["V0"], "model.ic.V0", 1))
         else:
             params["params"] = EulerParams(**{key: _number(model, key, "model")
                                               for key in ("a", "f_over_D", "rho0", "q_star")

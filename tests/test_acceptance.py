@@ -185,7 +185,7 @@ def test_09_exact_advection():
                                      M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
     rng = np.random.default_rng(9)
     init = rng.uniform(-0.5, 0.5, size=(J, 2))
-    weights = core.WeightField.from_samples(np.ones((J + 2, 2)))
+    weights = core.WeightField(np.ones((J + 2, 2)))
     sc = Scenario(name="advection", grid=g, coefficients=coeffs, weights=weights,
                   xi=1.0, initial=init.copy())
     history = solver.run(sc, stride=1).history

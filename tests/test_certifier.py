@@ -31,7 +31,7 @@ class TestTransportCondition:
 
     def test_constant_weights_fail(self):
         sc = benchmark(J=32)
-        flat = core.WeightField.from_samples(np.ones((34, 2)))
+        flat = core.WeightField(np.ones((34, 2)))
         c1 = certifier.check_transport(sc.coefficients, flat, sc.grid)
         assert not c1.passed
         assert c1.eta is None
@@ -57,7 +57,7 @@ class TestConditionMatrixIndexing:
                                     K=np.array([[0.0, 0.3], [0.2, 0.0]]),
                                     M=rng.uniform(0.1, 2.0, 2),
                                     b=core.DisturbanceSignal.zero(2))
-        w = core.WeightField.from_samples(rng.uniform(0.2, 3.0, (J + 2, 2)))
+        w = core.WeightField(rng.uniform(0.2, 3.0, (J + 2, 2)))
         return g, c, w
 
     def test_transport_entries_match_loop(self):
@@ -113,7 +113,7 @@ class TestSourceCondition:
         g = np.array([[0.3, -0.1], [-0.1, 0.3]])
         m = g + g.T - dt * g.T @ g
         expected = np.linalg.eigvalsh(m)
-        flat = core.WeightField.from_samples(np.ones((1602, 2)))
+        flat = core.WeightField(np.ones((1602, 2)))
         c2 = certifier.check_source(sc.coefficients, flat, sc.grid)
         assert c2.passed
         j = 0

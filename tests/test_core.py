@@ -133,7 +133,7 @@ class TestWeights:
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            core.WeightField.from_samples([[1.0, -1.0]])
+            core.WeightField([[1.0, -1.0]])
         g = core.Grid1D(1.0, 4, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             core.WeightField.implicit([0.0], [1.0], 0.5, g)
@@ -142,11 +142,11 @@ class TestWeights:
 
     def test_non_finite_rejected_with_cell(self):
         with pytest.raises(ValueError, match=r"cell j=-1, component 1 holds nan"):
-            core.WeightField.from_samples(np.full((10, 2), np.nan))
+            core.WeightField(np.full((10, 2), np.nan))
         vals = np.ones((6, 2))
         vals[3, 1] = np.inf
         with pytest.raises(ValueError, match=r"cell j=2, component 2 holds inf"):
-            core.WeightField.from_samples(vals)
+            core.WeightField(vals)
         # exp(mu x) overflows on l = 1 for mu this large
         g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -158,7 +158,7 @@ class TestWeights:
         vals[-1] = 1e-3
         vals[2, 1] = 0.25
         vals[3, 0] = 4.0
-        w = core.WeightField.from_samples(vals)
+        w = core.WeightField(vals)
         zeta, beta = w.eigen_bounds()
         assert zeta == 0.25
         assert beta == 4.0

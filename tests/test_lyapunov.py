@@ -18,7 +18,7 @@ class TestEvaluate:
     def test_single_cell_arithmetic(self):
         # two unit cells, the second one empty
         g = core.Grid1D(l=2.0, J=2, T=1.0, cfl=1.0, lambda_max=1.0)
-        w = core.WeightField.from_samples([[1.0, 1.0], [2.0, 3.0], [7.0, 7.0], [1.0, 1.0]])
+        w = core.WeightField([[1.0, 1.0], [2.0, 3.0], [7.0, 7.0], [1.0, 1.0]])
         assert evaluate(np.array([[1.0, 1.0], [0.0, 0.0]]), w, g) == pytest.approx(5.0)
 
     def test_benchmark_initial_value_against_quadrature(self):

@@ -66,10 +66,9 @@ class TestLoading:
                                                       [0.0992, 0.2008]]))
 
     def test_saint_venant_kappa_override_block(self):
+        # boundary.kappa12/kappa21 override the default gains (0.5, 1.5 exp(-mu))
         raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
-        raw["model"]["kappa_override"] = [0.25, -0.3]
-        del raw["boundary"]["kappa12"]
-        del raw["boundary"]["kappa21"]
+        raw["boundary"].update(kappa12=0.25, kappa21=-0.3)
         sc = ScenarioSpec(raw=raw).build(J=16)
         assert sc.coefficients.K[0, 1] == 0.25
         assert sc.coefficients.K[1, 0] == -0.3
@@ -231,7 +230,7 @@ def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path,
     ("isothermal_euler", "boundary.disturbance.pattern", [1.0, -1.0, 1.0],
      "boundary.disturbance.pattern"),
     # a gain source that another one overrides
-    ("saint_venant", "model.kappa_override", [0.25, -0.3], "'boundary.kappa12'"),
+    ("saint_venant", "model.kappa_override", [0.25, -0.3], "'model.kappa_override'"),
     ("saint_venant", "boundary.k0", 1.5, "'boundary.k0'"),
     ("linear_benchmark", "grid.J", 2.5, "'grid.J'"),
     ("isothermal_euler", "grid.J", 0, "'grid.J'"),
@@ -242,6 +241,11 @@ def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path,
     ("linear_benchmark", "boundary.disturbance",
      {"kind": "table", "times": [[0.0, 1.0]], "values": [[0.1, 0.2]]},
      "'boundary.disturbance.times'"),
+    ("linear_benchmark", "boundary.disturbance",
+     {"kind": "table", "times": [[[0.0, 1.0]]], "values": [[0.1, 0.2]] * 2},
+     "'boundary.disturbance.times'"),
+    # a constant initial condition is an object, not a bare list
+    ("linear_benchmark", "model.ic", [-0.5, 0.5], "'model.ic'"),
 ])
 def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, field):
     _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)

@@ -27,7 +27,7 @@ def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
 def scenario(grid, coeffs, initial, weights=None):
     """A scenario of the given system, with unit weights by default."""
     if weights is None:
-        weights = core.WeightField.from_samples(np.ones((grid.J + 2, coeffs.k)))
+        weights = core.WeightField(np.ones((grid.J + 2, coeffs.k)))
     return Scenario(name="test", grid=grid, coefficients=coeffs, weights=weights,
                     xi=1.0, initial=initial)
 
@@ -240,11 +240,11 @@ class TestRun:
     def test_shapes_checked_against_grid_and_system(self):
         g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         c = make_coeffs(g)
-        unit = core.WeightField.from_samples(np.ones((10, 2)))
+        unit = core.WeightField(np.ones((10, 2)))
         with pytest.raises(ValueError, match="initial data has shape"):
             scenario(g, c, np.zeros((8, 3)), unit)
         with pytest.raises(ValueError, match="interior weights have shape"):
-            scenario(g, c, np.zeros((8, 2)), core.WeightField.from_samples(np.ones((9, 2))))
+            scenario(g, c, np.zeros((8, 2)), core.WeightField(np.ones((9, 2))))
 
     def test_history_stride(self):
         sim, g, _ = self.small_sim(initial=np.ones((24, 2)))
@@ -347,7 +347,7 @@ class TestThreeComponents:
                                              rng.uniform(-0.5, 0.5, (4, k)))
         c = core.SystemCoefficients(k=k, m=m, lam=lam, pi=rng.normal(0.0, 0.5, (J, k, k)),
                                     K=K, M=rng.uniform(0.5, 1.5, k), b=b)
-        weights = core.WeightField.from_samples(rng.uniform(0.5, 2.0, (J + 2, k)))
+        weights = core.WeightField(rng.uniform(0.5, 2.0, (J + 2, k)))
         init = rng.normal(size=(J, k))
         res = solver.run(scenario(g, c, init, weights), stride=1)
         L, snapshots, W = self.reference(g, c, weights, init)
