@@ -115,14 +115,16 @@ class SaintVenantParams:
 
 def saint_venant_kappa(k0: float, kl: float,
                        params: SaintVenantParams) -> Tuple[float, float]:
-    """Feedback gains induced by the physical boundary gains k0, kl."""
+    """Feedback gains induced by the physical boundary gains k0, kl; a gain
+    mapped to kappa = inf or 1 raises a ValueError whose message starts with its name."""
     scale = math.sqrt(params.Hstar / params.g)
-    s0, sl = k0 * scale, kl * scale
-    kappa12 = (s0 - 1.0) / (1.0 + s0)
-    kappa21 = (sl - 1.0) / (1.0 + sl)
-    if abs(kappa12 - 1.0) < 1e-14 or abs(kappa21 - 1.0) < 1e-14:
-        raise ValueError("boundary gain maps to the excluded value kappa = 1")
-    return kappa12, kappa21
+    kappa = []
+    for name, gain in (("k0", k0), ("kl", kl)):
+        s = gain * scale
+        kappa.append((s - 1.0) / (1.0 + s) if s != -1.0 else math.inf)
+        if kappa[-1] == math.inf or abs(kappa[-1] - 1.0) < 1e-14:
+            raise ValueError(f"{name} = {gain!r} maps to the excluded value kappa = {kappa[-1]:g}")
+    return kappa[0], kappa[1]
 
 
 def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,

@@ -207,8 +207,11 @@ class ScenarioSpec:
                 params["kappa"] = (_number(boundary, "kappa12", "boundary"),
                                    _number(boundary, "kappa21", "boundary"))
             elif "k0" in boundary or "kl" in boundary:
-                params["kappa"] = saint_venant_kappa(_number(boundary, "k0", "boundary"),
-                                                     _number(boundary, "kl", "boundary"), sv)
+                k0, kl = (_number(boundary, key, "boundary") for key in ("k0", "kl"))
+                try:
+                    params["kappa"] = saint_venant_kappa(k0, kl, sv)
+                except ValueError as exc:   # its message starts with k0 or kl
+                    raise ScenarioError(f"boundary.{exc}") from None
             params["params"] = sv
             # the builder's default is the shipped override; None selects the formula
             params["gamma_override"] = (_floats(model, "gamma_override", "model", (2, 2))

@@ -86,6 +86,22 @@ class TestLoading:
         assert sc.coefficients.K[1, 0] == pytest.approx(-0.0509, abs=5e-5)
         assert sc.coefficients.M == pytest.approx([1.1924, 1.0509], abs=5e-5)
 
+    @pytest.mark.parametrize("key", ["k0", "kl"])
+    def test_saint_venant_gain_at_the_pole_rejected(self, tmp_path, capsys, key):
+        # k = -sqrt(g/H*) makes 1 + k sqrt(H*/g) zero, so it maps to no kappa
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        raw["grid"]["J"] = 50
+        del raw["boundary"]["kappa12"]
+        del raw["boundary"]["kappa21"]
+        raw["boundary"].update(k0=2.0, kl=2.0)
+        raw["boundary"][key] = -math.sqrt(9.81 / 2.0)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["certify", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: boundary.{key} = ")
+        assert not (tmp_path / "o").exists()
+
     def test_saint_venant_half_gain_pair_rejected(self):
         raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
         del raw["boundary"]["kappa21"]
