@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypiss.cli import main
+from hypiss.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -67,6 +68,19 @@ class TestCertifyCommand:
         code = main(["certify", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+
+
+    def test_builder_error_exits_2_without_output(self, tmp_path, capsys):
+        # V*^2 >= g H*: the file parses, and the Saint-Venant builder rejects it
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        raw["grid"]["J"] = 50
+        raw["model"]["Vstar"] = 5.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        code = main(["certify", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: equilibrium not sub-critical")
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunCommand:
@@ -245,6 +259,19 @@ class TestTableCommand:
         lines = (out / "table.csv").read_text().splitlines()
         ok_rows = [l for l in lines[2:] if l.split(",")[1]]
         assert len(ok_rows) == 1 and ok_rows[0].startswith("80,")
+
+    def test_weight_table_fits_only_its_own_row(self, tmp_path, capsys):
+        # a table of J + 2 = 52 rows builds the J=50 row and fails the J=100 row
+        weights = load_scenario(str(small_benchmark(tmp_path, J=50))).build().weights.values
+        path = small_benchmark(tmp_path, J=50, **{"weights.table": weights.tolist()})
+        out = tmp_path / "o"
+        code = main(["table", "--scenario", str(path), "--out", str(out),
+                     "--J-list", "50,100"])
+        assert code == 1
+        _, row50, row100 = capsys.readouterr().out.splitlines()
+        assert row50.split()[0] == "50" and float(row50.split()[1]) > 0
+        assert row100 == "   100 failed: weights.table must have shape (J+2, k) = (102, 2), " \
+                         "got (52, 2)"
 
     def test_j_list_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)

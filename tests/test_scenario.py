@@ -102,6 +102,14 @@ class TestLoading:
         assert err.startswith(f"scenario error: boundary.{key} = ")
         assert not (tmp_path / "o").exists()
 
+    def test_saint_venant_constant_velocity(self):
+        # model.ic.V0 as a number is the constant velocity of every cell
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        raw["model"]["ic"]["V0"] = 4.0
+        sc = ScenarioSpec(raw=raw).build(J=16)
+        dh = (2.5 - 2.0) * math.sqrt(9.81 / 2.0)
+        assert np.array_equal(sc.initial, np.tile([4.0 - 3.0 + dh, 4.0 - 3.0 - dh], (16, 1)))
+
     def test_saint_venant_half_gain_pair_rejected(self):
         raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
         del raw["boundary"]["kappa21"]
