@@ -1,4 +1,6 @@
-"""Frozen outputs of every CLI command on the three shipped scenarios.
+"""Frozen outputs of every CLI command on the three shipped scenarios, and
+on the test scenarios under ``scenarios/`` here, which between them set
+every optional field that no shipped file uses.
 
 Each scenario file is copied with ``grid.J = 50`` and given to ``certify``,
 ``sweep``, ``run --force --stride 500`` and ``table --J-list 50,100``.
@@ -37,7 +39,8 @@ from hypiss.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
-NAMES = ("linear_benchmark", "saint_venant", "isothermal_euler")
+NAMES = ("linear_benchmark", "saint_venant", "isothermal_euler",
+         "linear_tabulated", "linear_patterned_pulse", "saint_venant_physical_gains")
 J = 50
 COMMANDS = {
     "certify": [],
@@ -50,12 +53,18 @@ NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
 BACKEND = re.compile(r'"march_backend": "\w+"')
 
 
+def scenario_path(name: str) -> Path:
+    """A shipped scenario file, or else the test scenario of that name."""
+    shipped = ROOT / "scenarios" / f"{name}.json"
+    return shipped if shipped.exists() else GOLDEN.parent.parent / "scenarios" / f"{name}.json"
+
+
 def run_commands(tmp: Path) -> dict:
     """Runs every command; returns {"<scenario>/<command>": {file name: text}}
     with the stdout under "stdout", and the exit codes."""
     outputs, codes = {}, {}
     for name in NAMES:
-        raw = json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+        raw = json.loads(scenario_path(name).read_text(encoding="utf-8"))
         raw["grid"]["J"] = J
         scenario = tmp / f"{name}.json"
         scenario.write_text(json.dumps(raw), encoding="utf-8")
