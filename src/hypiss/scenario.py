@@ -40,16 +40,6 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, context: str, default: Optional[float] = None) -> float:
-    """A finite number field; ``default`` (when given) covers a missing key."""
-    v = mapping.get(key, default) if default is not None else _require(mapping, key, context)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"field '{_name(context, key)}' must be a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {v!r}")
-    return float(v)
-
-
 def _object(mapping: dict, key: str, context: str) -> dict:
     """An object (section) field."""
     value = _require(mapping, key, context)
@@ -58,47 +48,62 @@ def _object(mapping: dict, key: str, context: str) -> dict:
     return value
 
 
-def _floats(mapping: dict, key: str, context: str, shape: tuple) -> np.ndarray:
-    """A read-only array field of finite numbers; ``shape`` is its required
-    shape, with None for a free length."""
+def _floats(mapping: dict, key: str, context: str, shape: tuple = ()) -> Any:
+    """A finite number field for ``shape`` (), or else a read-only array of
+    finite numbers of ``shape``, with None for a free length.  Every element
+    at every depth must be a JSON number, not a boolean or a string."""
     value = _require(mapping, key, context)
+    name = _name(context, key)
+
+    def numbers(v) -> bool:
+        return (all(map(numbers, v)) if shape and isinstance(v, list)
+                else isinstance(v, (int, float)) and not isinstance(v, bool))
+    if not numbers(value):
+        raise ScenarioError(f"field '{name}' must be "
+                            f"{'an array of numbers' if shape else 'a number'}, got {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            f"field '{_name(context, key)}' must be an array of numbers, got {value!r}") from None
+    except ValueError:   # a ragged array
+        raise ScenarioError(f"field '{name}' must be an array of numbers, got {value!r}") from None
+    except OverflowError:   # an integer beyond the double range
+        arr = np.array(math.inf)
     if not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"field '{_name(context, key)}' must be finite, got {value!r}")
+        raise ScenarioError(f"field '{name}' must be finite, got {value!r}")
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-        raise ScenarioError(f"field '{_name(context, key)}' must have shape "
+        raise ScenarioError(f"field '{name}' must have shape "
                             f"{str(shape).replace('None', 'n')}, got {arr.shape}")
     arr.setflags(write=False)   # every build shares it
-    return arr
+    return arr if shape else float(arr)
 
 
-def _ic_profile(spec: Any, context: str, k: int):
+def _present(mapping: dict, context: str, **shapes: tuple) -> dict:
+    """The fields of ``shapes`` that ``mapping`` holds, each read with its
+    shape; a field left out keeps the default of the code it is passed to."""
+    return {key: _floats(mapping, key, context, shape)
+            for key, shape in shapes.items() if key in mapping}
+
+
+def _ic_profile(mapping: dict, key: str, context: str, k: int):
     """Initial data of k components: a constant state, or a sine or cosine
     profile taking the (J,) interior centers to (J, k)."""
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"field '{context}' must be an object, got {spec!r}")
+    spec, context = _object(mapping, key, context), _name(context, key)
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return _floats(spec, "values", context, (k,))
     if kind in ("sin", "cos"):
         amp = _floats(spec, "amplitude", context, (k,))
-        off = _floats(spec, "offset", context, (k,)) if "offset" in spec else np.zeros(k)
-        freq = _number(spec, "frequency", context, 1.0)
+        shift = _present(spec, context, offset=(k,), frequency=())
+        off, freq = shift.get("offset", np.zeros(k)), shift.get("frequency", 1.0)
         trig = np.sin if kind == "sin" else np.cos
         return lambda x: off + amp * trig(math.pi * freq * x)[:, None]
     raise ScenarioError(f"unknown initial-condition kind '{kind}' in '{context}'")
 
 
-def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
+def _disturbance(boundary: dict, k: int) -> DisturbanceSignal:
     context = "boundary.disturbance"
-    if spec is None:
+    if "disturbance" not in boundary:
         return DisturbanceSignal.zero(k)
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"field '{context}' must be an object")
+    spec = _object(boundary, "disturbance", "boundary")
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return DisturbanceSignal.zero(k)
@@ -106,9 +111,7 @@ def _disturbance(spec: Any, k: int) -> DisturbanceSignal:
         return DisturbanceSignal.constant(_floats(spec, "values", context, (k,)))
     if kind == "pulsed_sine":
         return DisturbanceSignal.pulsed_sine(
-            k, amplitude=_number(spec, "amplitude", context, 0.01),
-            cutoff=_number(spec, "cutoff", context, 5.0),
-            pattern=_floats(spec, "pattern", context, (k,)) if "pattern" in spec else None)
+            k, **_present(spec, context, amplitude=(), cutoff=(), pattern=(k,)))
     if kind == "table":
         times = _floats(spec, "times", context, (None,))
         if np.any(np.diff(times) <= 0):
@@ -171,65 +174,54 @@ class ScenarioSpec:
         grid, model, weights, boundary = (_object(raw, key, "")
                                           for key in ("grid", "model", "weights", "boundary"))
         name = _require(model, "name", "model")
-        if name not in _BUILDERS:
-            raise ScenarioError(f"unknown model '{name}'")
+        if not isinstance(name, str) or name not in _BUILDERS:
+            raise ScenarioError(f"unknown model {name!r} in field 'model.name'")
         table = name == "linear2x2" and "table" in weights
-        J = _number(grid, "J", "grid")
+        J = _floats(grid, "J", "grid")
         if J != int(J) or J < 2:
             raise ScenarioError(f"field 'grid.J' must be an integer >= 2, got {grid['J']!r}")
-        params = {"J": int(J), "cfl": _number(grid, "cfl", "grid"),
-                  "l": _number(grid, "l", "grid"), "T": _number(grid, "T", "grid"),
-                  "xi": _number(raw, "xi", "")}
+        params = {"J": int(J), "cfl": _floats(grid, "cfl", "grid"),
+                  "l": _floats(grid, "l", "grid"), "T": _floats(grid, "T", "grid"),
+                  "xi": _floats(raw, "xi", "")}
         if "mu" in weights or not table:
-            params["mu"] = _number(weights, "mu", "weights")
-        for key in ("p_plus", "p_minus"):
-            if key in weights:
-                params[key] = _floats(weights, key, "weights", (1,))
+            params["mu"] = _floats(weights, "mu", "weights")
+        params.update(_present(weights, "weights", p_plus=(1,), p_minus=(1,)))
         if table:   # it wins over mu, p_plus and p_minus; build() checks its row count
             params.update(mu=None, table=_floats(weights, "table", "weights", (None, 2)))
         # the Saint-Venant and Euler builders take no disturbance yet
-        b = _disturbance(boundary.get("disturbance"), 2)
+        b = _disturbance(boundary, 2)
         if name == "linear2x2":
-            params.update(kappa12=_number(boundary, "kappa12", "boundary"),
-                          kappa21=_number(boundary, "kappa21", "boundary"), b=b)
-            for key, section, field, shape in (("speeds", "model", "speeds", (2,)),
-                                               ("source", "model", "source", (2, 2)),
-                                               ("m_diag", "boundary", "M", (2,))):
-                if field in raw[section]:
-                    params[key] = _floats(raw[section], field, section, shape)
+            params.update(kappa12=_floats(boundary, "kappa12", "boundary"),
+                          kappa21=_floats(boundary, "kappa21", "boundary"), b=b,
+                          **_present(model, "model", speeds=(2,), source=(2, 2)))
+            if "M" in boundary:
+                params["m_diag"] = _floats(boundary, "M", "boundary", (2,))
             if "ic" in model:
-                params["ic"] = _ic_profile(model["ic"], "model.ic", 2)
+                params["ic"] = _ic_profile(model, "ic", "model", 2)
         elif name == "saint_venant":
-            sv = SaintVenantParams(**{key: _number(model, key, "model")
-                                      for key in ("g", "Cf", "Sb", "Hstar", "Vstar")
-                                      if key in model})
+            sv = SaintVenantParams(**_present(model, "model", g=(), Cf=(), Sb=(), Hstar=(),
+                                              Vstar=()))
             if "kappa12" in boundary or "kappa21" in boundary:
-                params["kappa"] = (_number(boundary, "kappa12", "boundary"),
-                                   _number(boundary, "kappa21", "boundary"))
+                params["kappa"] = tuple(_floats(boundary, key, "boundary")
+                                        for key in ("kappa12", "kappa21"))
             elif "k0" in boundary or "kl" in boundary:
-                k0, kl = (_number(boundary, key, "boundary") for key in ("k0", "kl"))
+                k0, kl = (_floats(boundary, key, "boundary") for key in ("k0", "kl"))
                 try:
                     params["kappa"] = saint_venant_kappa(k0, kl, sv)
                 except ValueError as exc:   # its message starts with k0 or kl
                     raise ScenarioError(f"boundary.{exc}") from None
-            params["params"] = sv
             # the builder's default is the shipped override; None selects the formula
-            params["gamma_override"] = (_floats(model, "gamma_override", "model", (2, 2))
-                                        if "gamma_override" in model else None)
+            params.update(params=sv, gamma_override=_present(
+                model, "model", gamma_override=(2, 2)).get("gamma_override"))
             ic = _object(model, "ic", "model") if "ic" in model else {}
-            if "H0" in ic:
-                params["H0"] = _number(ic, "H0", "model.ic")
+            params.update(_present(ic, "model.ic", H0=()))
             if "V0" in ic:   # a number or a one-component profile
-                params["V0"] = ((_number(ic, "V0", "model.ic"),)
-                                if isinstance(ic["V0"], (int, float))
-                                else _ic_profile(ic["V0"], "model.ic.V0", 1))
+                params["V0"] = (_ic_profile(ic, "V0", "model.ic", 1) if isinstance(ic["V0"], dict)
+                                else (_floats(ic, "V0", "model.ic"),))
         else:
-            params["params"] = EulerParams(**{key: _number(model, key, "model")
-                                              for key in ("a", "f_over_D", "rho0", "q_star")
-                                              if key in model})
-            for key in ("kappa12", "kappa21"):
-                if key in boundary:
-                    params[key] = _number(boundary, key, "boundary")
+            params.update(params=EulerParams(**_present(model, "model", a=(), f_over_D=(),
+                                                        rho0=(), q_star=())),
+                          **_present(boundary, "boundary", kappa12=(), kappa21=()))
         unread = raw.unread()
         if unread:
             raise ScenarioError(f"field '{unread}' is unknown for model '{name}' "
