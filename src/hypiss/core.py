@@ -52,11 +52,13 @@ class Grid1D:
             raise ValueError(f"need at least two cells, got J={self.J}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"Courant number must lie in (0, 1], got {self.cfl}")
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
+        if not 0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
         dx = self.l / self.J
         dt = self.cfl * dx / self.lambda_max
-        ratio = self.T / dt
+        ratio = self.T / dt if dt > 0 else math.inf
+        if ratio == math.inf:
+            raise ValueError(f"grid.T / dt overflows at dt = {dt!r} from grid.l and grid.cfl")
         # Exact divisions (up to round-off) must not spill into an extra
         # near-empty step.
         if abs(ratio - round(ratio)) < 1e-9 * max(1.0, ratio):
@@ -251,10 +253,11 @@ class WeightField:
         if np.any(pp <= 0) or np.any(pm <= 0):
             raise ValueError("weight parameters must be strictly positive")
         xs = grid.centers
-        vals = np.hstack([
-            pp[None, :] * np.exp(-mu * xs)[:, None],
-            pm[None, :] * np.exp(mu * xs)[:, None],
-        ])
+        with np.errstate(over="ignore"):   # the constructor rejects an infinite weight
+            vals = np.hstack([
+                pp[None, :] * np.exp(-mu * xs)[:, None],
+                pm[None, :] * np.exp(mu * xs)[:, None],
+            ])
         return cls(values=vals, mu=mu)
 
     def interior(self) -> np.ndarray:

@@ -112,6 +112,12 @@ class SaintVenantParams:
     Hstar: float = 2.0
     Vstar: float = 3.0
 
+    def check_sub_critical(self) -> None:
+        """Raises a ValueError unless V*^2 < g H*, which also keeps g and H* nonzero."""
+        if self.Vstar * self.Vstar >= self.g * self.Hstar:
+            raise ValueError(f"equilibrium not sub-critical: V*^2 = "
+                             f"{self.Vstar * self.Vstar:.6g} >= g H* = {self.g * self.Hstar:.6g}")
+
 
 def saint_venant_kappa(k0: float, kl: float,
                        params: SaintVenantParams) -> Tuple[float, float]:
@@ -153,19 +159,17 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     state profile, like ``ic`` of :func:`build_linear_benchmark`.
     """
     params = params or SaintVenantParams()
+    params.check_sub_critical()
     g, Cf, Sb, h, v = params.g, params.Cf, params.Sb, params.Hstar, params.Vstar
-    if v * v >= g * h:
-        raise ValueError(f"equilibrium not sub-critical: V*^2 = {v * v:.6g} >= "
-                         f"g H* = {g * h:.6g}")
     c = math.sqrt(g * h)
     lam1, lam2 = v + c, v - c
     imbalance = (Sb * h - Cf * v * v) * g / h
-    fric = g * Cf * v * v / (2.0 * h)
-    lo = 2.0 / v - 1.0 / c
-    hi = 2.0 / v + 1.0 / c
+    # friction g Cf v^2 / (2h) times (2/v -+ 1/c), written to stay finite at v = 0
+    lo = g * Cf * (v / h - v * v / (2.0 * h * c))
+    hi = g * Cf * (v / h + v * v / (2.0 * h * c))
     gamma = np.array([
-        [0.75 * imbalance / lam1 + fric * lo, 0.25 * imbalance / lam1 + fric * hi],
-        [0.25 * imbalance / lam2 + fric * lo, 0.75 * imbalance / lam2 + fric * hi],
+        [0.75 * imbalance / lam1 + lo, 0.25 * imbalance / lam1 + hi],
+        [0.25 * imbalance / lam2 + lo, 0.75 * imbalance / lam2 + hi],
     ])
     notes: List[str] = []
     if gamma_override is not None:
@@ -215,11 +219,13 @@ class EulerParams:
         x = np.asarray(x, dtype=float)
         if self.q_star == 0.0:
             return np.full(x.shape, self.rho0)
-        c = (self.a * self.rho0 / self.q_star) ** 2
-        theta = self.f_over_D / 2.0
-        z = -c * np.exp(2.0 * theta * x - c)
-        if np.any(z == 0.0):
-            raise ValueError("equilibrium argument underflows; parameters too extreme")
+        ratio = self.a * self.rho0 / self.q_star
+        c, theta = ratio * ratio, self.f_over_D / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            z = -c * np.exp(2.0 * theta * x - c)   # nan where c = inf, 0 on an underflow
+        if not np.all(z < 0.0):
+            raise ValueError(f"equilibrium argument out of range at c = {c:g}: rho0 = "
+                             f"{self.rho0!r} and q_star = {self.q_star!r} are too extreme")
         w = lambert_w_minus1(z)
         return (abs(self.q_star) / self.a) * np.sqrt(-w)
 
@@ -241,8 +247,8 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     semi-definite, so certification fails at the source check.  That is
     not a proof that the system lacks the ISS property.
     """
-    if J != int(J) or J < 2:     # checked here: dx = l / J comes before the grid
-        raise ValueError(f"J must be an integer >= 2, got {J!r}")
+    if J != int(J) or J < 2 or not l > 0:     # checked here: dx = l / J comes before the grid
+        raise ValueError(f"J must be an integer >= 2 and l positive, got J={J!r}, l={l!r}")
     params = params or EulerParams()
     a, fD, q = params.a, params.f_over_D, params.q_star
     dx = l / J

@@ -101,9 +101,7 @@ def _ic_profile(mapping: dict, key: str, context: str, k: int):
 
 def _disturbance(boundary: dict, k: int) -> DisturbanceSignal:
     context = "boundary.disturbance"
-    if "disturbance" not in boundary:
-        return DisturbanceSignal.zero(k)
-    spec = _object(boundary, "disturbance", "boundary")
+    spec = _object(boundary, "disturbance", "boundary") if "disturbance" in boundary else {}
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return DisturbanceSignal.zero(k)
@@ -206,6 +204,7 @@ class ScenarioSpec:
                                         for key in ("kappa12", "kappa21"))
             elif "k0" in boundary or "kl" in boundary:
                 k0, kl = (_floats(boundary, key, "boundary") for key in ("k0", "kl"))
+                sv.check_sub_critical()   # before the mapping divides by g
                 try:
                     params["kappa"] = saint_venant_kappa(k0, kl, sv)
                 except ValueError as exc:   # its message starts with k0 or kl
@@ -222,8 +221,7 @@ class ScenarioSpec:
             params.update(params=EulerParams(**_present(model, "model", a=(), f_over_D=(),
                                                         rho0=(), q_star=())),
                           **_present(boundary, "boundary", kappa12=(), kappa21=()))
-        unread = raw.unread()
-        if unread:
+        if unread := raw.unread():
             raise ScenarioError(f"field '{unread}' is unknown for model '{name}' "
                                 "or overridden by another field")
         return params

@@ -51,6 +51,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             core.Grid1D(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(l=1.0, J=4, T=1e308, cfl=0.5, lambda_max=1.0),
+        dict(l=1e-320, J=4, T=1.0, cfl=0.5, lambda_max=1.0),
+        dict(l=1.0, J=4, T=1.0, cfl=1e-320, lambda_max=1.0),
+    ])
+    def test_step_count_overflow_names_the_grid_fields(self, kwargs):
+        with pytest.raises(ValueError, match=r"grid\.T .*grid\.l and grid\.cfl"):
+            core.Grid1D(**kwargs)
+
+    def test_infinite_speed_rejected(self):
+        with pytest.raises(ValueError, match="lambda_max must be positive and finite"):
+            core.Grid1D(1.0, 4, 1.0, 0.5, math.inf)
+
     def test_one_cell_rejected_with_count(self):
         with pytest.raises(ValueError, match="need at least two cells, got J=1"):
             core.Grid1D(1.0, 1, 1.0, 0.5, 1.0)

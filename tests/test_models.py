@@ -90,6 +90,27 @@ class TestSaintVenant:
         assert coeffs.M[0] == pytest.approx(1 - k12)
         assert coeffs.M[1] == pytest.approx(1 - k21)
 
+    def test_friction_terms_match_the_source_formula(self):
+        # the finite form g Cf (v/h -+ v^2/(2hc)) of g Cf v^2/(2h) (2/v -+ 1/c)
+        g, Cf, Sb, h, v = 9.81, 0.1, 0.0459, 2.0, 3.0
+        c = math.sqrt(g * h)
+        lam1, lam2 = v + c, v - c
+        imbalance = (Sb * h - Cf * v * v) * g / h
+        fric = g * Cf * v * v / (2.0 * h)
+        lo, hi = 2.0 / v - 1.0 / c, 2.0 / v + 1.0 / c
+        formula = np.array([
+            [0.75 * imbalance / lam1 + fric * lo, 0.25 * imbalance / lam1 + fric * hi],
+            [0.25 * imbalance / lam2 + fric * lo, 0.75 * imbalance / lam2 + fric * hi],
+        ])
+        gamma = models.saint_venant_scenario(J=8, gamma_override=None).coefficients.pi[0]
+        np.testing.assert_allclose(gamma, formula, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("override", [None, ((0.0992, 0.2008), (0.0992, 0.2008))])
+    def test_still_water_builds(self, override):
+        params = models.SaintVenantParams(Vstar=0.0)
+        sc = models.saint_venant_scenario(J=8, params=params, gamma_override=override)
+        assert np.all(np.isfinite(sc.coefficients.pi))
+
     def test_override_disagreement_is_flagged(self):
         sc = models.saint_venant_scenario(J=16)
         assert any("override" in note for note in sc.notes)
@@ -110,6 +131,10 @@ class TestSaintVenant:
 
 
 class TestEuler:
+    def test_overflowing_equilibrium_constant_named(self):
+        with pytest.raises(ValueError, match=r"rho0 = 1e\+308 and q_star = 0\.2"):
+            models.EulerParams(rho0=1e308).rho_star(np.zeros(3))
+
     def test_equilibrium_density(self):
         p = models.EulerParams()
         assert p.rho_star(0.0) == pytest.approx(3.0, rel=1e-12)

@@ -110,6 +110,19 @@ class TestLoading:
         dh = (2.5 - 2.0) * math.sqrt(9.81 / 2.0)
         assert np.array_equal(sc.initial, np.tile([4.0 - 3.0 + dh, 4.0 - 3.0 - dh], (16, 1)))
 
+    @pytest.mark.parametrize("override", [True, False])
+    def test_saint_venant_still_water_certifies(self, tmp_path, capsys, override):
+        # V* = 0 is a sub-critical equilibrium, with or without the source override
+        raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+        raw["grid"]["J"] = 50
+        raw["model"]["Vstar"] = 0.0
+        if not override:
+            del raw["model"]["gamma_override"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["certify", "--scenario", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+        assert capsys.readouterr().out.startswith("certificate: ")
+
     def test_saint_venant_half_gain_pair_rejected(self):
         raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
         del raw["boundary"]["kappa21"]
@@ -270,6 +283,13 @@ def test_non_finite_numbers_rejected_with_field(tmp_path, capsys, shipped, path,
      "'boundary.disturbance.times'"),
     # a constant initial condition is an object, not a bare list
     ("linear_benchmark", "model.ic", [-0.5, 0.5], "'model.ic'"),
+    # every element of an array is a JSON number, and every number fits a double
+    ("linear_benchmark", "boundary.M", ["1.0", True], "'boundary.M'"),
+    ("linear_benchmark", "boundary.M", [1.0, True], "'boundary.M'"),
+    pytest.param("linear_benchmark", "boundary.kappa12", 10**400,
+                 "'boundary.kappa12' must be finite", id="kappa12-400-digits"),
+    ("linear_benchmark", "model.name", ["linear2x2"], "'model.name'"),
+    ("linear_benchmark", "model.name", {"linear2x2": 1}, "'model.name'"),
 ])
 def test_bad_fields_rejected_with_name(tmp_path, capsys, shipped, path, value, field):
     _certify_fails_naming(tmp_path, capsys, shipped, path, value, field)
@@ -304,7 +324,20 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
         assert missing == []
 
 
-def _certify_fails_naming(tmp_path, capsys, shipped, path, value, field):
+@pytest.mark.parametrize("shipped,path,value,fields", [
+    ("linear_benchmark", "grid.T", 1e308, ("grid.T", "grid.l", "grid.cfl")),
+    ("linear_benchmark", "grid.l", 1e-320, ("grid.T", "grid.l", "grid.cfl")),
+    ("linear_benchmark", "grid.cfl", 1e-320, ("grid.T", "grid.l", "grid.cfl")),
+    ("isothermal_euler", "model.rho0", 1e308, ("rho0", "q_star")),
+])
+def test_unbuildable_values_fail_with_one_error_line(tmp_path, capsys, shipped, path, value,
+                                                     fields):
+    # a value that loads but cannot be built: no traceback and no numpy warning first
+    _certify_fails_naming(tmp_path, capsys, shipped, path, value, *fields, prefix="error:")
+
+
+def _certify_fails_naming(tmp_path, capsys, shipped, path, value, *fields,
+                          prefix="scenario error:"):
     raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
     raw["grid"].update(J=16, T=0.5)
     _set(raw, path, value)
@@ -312,7 +345,8 @@ def _certify_fails_naming(tmp_path, capsys, shipped, path, value, field):
     scenario.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
     assert main(["certify", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("scenario error:") and field in err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert all(field in err for field in fields)
 
 
 class TestBuildOptions:
