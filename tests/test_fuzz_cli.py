@@ -26,7 +26,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypiss.cli import main
 
@@ -95,8 +95,7 @@ def mutants(draw):
     return name, raw, number_lost
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(mutants(), st.sampled_from(["certify", "sweep"]))
 def test_exit_code_contract(mutant, command):
     name, raw, number_lost = mutant
