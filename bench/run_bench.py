@@ -1,12 +1,16 @@
 """March and writer benchmark: each backend on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_2.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_3.json]
 
 March rows: for each shipped scenario at J = 200 and J = 1600 (its other
 fields as shipped) this times ``hypiss.solver.run`` with the compiled and
-with the NumPy kernel, alternating the two in every repeat, and reports
-the median and the minimum over the repeats of the wall time divided by
-the J * N cell-steps marched.
+with the NumPy kernel, alternating them in every repeat, and reports the
+median and the minimum over the repeats of the wall time divided by the
+J * N cell-steps marched.  A third entry, ``c_per_cell``, times the
+compiled kernel with one coefficient column per cell even where every
+cell holds the same coefficients, as the march did before it collapsed
+constant coefficients to one column; ``collapse_speedup_median`` is its
+median over that of ``c``.
 
 Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
@@ -17,8 +21,8 @@ value written.
 
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_2.json`` at the repository root by default;
-``BENCH_1.json`` holds the march rows of the previous version).
+``--out`` (``BENCH_3.json`` at the repository root by default;
+``BENCH_2.json`` and ``BENCH_1.json`` hold those of earlier versions).
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from hypiss.scenario import ScenarioSpec  # noqa: E402
 SCENARIOS = ("linear_benchmark", "saint_venant", "isothermal_euler")
 J_LIST = (200, 1600)
 BACKENDS = ("c", "numpy")
+MARCHES = ("c", "c_per_cell", "numpy")
+VARIES = solver._varies
 WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
 
 
@@ -69,9 +75,11 @@ def environment() -> dict:
 
 
 def use(backend: str) -> None:
-    """Select the compiled library, or none, as on a host without a compiler."""
-    solver._lib = None if backend == "c" else False
-    if backend == "c" and solver._load() is None:
+    """Select the compiled library, or none, as on a host without a compiler;
+    ``c_per_cell`` marches every scenario with one coefficient column per cell."""
+    solver._lib = None if backend != "numpy" else False
+    solver._varies = (lambda *arrays: True) if backend == "c_per_cell" else VARIES
+    if backend != "numpy" and solver._load() is None:
         raise RuntimeError("the compiled library could not be loaded")
 
 
@@ -80,7 +88,7 @@ def ns_per_cell_step(scenario, backend: str) -> float:
     start = time.perf_counter()
     result = solver.run(scenario)
     elapsed = time.perf_counter() - start
-    if result.backend != backend:
+    if result.backend != backend.split("_")[0]:
         raise RuntimeError(f"asked for the {backend} kernel, ran {result.backend}")
     return elapsed / (scenario.grid.J * result.steps) * 1e9
 
@@ -127,7 +135,7 @@ def writer_rows(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_2.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_3.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)
@@ -137,18 +145,21 @@ def main(argv=None) -> int:
         spec = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
         for J in J_LIST:
             scenario = spec.build(J=J)
-            times = {backend: [] for backend in BACKENDS}
+            times = {backend: [] for backend in MARCHES}
             for _ in range(args.repeats):
-                for backend in BACKENDS:
+                for backend in MARCHES:
                     times[backend].append(ns_per_cell_step(scenario, backend))
             row = {"scenario": name, "J": J, "N": scenario.grid.N,
                    **{backend: {"median": statistics.median(t), "min": min(t)}
                       for backend, t in times.items()}}
             row["speedup_median"] = row["numpy"]["median"] / row["c"]["median"]
+            row["collapse_speedup_median"] = row["c_per_cell"]["median"] / row["c"]["median"]
             rows.append(row)
             print(f"{name:17s} J={J:5d}  c {row['c']['median']:7.2f}  "
+                  f"c_per_cell {row['c_per_cell']['median']:7.2f}  "
                   f"numpy {row['numpy']['median']:7.2f} ns per cell-step  "
-                  f"x{row['speedup_median']:.1f}", file=sys.stderr)
+                  f"x{row['speedup_median']:.1f}  "
+                  f"x{row['collapse_speedup_median']:.2f}", file=sys.stderr)
     report = {"benchmark": "march and writers", "unit": "ns per cell-step",
               "repeats": args.repeats, "environment": environment(), "rows": rows,
               "writers": writer_rows(args.repeats)}

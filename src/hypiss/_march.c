@@ -5,8 +5,12 @@
  * ghost columns 0 and J+1, of a 2x2 system with one positive and one
  * negative speed (k = 2, m = 1, the shape of every shipped scenario) from
  * level n0 to level n1 with one step size; every other shape marches in
- * the NumPy kernel only.  Each step does the operations of the NumPy
- * kernel in solver.py in the same order, so the state is bit-identical:
+ * the NumPy kernel only.  Cell j's coefficients r_lam and pi_cols are at
+ * column cs * j: cs = 1, or cs = 0 when solver.py found them the same in
+ * every cell, and step_2x2's one loop body is inlined for each stride, so
+ * the constant case streams only the state and the weights.  Each step
+ * does the operations of the NumPy kernel in solver.py in the same order,
+ * so the state is bit-identical:
  *
  *   transport   tilde = inner - (upwind difference) * r_lam
  *   source      inner = tilde + (sum_c Pi[:, c] tilde[c]) * (-step)
@@ -58,26 +62,34 @@ static double pairwise_sum(const double *a, ptrdiff_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
+#ifdef __GNUC__
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
 /* One step of the transport and source updates in one pass over the
  * cells; prod receives the functional's terms.  The positive row is read
  * from a copy, old, because the pass overwrites the upwind cell it needs;
  * the negative row's upwind cell is still unwritten when it is read. */
-static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
-                     const double *restrict pi_cols, const double *restrict p,
-                     double *restrict old, double *restrict prod, double neg_step)
+static ALWAYS_INLINE void step_2x2(long J, double *restrict W, const double *restrict r_lam,
+                                   const double *restrict pi_cols, const double *restrict p,
+                                   double *restrict old, double *restrict prod,
+                                   double neg_step, long cs)
 {
     double *restrict pos = W + 1, *restrict neg = W + (J + 2) + 1;
-    const double *r_pos = r_lam, *r_neg = r_lam + J;
-    const double *pi00 = pi_cols, *pi10 = pi_cols + J;         /* column 0 */
-    const double *pi01 = pi_cols + 2 * J, *pi11 = pi_cols + 3 * J;
+    const long nc = cs ? J : 1;
+    const double *r_pos = r_lam, *r_neg = r_lam + nc;
+    const double *pi00 = pi_cols, *pi10 = pi_cols + nc;        /* column 0 */
+    const double *pi01 = pi_cols + 2 * nc, *pi11 = pi_cols + 3 * nc;
     memcpy(old, W, (size_t)(J + 1) * sizeof(double));
     for (long j = 0; j < J; j++) {
-        double t0 = old[j + 1] - (old[j + 1] - old[j]) * r_pos[j];
-        double t1 = neg[j] - (neg[j + 1] - neg[j]) * r_neg[j];
-        double s0 = pi00[j] * t0;
-        s0 += pi01[j] * t1;
-        double s1 = pi10[j] * t0;
-        s1 += pi11[j] * t1;
+        double t0 = old[j + 1] - (old[j + 1] - old[j]) * r_pos[cs * j];
+        double t1 = neg[j] - (neg[j + 1] - neg[j]) * r_neg[cs * j];
+        double s0 = pi00[cs * j] * t0;
+        s0 += pi01[cs * j] * t1;
+        double s1 = pi10[cs * j] * t0;
+        s1 += pi11[cs * j] * t1;
         double w0 = t0 + s0 * neg_step, w1 = t1 + s1 * neg_step;
         pos[j] = w0;
         neg[j] = w1;
@@ -86,17 +98,20 @@ static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
     }
 }
 
-/* r_lam, p, prod: (2, J); old: J + 1 doubles of scratch; pi_cols:
- * (2, 2, J) with pi_cols[c][a][j] = Pi_j[a][c]; K: (2, 2); M: (2);
- * b: (levels, 2). */
+/* p, prod: (2, J); old: J + 1 doubles of scratch; r_lam: (2, C) and
+ * pi_cols: (2, 2, C) with pi_cols[c][a][j] = Pi_j[a][c], where C = J for
+ * cs = 1 and C = 1 for cs = 0; K: (2, 2); M: (2); b: (levels, 2). */
 long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
                   const double *p, const double *K, const double *M,
                   const double *b, double *lyap, double *old, double *prod,
-                  double step, double dx, long n0, long n1)
+                  double step, double dx, long n0, long n1, long cs)
 {
     const ptrdiff_t w = J + 2;
     for (long n = n0; n < n1; n++) {
-        step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step);
+        if (cs)
+            step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step, 1);
+        else
+            step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step, 0);
         double L = dx * pairwise_sum(prod, 2 * J);
         if (!isfinite(L))   /* a non-finite interior makes L non-finite */
             for (long j = 1; j <= J; j++)

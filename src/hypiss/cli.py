@@ -5,8 +5,8 @@ Exit codes: ``certify`` is nonzero exactly when the certificate fails;
 the certificate fails and ``--force`` was not given; ``table`` is nonzero
 when any row fails.  A bad ``--stride``, ``--J-list`` or ``--xi-range``
 exits 2 from argparse, and a scenario that fails to load or build exits
-2, both before ``--out`` is made.  Every command runs
-sequentially in one thread.
+2, both before ``--out`` is made.  Running out of memory exits 2 with one
+error line too.  Every command runs sequentially in one thread.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:     # as numpy raises for an array too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypiss import scenario
 from hypiss.cli import main
 from hypiss.scenario import load_scenario
 
@@ -80,6 +81,22 @@ class TestCertifyCommand:
         code = main(["certify", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: equilibrium not sub-critical")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 14.9 PiB for an array with shape (1000000000000002, 2) "
+         "and data type float64", None),
+        ("", "error: out of memory")])
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                 message, line):
+        # the builder raises as numpy does for a huge grid.J; nothing is allocated
+        def no_memory(**params):
+            raise MemoryError(message)
+        monkeypatch.setitem(scenario._BUILDERS, "linear2x2", no_memory)
+        code = main(["certify", "--scenario", str(small_benchmark(tmp_path)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (line or f"error: {message}") + "\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,6 +357,93 @@ class TestThreeComponents:
         for (n, got), want in zip(res.history, snapshots):
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale), f"level {n}"
         assert np.allclose(res.final, W, rtol=1e-13, atol=1e-13 * scale)
+
+
+def spy_strides(monkeypatch):
+    """The coefficient column stride of every compiled march call, made
+    through the real kernel."""
+    lib, strides = solver._load(), []
+    if lib is None:
+        pytest.skip("the compiled step kernel could not be built")
+
+    def hypiss_march(*args):
+        strides.append(args[-1])
+        return lib.hypiss_march(*args)
+    monkeypatch.setattr(solver, "_load", lambda: SimpleNamespace(hypiss_march=hypiss_march))
+    return strides
+
+
+class TestConstantCoefficients:
+    """Coefficients equal in every cell march from one column; a single
+    differing cell, in the speeds or in Pi, keeps one column per cell."""
+
+    J = 9
+
+    def coefficients(self, rng, case):
+        J = self.J
+        lam = np.tile([1.7, -1.3], (J + 2, 1))
+        pi = np.tile(rng.normal(0.0, 0.5, (2, 2)), (J, 1, 1))
+        if case == "one ghost speed":
+            lam[J + 1, 1] = -1.9          # the upwind speed of the last cell's negative row
+        elif case == "last cell's source":
+            pi[J - 1, 1, 0] += 0.25
+        elif case == "variable source":
+            pi = rng.normal(0.0, 0.5, (J, 2, 2))
+        elif case == "variable speeds":
+            lam = np.column_stack([rng.uniform(0.5, 2.0, J + 2), -rng.uniform(0.5, 2.0, J + 2)])
+        b = core.DisturbanceSignal.tabulated([0.0, 0.4, 1.0, 1.3], rng.uniform(-0.5, 0.5, (4, 2)))
+        return core.SystemCoefficients(
+            k=2, m=1, lam=lam, pi=pi, K=np.array([[0.0, 0.6], [-0.7, 0.0]]),
+            M=np.array([0.8, 1.2]), b=b)
+
+    @pytest.mark.parametrize("case, stride", [
+        ("constant", 0), ("one ghost speed", 1), ("last cell's source", 1),
+        ("variable source", 1), ("variable speeds", 1)])
+    def test_march_matches_full_columns_and_loop(self, march_backend, monkeypatch, case, stride):
+        rng = np.random.default_rng(400)
+        g = core.Grid1D(l=1.0, J=self.J, T=1.33, cfl=0.9, lambda_max=2.0)
+        times = g.times()
+        assert times[-1] - times[-2] < 0.7 * g.dt       # a shortened final step
+        c = self.coefficients(rng, case)
+        weights = core.WeightField(rng.uniform(0.5, 2.0, (self.J + 2, 2)))
+        init = rng.normal(size=(self.J, 2))
+        sc = scenario(g, c, init, weights)
+        with monkeypatch.context() as mp:
+            strides = spy_strides(mp) if march_backend == "c" else None
+            got = solver.run(sc, stride=1)
+        if strides is not None:
+            assert strides and set(strides) == {stride}
+        monkeypatch.setattr(solver, "_lib", False)
+        monkeypatch.setattr(solver, "_varies", lambda *arrays: True)
+        want = solver.run(sc, stride=1)     # the NumPy kernel on one column per cell
+        assert np.array_equal(got.final, want.final)
+        for (n, a), (_, b) in zip(got.history, want.history):
+            assert np.array_equal(a, b), f"level {n}"
+        assert np.array_equal(got.lyapunov, want.lyapunov)
+        L, snapshots, W = TestThreeComponents().reference(g, c, weights, init)
+        assert np.allclose(got.lyapunov, L, rtol=1e-13, atol=0)
+        scale = max(np.max(np.abs(s)) for s in snapshots)
+        assert np.allclose(got.final, W, rtol=1e-13, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("name, stride", [
+        ("linear_benchmark", 0), ("saint_venant", 0), ("isothermal_euler", 1)])
+    def test_shipped_scenarios_stride(self, name, stride, monkeypatch):
+        sc = load_scenario(str(SCENARIOS / f"{name}.json")).build(J=40)
+        strides = spy_strides(monkeypatch)
+        solver.run(sc)
+        assert strides and set(strides) == {stride}
+
+    def test_decided_once_per_run(self, monkeypatch):
+        # a snapshot every step makes one kernel call per step; the
+        # coefficients are still scanned once, before the first
+        sc = load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=40)
+        scans = []
+        varies = solver._varies
+        monkeypatch.setattr(solver, "_varies", lambda *arrays: scans.append(1) or varies(*arrays))
+        strides = spy_strides(monkeypatch)
+        res = solver.run(sc, stride=1)
+        assert len(strides) == res.steps > 1
+        assert set(strides) == {0} and len(scans) == 1
 
 
 class TestBackends:
