@@ -6,11 +6,10 @@ March rows: for each shipped scenario at J = 200 and J = 1600 (its other
 fields as shipped) this times ``hypiss.solver.run`` with the compiled and
 with the NumPy kernel, alternating them in every repeat, and reports the
 median and the minimum over the repeats of the wall time divided by the
-J * N cell-steps marched.  A third entry, ``c_per_cell``, times the
-compiled kernel with one coefficient column per cell even where every
-cell holds the same coefficients, as the march did before it collapsed
-constant coefficients to one column; ``collapse_speedup_median`` is its
-median over that of ``c``.
+J * N cell-steps marched.  (``BENCH_3.json`` also holds a ``c_per_cell``
+entry, measured before this script lost it: the compiled kernel with one
+coefficient column per cell on scenarios whose coefficients are the same
+in every cell.)
 
 Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
@@ -49,8 +48,6 @@ from hypiss.scenario import ScenarioSpec  # noqa: E402
 SCENARIOS = ("linear_benchmark", "saint_venant", "isothermal_euler")
 J_LIST = (200, 1600)
 BACKENDS = ("c", "numpy")
-MARCHES = ("c", "c_per_cell", "numpy")
-VARIES = solver._varies
 WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
 
 
@@ -75,11 +72,9 @@ def environment() -> dict:
 
 
 def use(backend: str) -> None:
-    """Select the compiled library, or none, as on a host without a compiler;
-    ``c_per_cell`` marches every scenario with one coefficient column per cell."""
-    solver._lib = None if backend != "numpy" else False
-    solver._varies = (lambda *arrays: True) if backend == "c_per_cell" else VARIES
-    if backend != "numpy" and solver._load() is None:
+    """Select the compiled library, or none, as on a host without a compiler."""
+    solver._lib = None if backend == "c" else False
+    if backend == "c" and solver._load() is None:
         raise RuntimeError("the compiled library could not be loaded")
 
 
@@ -88,7 +83,7 @@ def ns_per_cell_step(scenario, backend: str) -> float:
     start = time.perf_counter()
     result = solver.run(scenario)
     elapsed = time.perf_counter() - start
-    if result.backend != backend.split("_")[0]:
+    if result.backend != backend:
         raise RuntimeError(f"asked for the {backend} kernel, ran {result.backend}")
     return elapsed / (scenario.grid.J * result.steps) * 1e9
 
@@ -145,21 +140,18 @@ def main(argv=None) -> int:
         spec = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
         for J in J_LIST:
             scenario = spec.build(J=J)
-            times = {backend: [] for backend in MARCHES}
+            times = {backend: [] for backend in BACKENDS}
             for _ in range(args.repeats):
-                for backend in MARCHES:
+                for backend in BACKENDS:
                     times[backend].append(ns_per_cell_step(scenario, backend))
             row = {"scenario": name, "J": J, "N": scenario.grid.N,
                    **{backend: {"median": statistics.median(t), "min": min(t)}
                       for backend, t in times.items()}}
             row["speedup_median"] = row["numpy"]["median"] / row["c"]["median"]
-            row["collapse_speedup_median"] = row["c_per_cell"]["median"] / row["c"]["median"]
             rows.append(row)
             print(f"{name:17s} J={J:5d}  c {row['c']['median']:7.2f}  "
-                  f"c_per_cell {row['c_per_cell']['median']:7.2f}  "
                   f"numpy {row['numpy']['median']:7.2f} ns per cell-step  "
-                  f"x{row['speedup_median']:.1f}  "
-                  f"x{row['collapse_speedup_median']:.2f}", file=sys.stderr)
+                  f"x{row['speedup_median']:.1f}", file=sys.stderr)
     report = {"benchmark": "march and writers", "unit": "ns per cell-step",
               "repeats": args.repeats, "environment": environment(), "rows": rows,
               "writers": writer_rows(args.repeats)}

@@ -15,10 +15,10 @@ Three families of conditions are verified on the sampled data:
 The disturbance gain ``nu`` is the largest eigenvalue of the
 boundary-weighted injection matrix.  The decay rate reported on a pass is
 the closed form mu * alpha * exp(-mu dx) whenever the weights are in
-implicit exponential form and the speeds are constant in x (this is the
-value the decay envelope and the convergence tables are built from); the
-per-cell tightest ratio is computed alongside and always bounds it from
-above.
+implicit exponential form and the speeds are the same, bit for bit, at
+every sample (this is the value the decay envelope and the convergence
+tables are built from); the per-cell tightest ratio is computed alongside
+and always bounds it from above.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Grid1D, SystemCoefficients, WeightField
+from .core import Grid1D, SystemCoefficients, WeightField, same_in_every_cell
 
 __all__ = [
     "PD_TOL",
@@ -112,20 +112,16 @@ def _transport_entries(coefficients: SystemCoefficients, weights: WeightField,
     return out
 
 
-def _constant_speeds(coefficients: SystemCoefficients) -> bool:
-    lam = coefficients.lam
-    return bool(np.all(np.abs(lam - lam[0]) <= 1e-12 * np.maximum(1.0, np.abs(lam[0]))))
-
-
 def check_transport(coefficients: SystemCoefficients, weights: WeightField,
                     grid: Grid1D) -> TransportCheck:
     """C1: per-cell positive definiteness and the resulting decay rate.
 
     ``eta_ratio`` is min over cells and components of entry/weight, the
     largest constant with W^T Theta W >= eta W^T P W.  When the weights
-    are implicit and the speeds constant, the certified ``eta`` is the
-    closed form mu * alpha * exp(-mu dx), which bounds the ratio from
-    below and is the rate quoted by the convergence tables.
+    are implicit and the speeds are the same, bit for bit, at all J + 2
+    samples (:func:`~hypiss.core.same_in_every_cell`), the certified ``eta``
+    is the closed form mu * alpha * exp(-mu dx), which bounds the ratio
+    from below and is the rate quoted by the convergence tables.
     """
     entries = _transport_entries(coefficients, weights, grid)
     p_int = weights.interior()
@@ -137,7 +133,7 @@ def check_transport(coefficients: SystemCoefficients, weights: WeightField,
         j, comp = np.unravel_index(int(np.argmin(entries)), entries.shape)
         witness = Witness("C1", int(j), int(comp), float(entries[j, comp]))
     eta_closed = None
-    if weights.is_implicit and _constant_speeds(coefficients):
+    if weights.is_implicit and same_in_every_cell(coefficients.lam):
         alpha = float(np.min(np.abs(coefficients.lam[0])))
         eta_closed = weights.mu * alpha * float(np.exp(-weights.mu * grid.dx))
     if not passed:

@@ -24,7 +24,15 @@ __all__ = [
     "DisturbanceSignal",
     "SystemCoefficients",
     "WeightField",
+    "same_in_every_cell",
 ]
+
+
+def same_in_every_cell(*arrays: np.ndarray) -> bool:
+    """Whether each float64 array, indexed by cell or sample along its first
+    axis, holds its first sample at every other one, bit for bit, so that
+    -0.0 and 0.0 differ and a NaN equals itself."""
+    return all(np.all(a.view(np.uint64) == a[:1].view(np.uint64)) for a in arrays)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ Both sub-steps use the same step size ``dt_n``: the nominal ``dt``, and
 ``r lam_up`` is computed once more.  Initial ghosts come from the discrete
 compatibility condition, which carries no disturbance term.  The state is
 held component-major, shape (k, J+2), so every update runs on contiguous
-rows.  When ``lam_up`` and the columns of ``Pi`` hold the same values,
-bit for bit, in every cell, as in the shipped benchmark and Saint-Venant
-scenarios, each is cut to one column once per run: NumPy broadcasts that
-(k, 1) column, and the C kernel marches it with a coefficient column
+rows.  When the speeds and the source matrices are the same, bit for
+bit, at every sample (:func:`hypiss.core.same_in_every_cell`), as in the
+shipped benchmark and Saint-Venant scenarios, only cell 0's upwind speeds
+and ``Pi`` are laid out, as one column, once per run: NumPy broadcasts
+that (k, 1) column, and the C kernel marches it with a coefficient column
 stride of 0 (1 otherwise).
 
 The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
@@ -55,6 +56,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .core import same_in_every_cell
 from .models import Scenario
 
 __all__ = [
@@ -160,12 +162,6 @@ def _load():
     return _lib or None
 
 
-def _varies(*arrays: np.ndarray) -> bool:
-    """Whether any array differs along its last axis, the cells, bit for
-    bit, so that -0.0 and 0.0 differ and a NaN equals itself."""
-    return any(np.any(a.view(np.uint64) != a[..., :1].view(np.uint64)) for a in arrays)
-
-
 def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     """March ``scenario`` from t = 0 to t = T, recording the Lyapunov series.
 
@@ -198,13 +194,11 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     acc = np.empty((k, J))
     prod = np.empty((k, J))
 
-    lam_up = np.ascontiguousarray(
-        np.concatenate([coeffs.lam[:-2, :m], coeffs.lam[2:, m:]], axis=1).T)
-    pi_cols = np.ascontiguousarray(coeffs.pi.transpose(2, 1, 0))  # [c, a, j] = Pi_j[a, c]
     # the column stride of the coefficients: 0 marches every cell from cell 0's column
-    cs = 1 if _varies(lam_up, pi_cols) else 0
-    if cs == 0:
-        lam_up, pi_cols = lam_up[:, :1].copy(), pi_cols[..., :1].copy()
+    cs = 0 if same_in_every_cell(coeffs.lam, coeffs.pi) else 1
+    lam, pi = (coeffs.lam[:3], coeffs.pi[:1]) if cs == 0 else (coeffs.lam, coeffs.pi)
+    lam_up = np.ascontiguousarray(np.concatenate([lam[:-2, :m], lam[2:, m:]], axis=1).T)
+    pi_cols = np.ascontiguousarray(pi.transpose(2, 1, 0))  # [c, a, j] = Pi_j[a, c]
     first_term, *more_terms = [(pi_cols[c], tilde[c]) for c in range(k)]
 
     def functional() -> float:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypiss import core, solver
+from hypiss import certifier, core, solver
 from hypiss.models import Scenario
 from hypiss.scenario import load_scenario
 
@@ -414,7 +414,7 @@ class TestConstantCoefficients:
         if strides is not None:
             assert strides and set(strides) == {stride}
         monkeypatch.setattr(solver, "_lib", False)
-        monkeypatch.setattr(solver, "_varies", lambda *arrays: True)
+        monkeypatch.setattr(solver, "same_in_every_cell", lambda *arrays: False)
         want = solver.run(sc, stride=1)     # the NumPy kernel on one column per cell
         assert np.array_equal(got.final, want.final)
         for (n, a), (_, b) in zip(got.history, want.history):
@@ -438,12 +438,28 @@ class TestConstantCoefficients:
         # coefficients are still scanned once, before the first
         sc = load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=40)
         scans = []
-        varies = solver._varies
-        monkeypatch.setattr(solver, "_varies", lambda *arrays: scans.append(1) or varies(*arrays))
+        same = solver.same_in_every_cell
+        monkeypatch.setattr(solver, "same_in_every_cell",
+                            lambda *arrays: scans.append(1) or same(*arrays))
         strides = spy_strides(monkeypatch)
         res = solver.run(sc, stride=1)
         assert len(strides) == res.steps > 1
         assert set(strides) == {0} and len(scans) == 1
+
+    def test_one_ulp_in_one_speed_sample(self, monkeypatch):
+        # the certifier and the march ask the same bit-exact question: a
+        # speed one ulp off at one sample loses the closed-form rate and
+        # marches one column per cell
+        sc = load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=50)
+        c1 = certifier.check_transport(sc.coefficients, sc.weights, sc.grid)
+        assert c1.eta_closed_form is not None and c1.eta == c1.eta_closed_form
+        lam = sc.coefficients.lam
+        lam[20, 0] = np.nextafter(lam[20, 0], np.inf)
+        c1 = certifier.check_transport(sc.coefficients, sc.weights, sc.grid)
+        assert c1.passed and c1.eta_closed_form is None and c1.eta == c1.eta_ratio
+        strides = spy_strides(monkeypatch)
+        solver.run(sc)
+        assert strides and set(strides) == {1}
 
 
 class TestBackends:
