@@ -96,7 +96,6 @@ def _row_formatter():
     if lib is None:
         return _python_rows()
     fn, ptr, long = lib.hypiss_csv_rows, ctypes.c_void_p, ctypes.c_long
-    fn.restype, fn.argtypes = long, [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
     table = _schubfach_table().ctypes.data
     buf = np.empty(0, dtype=np.uint8)
 

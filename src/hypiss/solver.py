@@ -141,8 +141,8 @@ def _build() -> Path:
 
 def _load():
     """The compiled library, built and loaded on the first call, with the
-    signature of ``hypiss_march`` declared; None when it cannot be built
-    (no compiler, or the build fails)."""
+    signatures of ``hypiss_march`` and ``hypiss_csv_rows`` declared; None
+    when it cannot be built (no compiler, or the build fails)."""
     global _lib
     if _lib is None:
         try:
@@ -153,10 +153,11 @@ def _load():
                         exc)
             _lib = False
         else:
-            long = ctypes.c_long
+            long, ptr = ctypes.c_long, ctypes.c_void_p
             lib.hypiss_march.restype = long
-            lib.hypiss_march.argtypes = ([long] + [ctypes.c_void_p] * 10
-                                         + [ctypes.c_double] * 2 + [long] * 3)
+            lib.hypiss_march.argtypes = [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 3
+            lib.hypiss_csv_rows.restype = long
+            lib.hypiss_csv_rows.argtypes = [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
             logger.info("march backend: c, %s", path)
             _lib = lib
     return _lib or None
