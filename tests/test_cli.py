@@ -335,3 +335,24 @@ def test_failed_load_makes_no_output_directory(tmp_path, capsys, command):
     assert code == 2
     assert capsys.readouterr().err.startswith("scenario error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value, certify_error, sweep_error", [
+    ("boundary.M", [1e308, 1.0], "certificate nu = inf", "sweep at xi = 0.05: nu = inf"),
+    ("boundary.kappa12", 1e308, "certificate c3.eigenvalues = nan", None),
+    ("weights.p_plus", [1e-320], "certificate C1 = inf",
+     "sweep at xi = 0.05: kappa12_bound = inf"),
+])
+def test_non_finite_certificate_quantity_exits_2(tmp_path, capsys, field, value,
+                                                 certify_error, sweep_error):
+    # numpy warns of nothing (the suite turns a warning into a failure): a
+    # quantity that overflows is named on one error line, and a sweep whose
+    # rows stay finite exits 0
+    path = small_benchmark(tmp_path, J=50, **{field: value})
+    for command, error in (("certify", certify_error), ("sweep", sweep_error)):
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: {error} is not finite\n")

@@ -11,11 +11,10 @@ file holds:
   ``error:``;
 * a value that is not a number, where the file held a number, never
   exits 0;
-* a run that exits 2 issues no warning: the error line is its only report.
+* no run issues a warning, whatever its exit code: a huge or tiny number
+  that loads (a gain of 1e308, a weight of 1e-320) either gives finite
+  results or exits 2 naming the first quantity that is not finite.
 
-Warnings are recorded here rather than raised, as they are outside the
-suite: a huge or tiny number that loads (a gain of 1e308, a weight of
-1e-320) can make the certifier overflow, warn, and still exit 0 or 1.
 The examples are derandomized, so the test is the same on every run.
 """
 
@@ -104,13 +103,12 @@ def test_exit_code_contract(mutant, command):
         scenario.write_text(json.dumps(raw), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     if code == 2:
         last = err.getvalue().splitlines()[-1]
         assert last.startswith(("scenario error:", "error:")), last
-        assert not caught, [str(w.message) for w in caught]
     if number_lost:
         assert code != 0
