@@ -19,6 +19,10 @@ implicit exponential form and the speeds are the same, bit for bit, at
 every sample (this is the value the decay envelope and the convergence
 tables are built from); the per-cell tightest ratio is computed alongside
 and always bounds it from above.
+
+:func:`certify` and :func:`sweep_xi` compute without numpy warnings: a
+huge or tiny gain or weight that overflows raises ValueError naming the
+first quantity they report that is not finite.
 """
 
 from __future__ import annotations
