@@ -1,15 +1,12 @@
 """March and writer benchmark: each backend on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_3.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_4.json]
 
 March rows: for each shipped scenario at J = 200 and J = 1600 (its other
 fields as shipped) this times ``hypiss.solver.run`` with the compiled and
 with the NumPy kernel, alternating them in every repeat, and reports the
 median and the minimum over the repeats of the wall time divided by the
-J * N cell-steps marched.  (``BENCH_3.json`` also holds a ``c_per_cell``
-entry, measured before this script lost it: the compiled kernel with one
-coefficient column per cell on scenarios whose coefficients are the same
-in every cell.)
+J * N cell-steps marched.
 
 Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
@@ -20,8 +17,11 @@ value written.
 
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_3.json`` at the repository root by default;
-``BENCH_2.json`` and ``BENCH_1.json`` hold those of earlier versions).
+``--out`` (``BENCH_4.json`` at the repository root by default;
+``BENCH_1.json`` to ``BENCH_3.json`` hold those of earlier versions, and
+``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
+writes: the compiled kernel with one coefficient column per cell where
+every cell holds the same coefficients).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def writer_rows(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_3.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_4.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)

@@ -356,6 +356,7 @@ def _require_finite(quantities: dict, where: str) -> None:
                 raise ValueError(f"{name} = {v!r} is not finite")
 
 
+@np.errstate(all="ignore")     # a quantity that is not finite is named instead
 def certify(scenario) -> CertificateReport:
     """Run all static checks for a scenario and assemble the report.
 
@@ -368,27 +369,27 @@ def certify(scenario) -> CertificateReport:
     coeffs = scenario.coefficients
     weights = scenario.weights
     xi = scenario.xi
-    with np.errstate(all="ignore"):     # a non-finite result is named below instead
-        c1 = check_transport(coeffs, weights, grid)
-        c2 = check_source(coeffs, weights, grid)
-        c3 = check_boundary(coeffs, weights, xi)
-        nu = disturbance_gain(coeffs, weights)
-        zeta, beta = weights.eigen_bounds()
-        eta = c1.eta
-        eta_dt_ok = eta is not None and 0.0 < eta * grid.dt < 1.0
-        overall = c1.passed and c2.passed and c3.passed and eta_dt_ok
-        first = next((c.witness for c in (c1, c2, c3) if c.witness is not None), None)
-        cont = check_continuous_sampled(coeffs, weights, grid) and c3.passed
-        notes = list(getattr(scenario, "notes", []))
-        report = CertificateReport(
-            overall=overall, c1=c1, c2=c2, c3=c3, eta=eta, nu=nu, xi=xi,
-            zeta=zeta, beta=beta, C1_const=beta / zeta,
-            C2_const=nu / zeta, dt=grid.dt, eta_dt_ok=eta_dt_ok,
-            first_failure=first, continuous_sampled_ok=cont, notes=notes)
+    c1 = check_transport(coeffs, weights, grid)
+    c2 = check_source(coeffs, weights, grid)
+    c3 = check_boundary(coeffs, weights, xi)
+    nu = disturbance_gain(coeffs, weights)
+    zeta, beta = weights.eigen_bounds()
+    eta = c1.eta
+    eta_dt_ok = eta is not None and 0.0 < eta * grid.dt < 1.0
+    overall = c1.passed and c2.passed and c3.passed and eta_dt_ok
+    first = next((c.witness for c in (c1, c2, c3) if c.witness is not None), None)
+    cont = check_continuous_sampled(coeffs, weights, grid) and c3.passed
+    notes = list(getattr(scenario, "notes", []))
+    report = CertificateReport(
+        overall=overall, c1=c1, c2=c2, c3=c3, eta=eta, nu=nu, xi=xi,
+        zeta=zeta, beta=beta, C1_const=beta / zeta,
+        C2_const=nu / zeta, dt=grid.dt, eta_dt_ok=eta_dt_ok,
+        first_failure=first, continuous_sampled_ok=cont, notes=notes)
     _require_finite(report.to_dict(), "certificate ")
     return report
 
 
+@np.errstate(all="ignore")
 def sweep_xi(scenario, xi_values) -> List[dict]:
     """Boundary-gain bounds, nu and the envelope constant across a xi grid.
 
@@ -396,21 +397,20 @@ def sweep_xi(scenario, xi_values) -> List[dict]:
     finite, as :func:`certify` does."""
     rows = []
     coeffs, weights = scenario.coefficients, scenario.weights
-    with np.errstate(all="ignore"):
-        c1 = check_transport(coeffs, weights, scenario.grid)
-        nu = disturbance_gain(coeffs, weights)
-        for xi in xi_values:
-            c3 = check_boundary(coeffs, weights, float(xi))
-            env_const = None
-            if c1.eta is not None:
-                env_const = (1.0 + 1.0 / float(xi)) * nu / c1.eta
-            rows.append({
-                "xi": float(xi),
-                "kappa12_bound": c3.kappa12_bound,
-                "kappa21_bound": c3.kappa21_bound,
-                "nu": nu,
-                "envelope_constant": env_const,
-            })
-    for row in rows:
+    c1 = check_transport(coeffs, weights, scenario.grid)
+    nu = disturbance_gain(coeffs, weights)
+    for xi in xi_values:
+        c3 = check_boundary(coeffs, weights, float(xi))
+        env_const = None
+        if c1.eta is not None:
+            env_const = (1.0 + 1.0 / float(xi)) * nu / c1.eta
+        row = {
+            "xi": float(xi),
+            "kappa12_bound": c3.kappa12_bound,
+            "kappa21_bound": c3.kappa21_bound,
+            "nu": nu,
+            "envelope_constant": env_const,
+        }
         _require_finite(row, f"sweep at xi = {row['xi']!r}: ")
+        rows.append(row)
     return rows

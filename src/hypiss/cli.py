@@ -6,7 +6,8 @@ the certificate fails and ``--force`` was not given; ``table`` is nonzero
 when any row fails.  A bad ``--stride``, ``--J-list`` or ``--xi-range``
 exits 2 from argparse, and a scenario that fails to load or build exits
 2, both before ``--out`` is made.  Running out of memory, or a certificate
-quantity that is not finite, exits 2 with one error line too.  Every command runs sequentially in one thread.
+quantity that is not finite, exits 2 with one error line too.  Every
+command runs sequentially in one thread.
 """
 
 from __future__ import annotations
