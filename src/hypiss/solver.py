@@ -195,7 +195,8 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     acc = np.empty((k, J))
     prod = np.empty((k, J))
 
-    # the column stride of the coefficients: 0 marches every cell from cell 0's column
+    # the column stride of the coefficients: 0 marches every cell from cell 0's
+    # column, whose upwind speeds are samples 0 and 2 of lam
     cs = 0 if same_in_every_cell(coeffs.lam, coeffs.pi) else 1
     lam, pi = (coeffs.lam[:3], coeffs.pi[:1]) if cs == 0 else (coeffs.lam, coeffs.pi)
     lam_up = np.ascontiguousarray(np.concatenate([lam[:-2, :m], lam[2:, m:]], axis=1).T)
