@@ -105,7 +105,7 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
         sup_gap, l2_gap = lyapunov.envelope_gap_norms(trace)
         return {"J": J, "sup_gap": sup_gap, "l2_gap": l2_gap,
                 "mu": scenario.weights.mu, "eta": report.eta, "reference": reference}
-    except (ValueError, ScenarioError, solver.BlowupError) as exc:
+    except (ValueError, solver.BlowupError) as exc:   # a ScenarioError is a ValueError
         return {"J": J, "error": str(exc)}
 
 
@@ -157,8 +157,8 @@ def _xi_range(text: str) -> List[float]:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("must be a:b:steps with numeric a, b")
-    if a <= 0 or b <= 0 or steps < 1:
-        raise argparse.ArgumentTypeError("needs positive endpoints and steps >= 1")
+    if not (0 < a < np.inf and 0 < b < np.inf) or steps < 1:   # nan fails both
+        raise argparse.ArgumentTypeError("needs finite positive endpoints and steps >= 1")
     return [float(x) for x in np.linspace(a, b, steps)]
 
 

@@ -220,10 +220,6 @@ class SystemCoefficients:
     def J(self) -> int:
         return self.pi.shape[0]
 
-    @property
-    def max_abs_speed(self) -> float:
-        return float(np.max(np.abs(self.lam)))
-
 
 @dataclass
 class WeightField:

@@ -51,10 +51,10 @@ def build_trace(result: SimulationResult, scenario: Scenario,
                 report: CertificateReport) -> LyapunovTrace:
     """Attach the decay envelope to the Lyapunov series of a march.
 
-    The envelope uses the certified ``eta`` of ``report``; without one
-    (uncertified forced runs) it falls back to a positive per-cell ratio
-    ``report.c1.eta_ratio``, and when neither is positive the envelope is
-    omitted.
+    The envelope uses ``report.eta``, C1's rate, whenever C1 passes,
+    certified or not (Saint-Venant's closed form, not its ratio); only
+    when C1 fails does it use a positive per-cell ratio
+    ``report.c1.eta_ratio``, and when neither is positive it is omitted.
     """
     eta = report.eta if report.eta is not None and report.eta > 0 else (
         report.c1.eta_ratio if report.c1.eta_ratio > 0 else None)

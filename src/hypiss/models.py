@@ -57,13 +57,16 @@ class Scenario:
         if self.initial.shape != shape:
             raise ValueError(f"initial data has shape {self.initial.shape}, "
                              f"expected (J, k) = {shape}")
+        if not np.all(np.isfinite(self.initial)):
+            raise ValueError("initial data is not finite")
         if self.weights.interior().shape != shape:
             raise ValueError(f"interior weights have shape {self.weights.interior().shape}, "
                              f"expected (J, k) = {shape}")
 
 
-def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi: float,
-                           kappa12: float, kappa21: float,
+def build_linear_benchmark(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
+                           mu: Optional[float] = 0.575, xi: float = 0.125,
+                           kappa12: float = 0.5, kappa21: float = 0.5,
                            l: float = 1.0,
                            speeds: ArrayLike = (1.0, -1.0),
                            source: ArrayLike = ((0.3, -0.1), (-0.1, 0.3)),
@@ -75,14 +78,16 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
                            table: Optional[ArrayLike] = None) -> Scenario:
     """Linear 2x2 system with one positive and one negative speed.
 
-    Defaults reproduce the standard test problem: speeds diag(1, -1),
-    symmetric source matrix, constant initial data (-0.5, 0.5), implicit
-    exponential weights with p1 = p2 = 1, and the disturbance pair
-    b1 = -b2 = 0.01 sin^2(pi t) switched off at t = 5.  ``speeds`` is one
-    pair or one pair per cell center, shape (J+2, 2); ``source`` is one
-    matrix or one per interior cell, shape (J, 2, 2).  ``ic`` is either a
-    constant state or a profile.  ``mu=None`` selects the tabulated weights
-    ``table``, shape (J+2, 2), or unit weights without one.
+    Defaults reproduce the standard test problem, the shipped benchmark:
+    J = 1600, cfl 0.75, T = 10, xi = 0.125, gains kappa12 = kappa21 = 0.5,
+    speeds diag(1, -1), symmetric source matrix, constant initial data
+    (-0.5, 0.5), implicit weights with p1 = p2 = 1 and mu = 0.575, and
+    the disturbance pair b1 = -b2 = 0.01 sin^2(pi t) switched off at
+    t = 5.  ``speeds`` is one pair or one pair per cell center, shape
+    (J+2, 2); ``source`` is one matrix or one per interior cell, shape
+    (J, 2, 2).  ``ic`` is either a constant state or a profile.
+    ``mu=None`` selects the tabulated weights ``table``, shape (J+2, 2),
+    or unit weights without one.
     """
     lam = np.asarray(speeds, dtype=float)
     grid = Grid1D(l=l, J=J, T=T, cfl=cfl, lambda_max=float(np.max(np.abs(lam))))
@@ -94,10 +99,8 @@ def build_linear_benchmark(J: int, cfl: float, T: float, mu: Optional[float], xi
         K=np.array([[0.0, kappa12], [kappa21, 0.0]]), M=m_diag, b=b)
     weights = (WeightField.implicit(p_plus, p_minus, mu, grid) if mu is not None
                else WeightField(np.ones((J + 2, 2)) if table is None else table))
-    if callable(ic):
-        initial = ic(grid.centers[1:-1])
-    else:
-        initial = np.tile(np.asarray(ic, dtype=float), (J, 1))
+    with np.errstate(over="ignore", invalid="ignore"):   # Scenario checks the result
+        initial = ic(grid.centers[1:-1]) if callable(ic) else np.tile(ic, (J, 1))
     return Scenario(name="linear2x2", grid=grid, coefficients=coeffs,
                     weights=weights, xi=xi, initial=initial)
 
@@ -251,6 +254,10 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
         raise ValueError(f"J must be an integer >= 2 and l positive, got J={J!r}, l={l!r}")
     params = params or EulerParams()
     a, fD, q = params.a, params.f_over_D, params.q_star
+    half = 1.0 / (2.0 * a) if a > 0 else math.inf
+    if not (half < math.inf and params.rho0 > 0):
+        raise ValueError(f"a and rho0 must be positive, with 1/(2a) finite; "
+                         f"got a = {a!r}, rho0 = {params.rho0!r}")
     dx = l / J
     h = dx / 10.0
     x = (np.arange(-1, J + 1) + 0.5) * dx      # the grid's cell centers
@@ -262,7 +269,6 @@ def euler_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
     l1, l2 = lam[1:-1].T
     drift = l2 * dl1 + l1 * dl2 + fD * q * q / (2.0 * r * r)
     mixing = 2.0 * q / (r * r) - fD * q / r
-    half = 1.0 / (2.0 * a)
     gamma = np.stack([
         np.stack([-half * drift - half * l1 * mixing + half * dl2,
                   +half * drift + half * l2 * mixing - half * dl2], axis=-1),

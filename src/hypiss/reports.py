@@ -35,15 +35,13 @@ __all__ = [
     "write_summary",
     "REFERENCE_GAP_NORMS",
     "REFERENCE_ETA",
-    "REFERENCE_ARGS",
     "reference_values",
 ]
 
 # Reference values for the standard constant-coefficient benchmark, which
-# ``build_linear_benchmark(J, cfl, **REFERENCE_ARGS)`` builds: decay rates
-# and envelope-gap norms by (cfl, J).  The table command reports relative
+# ``build_linear_benchmark(J=J, cfl=cfl)`` builds: decay rates and
+# envelope-gap norms by (cfl, J).  The table command reports relative
 # deviations against these for each row whose scenario is that benchmark.
-REFERENCE_ARGS = {"T": 10.0, "mu": 0.575, "xi": 0.125, "kappa12": 0.5, "kappa21": 0.5}
 REFERENCE_ETA = {200: 0.57335, 400: 0.57417, 800: 0.57459, 1600: 0.57479}
 REFERENCE_GAP_NORMS = {
     (0.75, 200): (0.23286, 0.36365),
@@ -90,12 +88,13 @@ def _python_rows():
 
 
 def _row_formatter():
-    """``_python_rows()``, or when the library loads, ``hypiss_csv_rows``
-    with its table bound, returning a view of one reused buffer."""
+    """``_python_rows()``, or when the library loads, ``hypiss_csv_rows``,
+    declared here, with its table bound, returning a view of one reused buffer."""
     lib = solver._load()
     if lib is None:
         return _python_rows()
     fn, ptr, long = lib.hypiss_csv_rows, ctypes.c_void_p, ctypes.c_long
+    fn.restype, fn.argtypes = long, [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
     table = _schubfach_table().ctypes.data
     buf = np.empty(0, dtype=np.uint8)
 
@@ -237,7 +236,7 @@ def reference_values(scenario: Scenario) -> Optional[tuple]:
     gaps = REFERENCE_GAP_NORMS.get((grid.cfl, grid.J))
     if gaps is None:
         return None
-    ref = build_linear_benchmark(grid.J, grid.cfl, **REFERENCE_ARGS)
+    ref = build_linear_benchmark(J=grid.J, cfl=grid.cfl)
     w, rw, rc, t = scenario.weights, ref.weights, ref.coefficients, grid.times()
     same = (grid == ref.grid and scenario.xi == ref.xi and w.mu == rw.mu
             and all(map(np.array_equal, (c.lam, c.pi, c.K, c.M, w.values, scenario.initial),

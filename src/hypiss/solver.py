@@ -141,8 +141,8 @@ def _build() -> Path:
 
 def _load():
     """The compiled library, built and loaded on the first call, with the
-    signatures of ``hypiss_march`` and ``hypiss_csv_rows`` declared; None
-    when it cannot be built (no compiler, or the build fails)."""
+    signature of ``hypiss_march`` declared (``reports`` declares its other
+    entry point); None when it cannot be built (no compiler, or a failed build)."""
     global _lib
     if _lib is None:
         try:
@@ -156,8 +156,6 @@ def _load():
             long, ptr = ctypes.c_long, ctypes.c_void_p
             lib.hypiss_march.restype = long
             lib.hypiss_march.argtypes = [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 3
-            lib.hypiss_csv_rows.restype = long
-            lib.hypiss_csv_rows.argtypes = [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
             logger.info("march backend: c, %s", path)
             _lib = lib
     return _lib or None
@@ -178,7 +176,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     k, m, J, N = coeffs.k, coeffs.m, grid.J, grid.N
     dx = grid.dx
     p = np.ascontiguousarray(scenario.weights.interior().T)
-    courant = coeffs.max_abs_speed * grid.dt / dx
+    courant = float(np.max(np.abs(coeffs.lam))) * grid.dt / dx
     if courant > 1.0 + 1e-9:
         raise ValueError(f"CFL violated: max|lambda| dt/dx = {courant:.6g} > 1")
     if stride is not None and stride < 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypiss import certifier, lyapunov, reports, solver
+from hypiss import certifier, lyapunov, solver
 from hypiss.core import Grid1D, WeightField
 from hypiss.models import build_linear_benchmark, saint_venant_scenario
 
@@ -55,7 +55,7 @@ def benchmark_traces():
     out = {}
     for cfl in (0.75, 1.0):
         for J in BENCHMARK_J:
-            sc = build_linear_benchmark(J=J, cfl=cfl, **reports.REFERENCE_ARGS)
+            sc = build_linear_benchmark(J=J, cfl=cfl)
             out[(cfl, J)] = run_scenario(sc)
     return out
 

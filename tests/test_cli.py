@@ -319,7 +319,8 @@ class TestSweepCommand:
 
     def test_range_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
-        for xi_range in ("0:1:5", "0.1:1.0"):
+        # nan and inf pass a test of sign alone
+        for xi_range in ("0:1:5", "0.1:1.0", "nan:1:5", "0.05:inf:5", "inf:inf:2", "0.05:nan:2"):
             with pytest.raises(SystemExit) as exc:
                 main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
                       "--xi-range", xi_range])

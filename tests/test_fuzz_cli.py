@@ -15,7 +15,10 @@ file holds:
   that loads (a gain of 1e308, a weight of 1e-320) either gives finite
   results or exits 2 naming the first quantity that is not finite.
 
-The examples are derandomized, so the test is the same on every run.
+The examples are derandomized, so the test is the same on every run of
+the same selection of tests.
+Few of them reach an overflow, so a second test sets every numeric leaf
+of every file in turn to 1e308 and to 1e-320.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypiss.cli import main
@@ -94,21 +98,43 @@ def mutants(draw):
     return name, raw, number_lost
 
 
+def _exit_code(name: str, raw: dict, command: str, tmp: str) -> int:
+    """``main``'s exit code on ``raw``, after the checks that hold for every file."""
+    scenario = Path(tmp) / f"{name}.json"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("scenario error:", "error:")), last
+    return code
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(mutants(), st.sampled_from(["certify", "sweep"]))
 def test_exit_code_contract(mutant, command):
     name, raw, number_lost = mutant
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / f"{name}.json"
-        scenario.write_text(json.dumps(raw), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
-    assert code in (0, 1, 2)
-    if code == 2:
-        last = err.getvalue().splitlines()[-1]
-        assert last.startswith(("scenario error:", "error:")), last
+        code = _exit_code(name, raw, command, tmp)
     if number_lost:
         assert code != 0
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_every_number_huge_and_tiny(name, command):
+    # the overflows and underflows that few random mutants reach: each
+    # numeric leaf in turn set to 1e308 and to 1e-320
+    with tempfile.TemporaryDirectory() as tmp:
+        for place, old in PLACES[name]:
+            for value in (1e308, 1e-320) if _is_number(old) else ():
+                raw = json.loads(json.dumps(BASES[name]))
+                _at(raw, place[:-1])[place[-1]] = value
+                try:
+                    _exit_code(name, raw, command, tmp)
+                except Exception as exc:
+                    pytest.fail(f"{'.'.join(map(str, place))} = {value!r}: {exc!r}")

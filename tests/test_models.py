@@ -135,6 +135,13 @@ class TestEuler:
         with pytest.raises(ValueError, match=r"rho0 = 1e\+308 and q_star = 0\.2"):
             models.EulerParams(rho0=1e308).rho_star(np.zeros(3))
 
+    @pytest.mark.parametrize("params", [dict(a=0.0, q_star=0.0), dict(rho0=0.0, q_star=0.0),
+                                        dict(rho0=-3.0), dict(a=1e-320, q_star=0.0)])
+    def test_sound_speed_and_density_positive(self, params):
+        # a division by zero, 0/0 speeds, a density sign lost in c = (a rho0/q*)^2
+        with pytest.raises(ValueError, match="a and rho0 must be positive"):
+            models.euler_scenario(J=20, params=models.EulerParams(**params))
+
     def test_equilibrium_density(self):
         p = models.EulerParams()
         assert p.rho_star(0.0) == pytest.approx(3.0, rel=1e-12)
@@ -229,3 +236,21 @@ def test_lambert_w_used_by_density_is_branch_minus_one():
     z = -c * math.exp(x - c)
     assert w == pytest.approx(lambert_w_minus1(z), rel=1e-12)
     assert w * math.exp(w) == pytest.approx(z, rel=1e-10)
+
+
+@pytest.mark.parametrize("builder, shipped", [
+    (models.build_linear_benchmark, "linear_benchmark"),
+    (models.saint_venant_scenario, "saint_venant"),
+    (models.euler_scenario, "isothermal_euler"),
+])
+def test_builder_defaults_are_the_shipped_file(builder, shipped):
+    # one definition of each shipped experiment: the builder's defaults
+    built = builder()
+    filed = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios"
+                              / f"{shipped}.json")).build()
+    c, fc, w, fw = built.coefficients, filed.coefficients, built.weights, filed.weights
+    t = filed.grid.times()
+    assert (built.grid, built.xi, w.mu, built.name) == (filed.grid, filed.xi, fw.mu, filed.name)
+    for mine, theirs in zip((c.lam, c.pi, c.K, c.M, w.values, built.initial, c.b(t)),
+                            (fc.lam, fc.pi, fc.K, fc.M, fw.values, filed.initial, fc.b(t))):
+        assert np.array_equal(mine, theirs)

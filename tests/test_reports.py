@@ -106,7 +106,7 @@ def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
 
 
 def test_reference_values_read_the_disturbance_at_every_level():
-    sc = build_linear_benchmark(1600, 0.75, **reports.REFERENCE_ARGS)
+    sc = build_linear_benchmark()
     assert reports.reference_values(sc) == (0.22813, 0.35801, 0.57479)
     b, T = sc.coefficients.b, sc.grid.T
     # only the last of the 21335 levels differs
