@@ -16,7 +16,8 @@ file holds:
   results or exits 2 naming the first quantity that is not finite.
 
 The examples are derandomized, so the test is the same on every run of
-the same selection of tests.
+the same selection of tests: hypothesis also draws from the literal
+constants of the project modules imported before it runs.
 Few of them reach an overflow, so a second test sets every numeric leaf
 of every file in turn to 1e308 and to 1e-320.
 """
