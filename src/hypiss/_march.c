@@ -18,8 +18,8 @@
  *               numpy sums a contiguous array (pairwise, 8 accumulators)
  *   boundary    ghosts = K w_in + M * b[n+1]
  *
- * lyap[n+1] receives L.  The return value is the first level whose
- * interior holds a non-finite value, or -1.  Compile without
+ * lyap[n+1] receives L.  The return value is the first level whose L is
+ * not finite, or -1; the state is left at that level.  Compile without
  * -ffast-math and with -ffp-contract=off, so that no reassociation or
  * fused multiply-add changes the last bits.
  *
@@ -113,10 +113,8 @@ long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
         else
             step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step, 0);
         double L = dx * pairwise_sum(prod, 2 * J);
-        if (!isfinite(L))   /* a non-finite interior makes L non-finite */
-            for (long j = 1; j <= J; j++)
-                if (!isfinite(W[j]) || !isfinite(W[w + j]))
-                    return n + 1;
+        if (!isfinite(L))
+            return n + 1;
         /* the feedback reads (W+_{J-1}, W-_0), columns J and 1, and writes
          * the ghosts W+_{-1} and W-_J, columns 0 and J+1 */
         const double w0 = W[J], w1 = W[w + 1], *bn = b + 2 * (n + 1);

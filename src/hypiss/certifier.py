@@ -80,7 +80,6 @@ class TransportCheck:
 class SourceCheck:
     passed: bool
     min_eigenvalues: np.ndarray  # (J,) smallest eigenvalue per cell
-    eigenvalues: np.ndarray      # (J, k) full ascending spectra
     failing_cells: int           # cells below -PSD_REL_TOL * scale, the verdict's test
     witness: Optional[Witness] = None
 
@@ -165,16 +164,15 @@ def check_source(coefficients: SystemCoefficients, weights: WeightField,
     """C2: positive semi-definiteness of the per-cell source matrices at
     the grid's time step."""
     mats = _source_matrices(coefficients, weights, grid.dt)
-    eigs = np.linalg.eigvalsh(mats)
     scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
-    min_eigs = eigs[:, 0]
+    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
     ok = min_eigs >= -PSD_REL_TOL * scale
     passed = bool(np.all(ok))
     witness = None
     if not passed:
         j = int(np.argmin(min_eigs / scale))
         witness = Witness("C2", j, None, float(min_eigs[j]))
-    return SourceCheck(passed=passed, min_eigenvalues=min_eigs, eigenvalues=eigs,
+    return SourceCheck(passed=passed, min_eigenvalues=min_eigs,
                        failing_cells=int(np.sum(~ok)), witness=witness)
 
 
@@ -223,35 +221,6 @@ def disturbance_gain(coefficients: SystemCoefficients, weights: WeightField) -> 
     return float(np.max(coefficients.M ** 2 * d_in))
 
 
-def check_continuous_sampled(coefficients: SystemCoefficients, weights: WeightField,
-                             grid: Grid1D) -> bool:
-    """Sampled convenience check of the continuous-domain conditions.
-
-    Evaluates -Lambda P' - Lambda' P + Pi^T P + P Pi at the interior
-    samples (derivatives by centered differences of the sampled fields),
-    one stack of k x k matrices, and reports their positive definiteness.
-    :func:`certify` combines it with the C3 boundary form.  Informational
-    only; the discrete conditions above are the certification authority.
-    """
-    lam = coefficients.lam
-    p = weights.values
-    dx = grid.dx
-    J = coefficients.J
-    p_int = p[1:J + 1]
-    lam_prime = (lam[2:J + 2] - lam[0:J]) / (2 * dx)
-    if weights.is_implicit:
-        signs = np.concatenate([-np.ones(coefficients.m),
-                                np.ones(coefficients.k - coefficients.m)])
-        p_prime = weights.mu * signs[None, :] * p_int
-    else:
-        p_prime = (p[2:J + 2] - p[0:J]) / (2 * dx)
-    pi = coefficients.pi
-    q = p_int[:, :, None] * pi + np.transpose(pi, (0, 2, 1)) * p_int[:, None, :]
-    diag = np.arange(coefficients.k)
-    q[:, diag, diag] += -lam[1:J + 1] * p_prime - lam_prime * p_int
-    return bool(np.all(np.linalg.eigvalsh(q)[:, 0] > PD_TOL))
-
-
 @dataclass
 class CertificateReport:
     """Outcome of all static checks plus the derived scenario constants."""
@@ -269,7 +238,6 @@ class CertificateReport:
     C2_const: float
     dt: float
     eta_dt_ok: bool
-    continuous_sampled_ok: bool
     first_failure: Optional[Witness] = None
     notes: List[str] = field(default_factory=list)
 
@@ -309,7 +277,6 @@ class CertificateReport:
                 "witness": w(self.c3.witness),
             },
             "first_failure": w(self.first_failure),
-            "continuous_sampled_ok": self.continuous_sampled_ok,
             "notes": list(self.notes),
         }
 
@@ -332,8 +299,6 @@ class CertificateReport:
         lines.append(f"  zeta = {self.zeta:.6g}  beta = {self.beta:.6g}"
                      f"  C1 = {self.C1_const:.6g}  C2 = {self.C2_const:.6g}")
         lines.append(f"  eta*dt < 1 : {'ok' if self.eta_dt_ok else 'VIOLATED'}")
-        lines.append(f"  sampled continuous check: "
-                     f"{'ok' if self.continuous_sampled_ok else 'not satisfied'}")
         if self.first_failure is not None:
             fw = self.first_failure
             comp = "" if fw.component is None else f", component {fw.component}"
@@ -378,13 +343,12 @@ def certify(scenario) -> CertificateReport:
     eta_dt_ok = eta is not None and 0.0 < eta * grid.dt < 1.0
     overall = c1.passed and c2.passed and c3.passed and eta_dt_ok
     first = next((c.witness for c in (c1, c2, c3) if c.witness is not None), None)
-    cont = check_continuous_sampled(coeffs, weights, grid) and c3.passed
     notes = list(getattr(scenario, "notes", []))
     report = CertificateReport(
         overall=overall, c1=c1, c2=c2, c3=c3, eta=eta, nu=nu, xi=xi,
         zeta=zeta, beta=beta, C1_const=beta / zeta,
         C2_const=nu / zeta, dt=grid.dt, eta_dt_ok=eta_dt_ok,
-        first_failure=first, continuous_sampled_ok=cont, notes=notes)
+        first_failure=first, notes=notes)
     _require_finite(report.to_dict(), "certificate ")
     return report
 

@@ -1,13 +1,14 @@
 """Command-line front end: certify, run, table and sweep.
 
 Exit codes: ``certify`` is nonzero exactly when the certificate fails;
-``run`` is nonzero when the solver aborts on a non-finite state or when
-the certificate fails and ``--force`` was not given; ``table`` is nonzero
-when any row fails.  A bad ``--stride``, ``--J-list`` or ``--xi-range``
-exits 2 from argparse, and a scenario that fails to load or build exits
-2, both before ``--out`` is made.  Running out of memory, or a certificate
-quantity that is not finite, exits 2 with one error line too.  Every
-command runs sequentially in one thread.
+``run`` is nonzero when the certificate fails and ``--force`` was not
+given, and exits 2 when the solver aborts on a level whose ``L`` is not
+finite; ``table`` is nonzero when any row fails.  A bad ``--stride``,
+``--J-list`` or ``--xi-range`` exits 2 from argparse, and a scenario that
+fails to load or build exits 2, both before ``--out`` is made.  Running
+out of memory, a certificate quantity that is not finite, or a solver
+abort exits 2 with one error line on stderr too.  Every command runs
+sequentially in one thread.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         result = solver.run(scenario, args.stride)
     except solver.BlowupError as exc:
-        print(f"solver aborted: {exc}")
+        print(f"error: solver aborted: {exc}", file=sys.stderr)
         return 2
     trace = lyapunov.build_trace(result, scenario, report)
     reports.write_trace_csv(out / "trace.csv", trace)

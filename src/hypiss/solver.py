@@ -74,10 +74,12 @@ _lib = None         # until the first load: then the compiled library, or False 
 
 
 class BlowupError(RuntimeError):
-    """Non-finite state detected; ``step`` holds the offending time level."""
+    """Non-finite ``L`` detected; ``step`` holds the offending time level.
+    The message says whether the state itself is non-finite there."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step n={step}, t={t:.6g}")
+    def __init__(self, step: int, t: float, state_finite: bool):
+        what = "L, state finite" if state_finite else "state"
+        super().__init__(f"non-finite {what} at step n={step}, t={t:.6g}")
         self.step = step
         self.t = t
 
@@ -168,9 +170,9 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     every level; ``stride`` adds interior snapshots every that many steps
     (first and last level always included).  Per step: transport -> source
     -> functional -> boundary update with b(t^{n+1}).  Aborts with
-    :class:`BlowupError` at the first level whose interior holds a
-    non-finite value; with finite positive weights such a level has a
-    non-finite ``L``, so only then is the interior scanned.
+    :class:`BlowupError` at the first level whose ``L`` is not finite,
+    level 0 included, whether or not the state is; only then is the
+    interior scanned, to say which.
     """
     grid, coeffs = scenario.grid, scenario.coefficients
     k, m, J, N = coeffs.k, coeffs.m, grid.J, grid.N
@@ -217,10 +219,13 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     b = np.ascontiguousarray(coeffs.b(times))
     b_sq = np.einsum("nk,nk->n", b, b)
     lyap = np.empty(N + 1)
-    lyap[0] = functional()
+    with np.errstate(over="ignore", invalid="ignore"):   # BlowupError names the level
+        lyap[0] = functional()
+    if not math.isfinite(lyap[0]):
+        raise BlowupError(0, times[0], bool(np.all(np.isfinite(inner))))
 
     def numpy_steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
-        """Levels n0 -> n1; returns the first non-finite level, or -1."""
+        """Levels n0 -> n1; returns the first level whose L is not finite, or -1."""
         with np.errstate(over="ignore", invalid="ignore"):   # BlowupError names the level
             for n in range(n0, n1):
                 np.subtract(pos, pos_up, out=tilde_pos)
@@ -234,7 +239,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
                 np.multiply(acc, -step, out=acc)
                 np.add(tilde, acc, out=inner)
                 L = functional()
-                if not math.isfinite(L) and not np.all(np.isfinite(inner)):
+                if not math.isfinite(L):
                     return n + 1
                 W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
                 lyap[n + 1] = L
@@ -266,7 +271,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
             r_lam = (step / dx) * lam_up
         blown = steps(n, end, step, r_lam)
         if blown >= 0:
-            raise BlowupError(step=blown, t=times[blown])
+            raise BlowupError(blown, times[blown], bool(np.all(np.isfinite(inner))))
         n = end
         if history is not None and (end % stride == 0 or end == N):
             history.append((end, inner.T.copy()))

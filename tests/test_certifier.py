@@ -117,7 +117,7 @@ class TestSourceCondition:
         c2 = certifier.check_source(sc.coefficients, flat, sc.grid)
         assert c2.passed
         j = 0
-        assert np.allclose(c2.eigenvalues[j], expected, rtol=1e-12)
+        assert c2.min_eigenvalues[j] == pytest.approx(expected[0], rel=1e-12)
         assert expected[0] == pytest.approx(0.4, abs=1e-3)
         assert expected[1] == pytest.approx(0.8, abs=1e-3)
 
@@ -132,11 +132,13 @@ class TestSourceCondition:
 
 class TestThreeComponents:
     """k = 3 (two positive speeds, one negative) with random sources: the
-    batched eigenvalue paths against per-cell numpy.linalg.eigvalsh loops.
-    A shift of the symmetric part of the sources moves the checks across
-    their thresholds; the speeds vary enough in x for Lambda' to matter."""
+    batched eigenvalue path against a per-cell numpy.linalg.eigvalsh loop.
+    A shift of the symmetric part of the sources moves C2 across its
+    threshold."""
 
     MU = 0.5
+    # (seed, shift, C2 verdict, continuous-domain verdict at the samples); the
+    # last value is not checked and only keeps each case's test id
     CASES = [(1, 0.0, False, False), (1, 4.0, True, True), (3, 4.0, True, False)]
 
     def setup(self, seed, shift, J=40):
@@ -164,28 +166,12 @@ class TestThreeComponents:
             Pi = c.pi[j]
             mat = P @ Pi + Pi.T @ P - g.dt * Pi.T @ P @ Pi
             expected = np.linalg.eigvalsh(mat)
-            assert np.allclose(c2.eigenvalues[j], expected, rtol=1e-12, atol=1e-13)
+            assert np.isclose(c2.min_eigenvalues[j], expected[0], rtol=1e-12, atol=1e-13)
             scaled.append(expected[0] / np.max(np.abs(mat)))
-        assert np.array_equal(c2.min_eigenvalues, c2.eigenvalues[:, 0])
         assert bool(min(scaled) >= -certifier.PSD_REL_TOL) is source_ok
         assert c2.passed is source_ok
         if not source_ok:
             assert c2.witness.j == int(np.argmin(scaled))
-
-    @pytest.mark.parametrize("seed,shift,source_ok,continuous_ok", CASES)
-    def test_continuous_matches_per_cell_loop(self, seed, shift, source_ok, continuous_ok):
-        g, c, w = self.setup(seed, shift)
-        signs = np.array([-1.0, -1.0, 1.0])
-        smallest = np.inf
-        for j in range(g.J):
-            p = w.values[j + 1]
-            lam = c.lam[j + 1]
-            lam_prime = (c.lam[j + 2] - c.lam[j]) / (2 * g.dx)
-            P, Pi = np.diag(p), c.pi[j]
-            q = np.diag(-lam * self.MU * signs * p - lam_prime * p) + Pi.T @ P + P @ Pi
-            smallest = min(smallest, np.linalg.eigvalsh(q)[0])
-        assert bool(smallest > certifier.PD_TOL) is continuous_ok
-        assert certifier.check_continuous_sampled(c, w, g) is continuous_ok
 
 
 class TestBoundaryCondition:
@@ -274,7 +260,6 @@ class TestCertify:
         assert rep.beta == pytest.approx(math.exp(0.575 * (1 - 0.5 / 1600)), rel=1e-12)
         assert rep.C1_const == pytest.approx(rep.beta / rep.zeta, rel=1e-14)
         assert rep.C2_const == pytest.approx(rep.nu / rep.zeta, rel=1e-14)
-        assert rep.continuous_sampled_ok
         d = rep.to_dict()
         assert d["overall"] and d["c2"]["passed"]
         assert "PASS" in rep.to_text()

@@ -136,6 +136,19 @@ class TestRunCommand:
                      "--force"]) == 0
         assert (out / "trace.csv").exists()
 
+    def test_overflowing_L0_aborts_on_stderr(self, tmp_path, capsys):
+        # finite initial data whose L^0 = dx sum p w^2 overflows: the certificate
+        # passes, and the march aborts at level 0 with no numpy warning
+        path = small_benchmark(tmp_path, J=20, T=0.5, **{
+            "model.ic": {"kind": "constant", "values": [1e308, 0.5]}})
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--force"]) == 2
+        captured = capsys.readouterr()
+        assert "solver aborted" not in captured.out
+        assert captured.err.splitlines()[-1] == (
+            "error: solver aborted: non-finite L, state finite at step n=0, t=0")
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("rerun", ["uncertified", "blow-up", "no-stride", "bad-load"])
     def test_rerun_leaves_no_stale_outputs(self, tmp_path, rerun):
         out = tmp_path / "o"

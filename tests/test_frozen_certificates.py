@@ -19,19 +19,19 @@ FROZEN = {
         "eta": 0.5747933965012897, "nu": 1.7768112274604029,
         "kappa12_bound": 0.9428090415820634, "kappa21_bound": 0.5305232380534466,
         "c2_min_eigenvalue": 0.26899214087265844, "c2_failing_cells": 0,
-        "c2_witness": None, "continuous_sampled_ok": True,
+        "c2_witness": None,
     },
     "saint_venant": {
         "eta": 0.8216366491557678, "nu": 0.1842171790696292,
         "kappa12_bound": 0.5883767881717149, "kappa21_bound": 0.8501050953427604,
         "c2_min_eigenvalue": -0.003699740430906276, "c2_failing_cells": 1600,
-        "c2_witness": (1599, -0.003699740430906276), "continuous_sampled_ok": True,
+        "c2_witness": (1599, -0.003699740430906276),
     },
     "isothermal_euler": {
         "eta": 0.5363346197516133, "nu": 1.6580917647555669,
         "kappa12_bound": 0.8819171009418296, "kappa21_bound": 0.5672382672045276,
         "c2_min_eigenvalue": -0.048552292872237314, "c2_failing_cells": 1600,
-        "c2_witness": (115, -0.031646783804448755), "continuous_sampled_ok": True,
+        "c2_witness": (115, -0.031646783804448755),
     },
 }
 
@@ -42,21 +42,21 @@ FROZEN_6400 = {
         "eta": 0.5749483421643515, "nu": 1.7770506966717252,
         "kappa12_bound": 0.9428090415820634, "kappa21_bound": 0.5305232380534466,
         "c2_min_eigenvalue": 0.2689662234346364, "c2_failing_cells": 0,
-        "c2_witness": None, "continuous_sampled_ok": True,
+        "c2_witness": None,
     },
     "saint_venant": {
         "dt": 1.5773381422912473e-05, "N": 633980,
         "eta": 0.8218581357562998, "nu": 0.18424200688583278,
         "kappa12_bound": 0.5883767881717149, "kappa21_bound": 0.8501050953427604,
         "c2_min_eigenvalue": -0.003701188447199631, "c2_failing_cells": 6400,
-        "c2_witness": (6399, -0.003701188447199631), "continuous_sampled_ok": True,
+        "c2_witness": (6399, -0.003701188447199631),
     },
     "isothermal_euler": {
         "dt": 0.00010984790362489711, "N": 91035,
         "eta": 0.5364069013894919, "nu": 1.6583152959834804,
         "kappa12_bound": 0.8819171030016132, "kappa21_bound": 0.5672382658677378,
         "c2_min_eigenvalue": -0.04855793887910247, "c2_failing_cells": 6400,
-        "c2_witness": (459, -0.031641745175097796), "continuous_sampled_ok": True,
+        "c2_witness": (459, -0.031641745175097796),
     },
 }
 
@@ -80,7 +80,6 @@ def check_report(scenario, frozen):
         j, value = frozen["c2_witness"]
         assert witness["j"] == j
         assert close(witness["value"], value)
-    assert report["continuous_sampled_ok"] is frozen["continuous_sampled_ok"]
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))

@@ -333,7 +333,9 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
     import hypiss.cli
     spans = _perfbench("spans")
     with spans.installed(spans.Recorder(), hypiss) as missing:
-        assert missing == []
+        # except the deleted sampled continuous check, whose span and the
+        # certifier.continuous_s metric (now 0) leave with ROADMAP item 6
+        assert missing == ["certifier.check_continuous_sampled"]
 
 
 @pytest.mark.parametrize("shipped,path,value,fields", [
