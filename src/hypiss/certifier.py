@@ -311,11 +311,17 @@ class CertificateReport:
 
 def _require_finite(quantities: dict, where: str) -> None:
     """Raise ValueError naming the first float in ``quantities``, nested
-    mappings and lists included, that is not finite."""
+    mappings and lists included, that is not finite; in a 1-D array, one
+    value per time level, it names the first such level."""
     for key, value in quantities.items():
         name = f"{where}{key}"
         if isinstance(value, dict):
             _require_finite(value, f"{name}.")
+        if isinstance(value, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(value))
+            if bad.size:
+                n = int(bad[0])
+                raise ValueError(f"{name} at level {n} = {float(value[n])!r} is not finite")
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{name} = {v!r} is not finite")
@@ -343,12 +349,11 @@ def certify(scenario) -> CertificateReport:
     eta_dt_ok = eta is not None and 0.0 < eta * grid.dt < 1.0
     overall = c1.passed and c2.passed and c3.passed and eta_dt_ok
     first = next((c.witness for c in (c1, c2, c3) if c.witness is not None), None)
-    notes = list(getattr(scenario, "notes", []))
     report = CertificateReport(
         overall=overall, c1=c1, c2=c2, c3=c3, eta=eta, nu=nu, xi=xi,
         zeta=zeta, beta=beta, C1_const=beta / zeta,
         C2_const=nu / zeta, dt=grid.dt, eta_dt_ok=eta_dt_ok,
-        first_failure=first, notes=notes)
+        first_failure=first, notes=list(scenario.notes))
     _require_finite(report.to_dict(), "certificate ")
     return report
 

@@ -3,12 +3,14 @@
 Exit codes: ``certify`` is nonzero exactly when the certificate fails;
 ``run`` is nonzero when the certificate fails and ``--force`` was not
 given, and exits 2 when the solver aborts on a level whose ``L`` is not
-finite; ``table`` is nonzero when any row fails.  A bad ``--stride``,
-``--J-list`` or ``--xi-range`` exits 2 from argparse, and a scenario that
-fails to load or build exits 2, both before ``--out`` is made.  Running
-out of memory, a certificate quantity that is not finite, or a solver
-abort exits 2 with one error line on stderr too.  Every command runs
-sequentially in one thread.
+finite, or when the envelope, ``sup_b_sq`` or the summary holds a value
+that is not finite, before it writes the trace; ``table`` is nonzero when
+any row fails, as a row with such a value or gap norm does.  A bad
+``--stride``, ``--J-list`` or ``--xi-range`` exits 2 from argparse, and a
+scenario that fails to load or build exits 2, both before ``--out`` is
+made.  Running out of memory, a certificate quantity that is not finite,
+or a solver abort exits 2 with one error line on stderr too.  Every
+command runs sequentially in one thread.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario).build()
     out = _out_dir(args)
     report = certifier.certify(scenario)
-    reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(reports.write_certificate(out / "certificate.json",
+                                               out / "certificate.txt", report))
     return 0 if report.overall else 1
 
 
@@ -49,8 +51,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario).build()
     out = _out_dir(args)
     report = certifier.certify(scenario)
-    reports.write_certificate(out / "certificate.json", out / "certificate.txt", report)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(reports.write_certificate(out / "certificate.json",
+                                               out / "certificate.txt", report))
     if not report.overall and not args.force:
         print("certificate failed; rerun with --force to simulate anyway")
         return 1
@@ -60,18 +62,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: solver aborted: {exc}", file=sys.stderr)
         return 2
     trace = lyapunov.build_trace(result, scenario, report)
-    reports.write_trace_csv(out / "trace.csv", trace)
-    if result.history is not None:
-        reports.write_trajectory_csv(out / "trajectory.csv", result,
-                                     scenario.grid.centers)
-    max_violation = None
-    if trace.envelope is not None:
-        max_violation = float(np.max(trace.L - trace.envelope))
-    measured = None
-    try:
-        measured = lyapunov.fit_decay_rate(trace, t_start=0.7 * scenario.grid.T)
-    except ValueError:
-        pass
+    max_violation = measured = None
+    with np.errstate(all="ignore"):     # a value that is not finite is named below
+        if trace.envelope is not None:
+            max_violation = float(np.max(trace.L - trace.envelope))
+        try:
+            measured = lyapunov.fit_decay_rate(trace, t_start=0.7 * scenario.grid.T)
+        except ValueError:
+            pass
     summary = {
         "scenario": scenario.name,
         "certified": bool(report.overall),
@@ -86,6 +84,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "steps": int(result.steps),
         "march_backend": result.backend,
     }
+    certifier._require_finite(summary, "summary ")
+    reports.write_trace_csv(out / "trace.csv", trace)
+    if result.history is not None:
+        reports.write_trajectory_csv(out / "trajectory.csv", result,
+                                     scenario.grid.centers)
     reports.write_summary(out / "summary.json", summary)
     print(f"final L = {summary['final_L']:.6g} at t = {summary['final_t']:.6g}"
           + (f", max envelope violation = {max_violation:.3g}"

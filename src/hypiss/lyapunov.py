@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .certifier import CertificateReport
+from .certifier import CertificateReport, _require_finite
 from .models import Scenario
 from .solver import SimulationResult
 
@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass
 class LyapunovTrace:
-    """Lyapunov series, its envelope and the rate ``eta`` it was drawn with.
+    """Lyapunov series and its envelope.
 
     ``sup_b_sq[n]`` is sup_{s<n} |b^s|^2, the disturbance term of the
     envelope at level n.  ``l2_weight`` is the quadrature weight of the
@@ -43,10 +43,10 @@ class LyapunovTrace:
     L: np.ndarray
     envelope: Optional[np.ndarray]
     sup_b_sq: np.ndarray
-    eta: Optional[float]
     l2_weight: float
 
 
+@np.errstate(all="ignore")     # a value that is not finite is named instead
 def build_trace(result: SimulationResult, scenario: Scenario,
                 report: CertificateReport) -> LyapunovTrace:
     """Attach the decay envelope to the Lyapunov series of a march.
@@ -55,6 +55,8 @@ def build_trace(result: SimulationResult, scenario: Scenario,
     certified or not (Saint-Venant's closed form, not its ratio); only
     when C1 fails does it use a positive per-cell ratio
     ``report.c1.eta_ratio``, and when neither is positive it is omitted.
+    Raises ValueError naming the first level of ``sup_b_sq`` or of the
+    envelope that is not finite.
     """
     eta = report.eta if report.eta is not None and report.eta > 0 else (
         report.c1.eta_ratio if report.c1.eta_ratio > 0 else None)
@@ -67,10 +69,12 @@ def build_trace(result: SimulationResult, scenario: Scenario,
                 f"eta*dt = {eta * grid.dt:.6g} >= 1: discrete decay bound inapplicable")
         env = (np.exp(-eta * result.times) * result.lyapunov[0]
                + (report.nu / eta) * (1.0 + 1.0 / scenario.xi) * sup_b_sq)
+    _require_finite({"sup_b_sq": sup_b_sq, "envelope": env}, "trace ")
     return LyapunovTrace(times=result.times, L=result.lyapunov, envelope=env,
-                         sup_b_sq=sup_b_sq, eta=eta, l2_weight=grid.dt / grid.cfl)
+                         sup_b_sq=sup_b_sq, l2_weight=grid.dt / grid.cfl)
 
 
+@np.errstate(all="ignore")
 def envelope_gap_norms(trace: LyapunovTrace) -> Tuple[float, float]:
     """(sup-norm, discrete L2 norm) of the envelope gap over all levels.
 
@@ -79,13 +83,14 @@ def envelope_gap_norms(trace: LyapunovTrace) -> Tuple[float, float]:
     sqrt(w sum_n (U^n - L^n)^2) with w = dt/cfl = dx/lambda_max, the
     Courant-free step.  That weight reproduces the reference tables of
     the shipped benchmark; a plain dt weight would deflate the CFL < 1
-    columns by sqrt(cfl).
+    columns by sqrt(cfl).  Raises ValueError when a norm is not finite.
     """
     if trace.envelope is None:
         raise ValueError("trace has no envelope")
     gap = trace.envelope - trace.L
     sup_norm = float(np.max(np.abs(gap)))
     l2_norm = float(np.sqrt(trace.l2_weight * np.sum(gap * gap)))
+    _require_finite({"sup_gap": sup_norm, "l2_gap": l2_norm}, "envelope ")
     return sup_norm, l2_norm
 
 

@@ -216,10 +216,12 @@ def write_sweep(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:
     return text
 
 
-def write_certificate(json_path: Path, txt_path: Path, report) -> None:
+def write_certificate(json_path: Path, txt_path: Path, report) -> str:
     json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
                          encoding="utf-8")
-    txt_path.write_text(report.to_text(), encoding="utf-8")
+    text = report.to_text()
+    txt_path.write_text(text, encoding="utf-8")
+    return text
 
 
 def write_summary(path: Path, summary: dict) -> None:

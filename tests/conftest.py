@@ -63,5 +63,4 @@ def benchmark_traces():
 @pytest.fixture(scope="session")
 def saint_venant_trace():
     """Certificate and trace of the shipped channel-flow decay experiment."""
-    sc = saint_venant_scenario(J=1600, cfl=0.75, T=10.0, mu=0.575)
-    return run_scenario(sc)
+    return run_scenario(saint_venant_scenario())

@@ -189,6 +189,7 @@ def test_09_exact_advection():
     sc = Scenario(name="advection", grid=g, coefficients=coeffs, weights=weights,
                   xi=1.0, initial=init.copy())
     history = solver.run(sc, stride=1).history
+    assert [n for n, _ in history] == list(range(steps + 1)), "stride 1 skipped a level"
     expect_p = init[:, 0].copy()
     expect_m = init[:, 1].copy()
     worst = 0.0
@@ -208,15 +209,18 @@ def test_10_lambert_w_residuals():
     mags = np.exp(np.linspace(math.log(math.exp(-1.0) * (1.0 - 1e-9)),
                               math.log(1e-300), 100))
     worst = 0.0
+    above = 0     # values off the lower branch, w > -1
     for mag in mags:
         z = -float(mag)
         w = lambert_w_minus1(z)
+        above += w > -1.0
         worst = max(worst, abs(w * math.exp(w) - z) / abs(z))
     branch = abs(lambert_w_minus1(-1.0 / math.e) + 1.0)
-    ok = worst <= 1e-13 and branch <= 1e-7
+    ok = worst <= 1e-13 and branch <= 1e-7 and above == 0
     report_line(10, ok,
                 f"defining-equation residual over 100-point log sweep "
-                f"{worst:.2e} (tol 1e-13); branch-point value off by {branch:.1e}")
+                f"{worst:.2e} (tol 1e-13), {above} values above -1; "
+                f"branch-point value off by {branch:.1e}")
 
 
 def test_11_per_step_iss_margin(benchmark_traces):

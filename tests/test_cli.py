@@ -25,6 +25,14 @@ def small_benchmark(tmp_path, J=64, T=4.0, **overrides):
     return path
 
 
+def huge_disturbance(tmp_path, amplitude, M):
+    """The benchmark at J=20, T=0.5 with a disturbance of ``amplitude``
+    injected through ``M``; it certifies, as the certificate reads no ``b``."""
+    return small_benchmark(tmp_path, J=20, T=0.5, **{
+        "boundary.M": M,
+        "boundary.disturbance": {"kind": "pulsed_sine", "amplitude": amplitude, "cutoff": 5.0}})
+
+
 def deviation_block(tmp_path, capsys, path, *args):
     """The deviation lines ``table`` prints for ``path``, or None without them."""
     out = tmp_path / "o"
@@ -149,6 +157,25 @@ class TestRunCommand:
             "error: solver aborted: non-finite L, state finite at step n=0, t=0")
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("case", ["disturbance", "xi"])
+    def test_non_finite_trace_exits_2_before_any_trace(self, tmp_path, capsys, case):
+        # the march stays finite, but |b|^2 overflows where nu = 0 (M = 0), or
+        # 1/xi overflows at Euler's level 0: the envelope would hold 0 * inf
+        if case == "disturbance":
+            path, extra = huge_disturbance(tmp_path, 1e200, [0.0, 0.0]), []
+            error = "trace sup_b_sq at level 2 = inf"
+        else:
+            raw = json.loads((SCENARIOS / "isothermal_euler.json").read_text())
+            raw["grid"].update(J=20, T=0.5)
+            raw["xi"] = 1e-320
+            path, extra = tmp_path / "euler.json", ["--force"]
+            path.write_text(json.dumps(raw))
+            error = "trace envelope at level 0 = nan"
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {error} is not finite\n"
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "certificate.txt"]
+
     @pytest.mark.parametrize("rerun", ["uncertified", "blow-up", "no-stride", "bad-load"])
     def test_rerun_leaves_no_stale_outputs(self, tmp_path, rerun):
         out = tmp_path / "o"
@@ -172,14 +199,15 @@ class TestRunCommand:
                 if (out / name).exists()}
         assert left == want
 
-    @pytest.mark.parametrize("stride", ["0", "-3"])
+    @pytest.mark.parametrize("stride", ["0", "-3", "1.5"])
     def test_non_positive_stride_rejected_before_any_output(self, tmp_path, capsys, stride):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main(["run", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
                   "--stride", stride])
         assert exc.value.code == 2
-        assert "argument --stride: must be >= 1" in capsys.readouterr().err
+        error = "invalid int value: '1.5'" if stride == "1.5" else "must be >= 1"
+        assert f"argument --stride: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reruns_are_bit_identical(self, tmp_path):
@@ -206,6 +234,20 @@ class TestTableCommand:
         assert sups == sorted(sups, reverse=True)
         assert l2s == sorted(l2s, reverse=True)
         assert etas == sorted(etas)  # eta grows toward mu as J grows
+
+    @pytest.mark.parametrize("amplitude, M, error", [
+        (1e200, [0.0, 0.0], "trace sup_b_sq at level 2 = inf"),
+        (1e150, [1.0, 1.0], "envelope l2_gap = inf"),    # a finite gap whose square overflows
+    ], ids=["disturbance", "gap"])
+    def test_non_finite_trace_fails_the_row(self, tmp_path, capsys, amplitude, M, error):
+        out = tmp_path / "o"
+        assert main(["table", "--scenario", str(huge_disturbance(tmp_path, amplitude, M)),
+                     "--out", str(out), "--J-list", "20,40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            f"{J:>6d} failed: {error} is not finite" for J in (20, 40)]
+        assert (out / "table.csv").read_text().splitlines()[2:] == ["20,,,,", "40,,,,"]
 
     def test_reference_deviations_printed_for_benchmark(self, tmp_path, capsys):
         assert deviation_block(tmp_path, capsys, SCENARIOS / "linear_benchmark.json",
@@ -305,7 +347,7 @@ class TestTableCommand:
 
     def test_j_list_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
-        for j_list in ("64,32", "1,64"):
+        for j_list in ("64,32", "1,64", "32,6x"):
             with pytest.raises(SystemExit) as exc:
                 main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
                       "--J-list", j_list])
@@ -333,7 +375,8 @@ class TestSweepCommand:
     def test_range_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
         # nan and inf pass a test of sign alone
-        for xi_range in ("0:1:5", "0.1:1.0", "nan:1:5", "0.05:inf:5", "inf:inf:2", "0.05:nan:2"):
+        for xi_range in ("0:1:5", "0.1:1.0", "nan:1:5", "0.05:inf:5", "inf:inf:2", "0.05:nan:2",
+                         "a:1:5"):
             with pytest.raises(SystemExit) as exc:
                 main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
                       "--xi-range", xi_range])

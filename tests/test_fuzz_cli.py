@@ -3,8 +3,9 @@
 Each example takes a shipped scenario or a test scenario, shrunk to J=20
 and T=0.5, replaces one or two of its fields or array elements with values
 from a fixed pool (wrong types, 0, huge and tiny numbers, strings, nested
-lists and objects), and runs ``certify`` or ``sweep`` on it.  Whatever the
-file holds:
+lists and objects), and runs ``certify`` or ``sweep`` on it, then one of
+``run --force``, ``run --force --stride 3`` and ``table --J-list 20,40``,
+example ``i`` the ``i % 3``-th.  Whatever the file holds:
 
 * ``main`` returns 0, 1 or 2 and raises nothing;
 * on exit 2 the last line on stderr starts with ``scenario error:`` or
@@ -13,14 +14,16 @@ file holds:
   exits 0;
 * no run issues a warning, whatever its exit code: a huge or tiny number
   that loads (a gain of 1e308, a weight of 1e-320) either gives finite
-  results or exits 2 naming the first quantity that is not finite.
+  results or exits 2 naming the first quantity that is not finite (a
+  ``table`` row names it and fails instead).
 
 Example ``i`` is drawn from ``random.Random(SEEDS[i])`` alone, so the
 examples are the same whichever tests ran before, and a frozen sha256 of
 them fails the test when the stream changes (as a change of a scenario
 file, of the pool or of the drawing does; record the new digest then).
 Few of them reach an overflow, so a second test sets every numeric leaf
-of every file in turn to 1e308 and to 1e-320.
+of every file in turn to 1e308 and to 1e-320, and runs ``certify``,
+``sweep`` and ``run --force`` on each.
 """
 
 import contextlib
@@ -32,6 +35,7 @@ import random
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -68,6 +72,8 @@ def _places(node, where=()):
 
 PLACES = {name: list(_places(raw)) for name, raw in BASES.items()}
 COMMANDS = ("certify", "sweep")
+MARCHES = (("run", "--force"), ("run", "--force", "--stride", "3"),
+           ("table", "--J-list", "20,40"))
 SEEDS = range(200)
 EXAMPLES_SHA256 = "395213ff595115c73909b834096d7c8316771915069afdf790ddff5d85df6dac"
 
@@ -107,15 +113,16 @@ def _mutant(seed: int):
     return name, raw, number_lost, rng.choice(COMMANDS)
 
 
-def _exit_code(name: str, raw: dict, command: str, tmp: str) -> int:
-    """``main``'s exit code on ``raw``, after the checks that hold for every file."""
+def _exit_code(name: str, raw: dict, command: Sequence[str], tmp: str) -> int:
+    """``main``'s exit code for ``command`` on ``raw``, after the checks that
+    hold for every file."""
     scenario = Path(tmp) / f"{name}.json"
     scenario.write_text(json.dumps(raw), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
+        code = main([*command, "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     if code == 2:
         last = err.getvalue().splitlines()[-1]
@@ -128,16 +135,18 @@ def test_exit_code_contract():
     digest = hashlib.sha256(json.dumps(examples).encode()).hexdigest()
     assert digest == EXAMPLES_SHA256
     for seed, (name, raw, number_lost, command) in zip(SEEDS, examples):
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                code = _exit_code(name, raw, command, tmp)
-            if number_lost:
-                assert code != 0
-        except Exception as exc:
-            pytest.fail(f"seed {seed}, {command} on {json.dumps(raw)}: {exc!r}")
+        for argv in ((command,), MARCHES[seed % len(MARCHES)]):
+            try:
+                with tempfile.TemporaryDirectory() as tmp:
+                    code = _exit_code(name, raw, argv, tmp)
+                if number_lost:
+                    assert code != 0
+            except Exception as exc:
+                pytest.fail(f"seed {seed}, {' '.join(argv)} on {json.dumps(raw)}: {exc!r}")
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", [("certify",), ("sweep",), ("run", "--force")],
+                         ids=["certify", "sweep", "run"])
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_every_number_huge_and_tiny(name, command):
     # the overflows and underflows that few random mutants reach: each

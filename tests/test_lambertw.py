@@ -36,18 +36,6 @@ def test_defining_equation_midrange():
         assert abs(w * math.exp(w) - z) <= 1e-13 * abs(z)
 
 
-def test_residual_log_sweep():
-    mags = np.exp(np.linspace(math.log(math.exp(-1.0) * (1 - 1e-9)),
-                              math.log(1e-300), 100))
-    worst = 0.0
-    for mag in mags:
-        z = -float(mag)
-        w = lambert_w_minus1(z)
-        assert w <= -1.0
-        worst = max(worst, abs(w * math.exp(w) - z) / abs(z))
-    assert worst <= 1e-13
-
-
 def test_equilibrium_density_consistency():
     # the shipped pipe-flow equilibrium: W(-225 e^{-225}) = -225 exactly,
     # so the density at the left end comes out as rho0

@@ -58,22 +58,6 @@ class TestGronwall:
         for n in range(0, 40, 7):
             assert gronwall_closed_form(1.0, 1.0, 1.0, 0.01, n) == pytest.approx(1.0)
 
-    def test_closed_form_equals_direct_recursion(self):
-        rng = np.random.default_rng(12)
-        worst = 0.0
-        for _ in range(1000):
-            a = float(np.exp(rng.uniform(-2, 2)))
-            dt = rng.uniform(0.01, 0.99) / a
-            z = rng.normal() * 2.0
-            c = abs(rng.normal()) * 3.0
-            n = int(rng.integers(0, 51))
-            y = c
-            for _ in range(n + 1):
-                y = (1.0 - a * dt) * y + dt * z
-            closed = gronwall_closed_form(c, a, z, dt, n)
-            worst = max(worst, abs(closed - y) / max(abs(y), abs(closed), 1e-30))
-        assert worst <= 1e-12
-
     def test_rejects_inapplicable_steps(self):
         with pytest.raises(ValueError):
             gronwall_closed_form(1.0, 2.0, 0.0, 1.0, 3)
@@ -102,16 +86,14 @@ class TestEnvelope:
         times = g.times()
         L = np.exp(-0.3 * times)
         trace = lyapunov.LyapunovTrace(times=times, L=L, envelope=L.copy(),
-                                       sup_b_sq=np.zeros_like(L), eta=0.3,
-                                       l2_weight=g.dt / g.cfl)
+                                       sup_b_sq=np.zeros_like(L), l2_weight=g.dt / g.cfl)
         assert lyapunov.envelope_gap_norms(trace) == (0.0, 0.0)
 
 
 class TestFitDecayRate:
     def make_trace(self, times, L):
         return lyapunov.LyapunovTrace(times=times, L=L, envelope=None,
-                                      sup_b_sq=np.zeros_like(times), eta=None,
-                                      l2_weight=times[1] - times[0])
+                                      sup_b_sq=np.zeros_like(times), l2_weight=times[1] - times[0])
 
     def test_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 2001)

@@ -107,7 +107,8 @@ def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
 
 def test_reference_values_read_the_disturbance_at_every_level():
     sc = build_linear_benchmark()
-    assert reports.reference_values(sc) == (0.22813, 0.35801, 0.57479)
+    assert reports.reference_values(sc) == (*reports.REFERENCE_GAP_NORMS[(0.75, 1600)],
+                                            reports.REFERENCE_ETA[1600])
     b, T = sc.coefficients.b, sc.grid.T
     # only the last of the 21335 levels differs
     sc.coefficients.b = DisturbanceSignal(2, lambda t: b(t) + 1e-3 * (t == T)[..., None])

@@ -178,6 +178,11 @@ class TestLoading:
         bad.write_text('{"grid": {,}\n}')
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(str(bad))
+        bad.write_text("[1.0]")
+        with pytest.raises(ScenarioError, match="top level must be an object"):
+            load_scenario(str(bad))
+        assert main(["certify", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_fields_are_named(self):
         raw = benchmark_raw()

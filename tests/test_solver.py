@@ -276,24 +276,6 @@ class TestRun:
                  + (rep.C2_const / rep.eta) * (1 + 1 / sc.xi) * sup_b_sq)
         assert np.all(res.lyapunov <= bound + 1e-12 * max(1.0, res.lyapunov[0]))
 
-    def test_exact_advection_at_unit_courant(self):
-        # no source, no feedback, no disturbance: pure per-step shift
-        J = 32
-        rng = np.random.default_rng(8)
-        init = rng.uniform(-0.5, 0.5, size=(J, 2))
-        g = core.Grid1D(1.0, J, 100.0 / J, 1.0, 1.0)
-        c = make_coeffs(g)
-        res = march(g, c, init.copy())
-        assert [n for n, _ in res.history] == list(range(g.N + 1))
-        expect_p = init[:, 0].copy()
-        expect_m = init[:, 1].copy()
-        for n in range(g.N):
-            state = res.history[n + 1][1]
-            expect_p = np.concatenate([[0.0], expect_p[:-1]])
-            expect_m = np.concatenate([expect_m[1:], [0.0]])
-            assert np.allclose(state[:, 0], expect_p, rtol=0, atol=1e-14)
-            assert np.allclose(state[:, 1], expect_m, rtol=0, atol=1e-14)
-
 
 class TestThreeComponents:
     """k = 3 march against a per-cell reference loop."""
