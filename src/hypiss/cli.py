@@ -1,16 +1,15 @@
 """Command-line front end: certify, run, table and sweep.
 
-Exit codes: ``certify`` is nonzero exactly when the certificate fails;
-``run`` is nonzero when the certificate fails and ``--force`` was not
-given, and exits 2 when the solver aborts on a level whose ``L`` is not
-finite, or when the envelope, ``sup_b_sq`` or the summary holds a value
-that is not finite, before it writes the trace; ``table`` is nonzero when
-any row fails, as a row with such a value or gap norm does.  A bad
-``--stride``, ``--J-list`` or ``--xi-range`` exits 2 from argparse, and a
-scenario that fails to load or build exits 2, both before ``--out`` is
-made.  Running out of memory, a certificate quantity that is not finite,
-or a solver abort exits 2 with one error line on stderr too.  Every
-command runs sequentially in one thread.
+Exit codes: ``certify`` is nonzero exactly when the certificate fails,
+``run`` when it fails and ``--force`` was not given, and ``table`` when
+any row fails, as a row with a value or gap norm that is not finite does.
+A bad ``--stride``, ``--J-list`` or ``--xi-range`` exits 2 from argparse
+before anything is read.  Any other failure is an exception that a
+command raises and :func:`main` alone maps to exit 2 and one stderr line:
+a scenario that fails to load or build (``scenario error:``, before
+``--out`` is made), a solver abort, a value that is not finite (``run``
+checks before it writes the trace), running out of memory, or an unusable
+``--out`` such as an existing file.  Every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -56,11 +55,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not report.overall and not args.force:
         print("certificate failed; rerun with --force to simulate anyway")
         return 1
-    try:
-        result = solver.run(scenario, args.stride)
-    except solver.BlowupError as exc:
-        print(f"error: solver aborted: {exc}", file=sys.stderr)
-        return 2
+    result = solver.run(scenario, args.stride)
     trace = lyapunov.build_trace(result, scenario, report)
     max_violation = measured = None
     with np.errstate(all="ignore"):     # a value that is not finite is named below
@@ -143,10 +138,10 @@ def _stride(text: str) -> int:
 
 def _j_list(text: str) -> List[int]:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
-    if not values or any(v < 2 for v in values):
+    if any(v < 2 for v in values):
         raise argparse.ArgumentTypeError("entries must be >= 2")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("must be strictly increasing")
@@ -208,13 +203,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except solver.BlowupError as exc:
+        print(f"error: solver aborted: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:    # OSError: say an --out that names a file
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:     # as numpy raises for an array too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -111,10 +111,6 @@ class DisturbanceSignal:
         return out
 
     @classmethod
-    def zero(cls, k: int) -> "DisturbanceSignal":
-        return cls(k, lambda t: np.zeros(t.shape + (k,)))
-
-    @classmethod
     def constant(cls, values: Sequence[float]) -> "DisturbanceSignal":
         v = np.asarray(values, dtype=float)
         return cls(v.size, lambda t: np.full(t.shape + v.shape, v))

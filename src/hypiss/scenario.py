@@ -104,7 +104,7 @@ def _disturbance(boundary: dict, k: int) -> DisturbanceSignal:
     spec = _object(boundary, "disturbance", "boundary") if "disturbance" in boundary else {}
     kind = spec.get("kind", "zero")
     if kind == "zero":
-        return DisturbanceSignal.zero(k)
+        return DisturbanceSignal.constant(np.zeros(k))
     if kind == "constant":
         return DisturbanceSignal.constant(_floats(spec, "values", context, (k,)))
     if kind == "pulsed_sine":

@@ -123,16 +123,13 @@ def _build() -> Path:
         raise OSError(f"C compiler not found: {_CC[0]}")
     try:
         cache.mkdir(parents=True, exist_ok=True)
-        work = tempfile.mkdtemp(dir=cache)
-    except OSError:
-        private = tempfile.mkdtemp(prefix="hypiss-march-")
-        atexit.register(shutil.rmtree, private, True)
-        return _compile(Path(private) / target.name)
-    try:
-        # built aside and renamed, so a concurrent build never loads half a file
-        _compile(Path(work) / target.name).replace(target)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+        work = tempfile.TemporaryDirectory(dir=cache)
+    except OSError:     # an unwritable cache: a directory private to this process stands in
+        cache = Path(tempfile.mkdtemp(prefix="hypiss-march-"))
+        atexit.register(shutil.rmtree, cache, True)
+        target, work = cache / target.name, tempfile.TemporaryDirectory(dir=cache)
+    with work:      # built aside and renamed, so a concurrent build never loads half a file
+        _compile(Path(work.name) / target.name).replace(target)
     stale = target.stat().st_mtime - _STALE_S     # just built, so its mtime is now
     for old in cache.glob("march-*.so"):
         with contextlib.suppress(OSError):    # a concurrent build may remove it first

@@ -182,7 +182,7 @@ def test_09_exact_advection():
     lam = np.array([1.0, -1.0])
     coeffs = core.SystemCoefficients(k=2, m=1, lam=np.tile(lam, (J + 2, 1)),
                                      pi=np.zeros((J, 2, 2)), K=np.zeros((2, 2)),
-                                     M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
+                                     M=np.zeros(2), b=core.DisturbanceSignal.constant(np.zeros(2)))
     rng = np.random.default_rng(9)
     init = rng.uniform(-0.5, 0.5, size=(J, 2))
     weights = core.WeightField(np.ones((J + 2, 2)))

@@ -51,7 +51,7 @@ class TestConditionMatrixIndexing:
         c = core.SystemCoefficients(k=2, m=1, lam=lam, pi=pi,
                                     K=np.array([[0.0, 0.3], [0.2, 0.0]]),
                                     M=rng.uniform(0.1, 2.0, 2),
-                                    b=core.DisturbanceSignal.zero(2))
+                                    b=core.DisturbanceSignal.constant(np.zeros(2)))
         w = core.WeightField(rng.uniform(0.2, 3.0, (J + 2, 2)))
         return g, c, w
 
@@ -145,7 +145,7 @@ class TestThreeComponents:
         pi = (0.5 * (sym + np.transpose(sym, (0, 2, 1))) + shift * np.eye(3)
               + 0.5 * (skew - np.transpose(skew, (0, 2, 1))))
         c = core.SystemCoefficients(k=3, m=2, lam=lam, pi=pi, K=np.zeros((3, 3)),
-                                    M=np.ones(3), b=core.DisturbanceSignal.zero(3))
+                                    M=np.ones(3), b=core.DisturbanceSignal.constant(np.zeros(3)))
         w = core.WeightField.implicit([1.0, 2.0], [1.5], self.MU, g)
         return g, c, w
 

@@ -347,7 +347,7 @@ class TestTableCommand:
 
     def test_j_list_validation(self, tmp_path, capsys):
         path = small_benchmark(tmp_path)
-        for j_list in ("64,32", "1,64", "32,6x"):
+        for j_list in ("64,32", "1,64", "32,6x", "200,,400", ","):
             with pytest.raises(SystemExit) as exc:
                 main(["table", "--scenario", str(path), "--out", str(tmp_path / "o"),
                       "--J-list", j_list])
@@ -392,6 +392,18 @@ def test_failed_load_makes_no_output_directory(tmp_path, capsys, command):
     assert code == 2
     assert capsys.readouterr().err.startswith("scenario error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "sweep", "table"])
+def test_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    code = main([command, "--scenario", str(small_benchmark(tmp_path, J=20, T=0.5)),
+                 "--out", str(out), *(["--J-list", "20"] if command == "table" else [])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("field, value, certify_error, sweep_error", [

@@ -81,7 +81,7 @@ class TestSampling:
         return core.SystemCoefficients(
             k=2, m=1, lam=lam, pi=np.zeros((g.J, 2, 2)),
             K=np.zeros((2, 2)) if K is None else K, M=np.zeros(2),
-            b=core.DisturbanceSignal.zero(2))
+            b=core.DisturbanceSignal.constant(np.zeros(2)))
 
     def test_constant_fields(self):
         lam = np.array([1.0, -1.0])
@@ -193,11 +193,11 @@ class TestDisturbance:
         assert b(2.0) == pytest.approx([1.0, 0.0])  # constant extrapolation
 
     def test_zero_and_constant(self):
-        assert np.all(core.DisturbanceSignal.zero(3)(1.23) == 0.0)
+        assert np.all(core.DisturbanceSignal.constant(np.zeros(3))(1.23) == 0.0)
         assert core.DisturbanceSignal.constant([0.3, -0.3])(9.9) == pytest.approx([0.3, -0.3])
 
     @pytest.mark.parametrize("signal", [
-        core.DisturbanceSignal.zero(2),
+        core.DisturbanceSignal.constant(np.zeros(2)),
         core.DisturbanceSignal.constant([0.3, -0.3]),
         core.DisturbanceSignal.pulsed_sine(2, amplitude=0.01, cutoff=5.0),
         core.DisturbanceSignal.tabulated([0.0, 1.0, 4.0], [[0.0, 2.0], [1.0, 0.0], [0.5, 0.5]]),

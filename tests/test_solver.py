@@ -22,7 +22,7 @@ def make_coeffs(grid, lam=(1.0, -1.0), gamma=None, K=None, M=None, b=None):
     return core.SystemCoefficients(
         k=2, m=1, lam=np.tile(lam, (grid.J + 2, 1)), pi=np.tile(gamma, (grid.J, 1, 1)),
         K=np.zeros((2, 2)) if K is None else K, M=np.zeros(2) if M is None else M,
-        b=core.DisturbanceSignal.zero(2) if b is None else b)
+        b=core.DisturbanceSignal.constant(np.zeros(2)) if b is None else b)
 
 
 def scenario(grid, coeffs, initial, weights=None):
@@ -82,7 +82,8 @@ class TestTransport:
                                -rng.uniform(0.5, 3.0, J + 2)])
         K = np.array([[0.0, rng.uniform(-1, 1)], [rng.uniform(-1, 1), 0.0]])
         c = core.SystemCoefficients(k=2, m=1, lam=lam, pi=np.zeros((J, 2, 2)),
-                                    K=K, M=np.zeros(2), b=core.DisturbanceSignal.zero(2))
+                                    K=K, M=np.zeros(2),
+                                    b=core.DisturbanceSignal.constant(np.zeros(2)))
         vals = np.zeros((J + 2, 2))
         vals[1:-1] = rng.normal(size=(J, 2))
         vals[0, 0] = K[0, 1] * vals[1, 1]      # compatibility ghosts
@@ -124,7 +125,7 @@ class TestSource:
             k=2, m=1, lam=np.tile([1.0, -1.0], (4, 1)),
             pi=np.tile([[0.3, -0.1], [-0.1, 0.3]], (2, 1, 1)),
             K=np.array([[0.0, 1.0], [1.0, 0.0]]), M=np.zeros(2),
-            b=core.DisturbanceSignal.zero(2))
+            b=core.DisturbanceSignal.constant(np.zeros(2)))
         out = march(g, c, [[1.0, 1.0], [1.0, 1.0]]).history[1][1]
         assert out == pytest.approx(np.full((2, 2), 0.98), rel=1e-15)
 
@@ -136,7 +137,7 @@ class TestSource:
         c = core.SystemCoefficients(
             k=1, m=1, lam=np.ones((5, 1)),
             pi=np.full((3, 1, 1), gamma),
-            K=np.zeros((1, 1)), M=np.zeros(1), b=core.DisturbanceSignal.zero(1))
+            K=np.zeros((1, 1)), M=np.zeros(1), b=core.DisturbanceSignal.constant(np.zeros(1)))
         out = march(g, c, [[2.0], [3.0], [-1.0]]).history[1][1]
         assert np.allclose(out[:, 0], np.array([0.0, 2.0, 3.0]) * (1 - 0.25 * gamma),
                            rtol=1e-15)
@@ -488,7 +489,8 @@ class TestBackends:
                 lam = np.where(np.arange(k) < m, 1.0, -1.0)
                 c = core.SystemCoefficients(
                     k=k, m=m, lam=np.tile(lam, (g.J + 2, 1)), pi=np.full((g.J, k, k), 0.1),
-                    K=np.zeros((k, k)), M=np.zeros(k), b=core.DisturbanceSignal.zero(k))
+                    K=np.zeros((k, k)), M=np.zeros(k),
+                    b=core.DisturbanceSignal.constant(np.zeros(k)))
                 assert march(g, c, np.ones((g.J, k))).backend == "numpy"
         if solver._load() is None:
             pytest.skip("the compiled step kernel could not be built")
