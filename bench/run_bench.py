@@ -1,6 +1,6 @@
-"""March and writer benchmark: each backend on the shipped scenarios.
+"""March, writer and certify benchmark on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_4.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_5.json]
 
 March rows: for each shipped scenario at J = 200 and J = 1600 (its other
 fields as shipped) this times ``hypiss.solver.run`` with the compiled and
@@ -15,10 +15,17 @@ formatter and with the Python row formatter, alternating them in every repeat,
 and reports the median and minimum wall time and the median ns per float
 value written.
 
+Certify rows: for each shipped scenario at J = 6400 (its other fields as
+shipped) this times ``certifier.certify``, its C2 check
+``certifier.check_source`` on its own, ``certifier.sweep_xi`` over the
+``sweep`` command's default 20 points, and in-process ``cli.main`` calls of
+``certify`` and of ``sweep`` on a copy of the file with that J, each once
+before the timed repeats, and reports the median and the minimum wall time.
+
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_4.json`` at the repository root by default;
-``BENCH_1.json`` to ``BENCH_3.json`` hold those of earlier versions, and
+``--out`` (``BENCH_5.json`` at the repository root by default;
+``BENCH_1.json`` to ``BENCH_4.json`` hold those of earlier versions, and
 ``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
 writes: the compiled kernel with one coefficient column per cell where
 every cell holds the same coefficients).
@@ -27,6 +34,8 @@ every cell holds the same coefficients).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -42,13 +51,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from hypiss import __version__, certifier, load_scenario, lyapunov, reports, solver  # noqa: E402
+from hypiss import __version__, certifier, cli, load_scenario, lyapunov, reports, solver  # noqa: E402
 from hypiss.scenario import ScenarioSpec  # noqa: E402
 
 SCENARIOS = ("linear_benchmark", "saint_venant", "isothermal_euler")
 J_LIST = (200, 1600)
 BACKENDS = ("c", "numpy")
 WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
+CERTIFY_J = 6400
+SWEEP_XI = "0.05:1.0:20"    # the sweep command's default grid
 
 
 def _first_line(argv) -> str | None:
@@ -127,10 +138,50 @@ def writer_rows(repeats: int) -> list:
     return rows
 
 
+def certify_rows(repeats: int) -> list:
+    """Wall time of each certify-path call at J = CERTIFY_J, per scenario."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for name in SCENARIOS:
+            raw = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+            raw["grid"]["J"] = CERTIFY_J
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            scenario = load_scenario(str(path)).build()
+            xis = cli._xi_range(SWEEP_XI)
+            calls = {
+                "certify": lambda: certifier.certify(scenario),
+                "c2": lambda: certifier.check_source(scenario.coefficients, scenario.weights,
+                                                     scenario.grid),
+                "sweep_xi": lambda: certifier.sweep_xi(scenario, xis),
+                "cli_certify": lambda: cli.main(["certify", "--scenario", str(path),
+                                                 "--out", str(Path(tmp) / "certify")]),
+                "cli_sweep": lambda: cli.main(["sweep", "--scenario", str(path),
+                                               "--out", str(Path(tmp) / "sweep")]),
+            }
+            times = {key: [] for key in calls}
+            for key, call in calls.items():
+                if call() == 2:     # the warm-up; a failed command would time its error path
+                    raise RuntimeError(f"{key} exited 2 on {name}")
+            for _ in range(repeats):
+                for key, call in calls.items():
+                    start = time.perf_counter()
+                    call()
+                    times[key].append(time.perf_counter() - start)
+            row = {"scenario": name, "J": CERTIFY_J, "sweep_points": len(xis),
+                   **{key: {"median_s": statistics.median(t), "min_s": min(t)}
+                      for key, t in times.items()}}
+            rows.append(row)
+            print(f"{name:17s} J={CERTIFY_J}  " + "  ".join(
+                f"{key} {row[key]['median_s'] * 1e3:.2f}" for key in calls) + " ms",
+                file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_4.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)
@@ -152,9 +203,9 @@ def main(argv=None) -> int:
             print(f"{name:17s} J={J:5d}  c {row['c']['median']:7.2f}  "
                   f"numpy {row['numpy']['median']:7.2f} ns per cell-step  "
                   f"x{row['speedup_median']:.1f}", file=sys.stderr)
-    report = {"benchmark": "march and writers", "unit": "ns per cell-step",
+    report = {"benchmark": "march, writers and certify", "unit": "ns per cell-step",
               "repeats": args.repeats, "environment": environment(), "rows": rows,
-              "writers": writer_rows(args.repeats)}
+              "writers": writer_rows(args.repeats), "certify": certify_rows(args.repeats)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -155,7 +155,9 @@ def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
     p = weights.interior()                        # (J, k) diagonal entries
     pi = coefficients.pi                          # (J, k, k)
     p_pi = p[:, :, None] * pi                     # P_j Pi_j
-    pit_p_pi = np.einsum("jca,jc,jcb->jab", pi, p, pi)
+    pit_p_pi = 0.0                                # Pi_j^T P_j Pi_j, summed over c in order
+    for c in range(coefficients.k):
+        pit_p_pi = pit_p_pi + (pi[:, c, :, None] * p[:, c, None, None]) * pi[:, c, None, :]
     return p_pi + np.transpose(p_pi, (0, 2, 1)) - dt * pit_p_pi
 
 
@@ -192,12 +194,23 @@ def _boundary_diagonals(coefficients: SystemCoefficients,
     return d_out, d_in
 
 
+def _gain_bounds(coefficients: SystemCoefficients, d_out: np.ndarray, d_in: np.ndarray,
+                 xi: float) -> Tuple[Optional[float], Optional[float]]:
+    """Closed-form admissible |kappa12| and |kappa21| at ``xi``; None unless
+    k = 2 and m = 1."""
+    if xi <= 0:
+        raise ValueError("xi must be positive")
+    if coefficients.k == 2 and coefficients.m == 1:
+        return (float(np.sqrt(d_out[1] / ((1.0 + xi) * d_in[0]))),
+                float(np.sqrt(d_out[0] / ((1.0 + xi) * d_in[1]))))
+    return None, None
+
+
 def check_boundary(coefficients: SystemCoefficients, weights: WeightField,
                    xi: float) -> BoundaryCheck:
     """C3: boundary quadratic form PSD; closed-form gain bounds for k = 2."""
-    if xi <= 0:
-        raise ValueError("xi must be positive")
     d_out, d_in = _boundary_diagonals(coefficients, weights)
+    k12_bound, k21_bound = _gain_bounds(coefficients, d_out, d_in, xi)
     K = coefficients.K
     bc = np.diag(d_out) - (1.0 + xi) * K.T @ np.diag(d_in) @ K
     eigs = np.linalg.eigvalsh(bc)
@@ -206,10 +219,6 @@ def check_boundary(coefficients: SystemCoefficients, weights: WeightField,
     witness = None
     if not passed:
         witness = Witness("C3", -1, None, float(eigs[0]))
-    k12_bound = k21_bound = None
-    if coefficients.k == 2 and coefficients.m == 1:
-        k12_bound = float(np.sqrt(d_out[1] / ((1.0 + xi) * d_in[0])))
-        k21_bound = float(np.sqrt(d_out[0] / ((1.0 + xi) * d_in[1])))
     return BoundaryCheck(passed=passed, eigenvalues=eigs,
                          kappa12_bound=k12_bound, kappa21_bound=k21_bound,
                          witness=witness)
@@ -362,21 +371,23 @@ def certify(scenario) -> CertificateReport:
 def sweep_xi(scenario, xi_values) -> List[dict]:
     """Boundary-gain bounds, nu and the envelope constant across a xi grid.
 
-    Raises ValueError naming the first quantity of the rows that is not
-    finite, as :func:`certify` does."""
+    The bounds are C3's closed forms; C3's PSD check is not run.  Raises
+    ValueError naming the first quantity of the rows that is not finite,
+    as :func:`certify` does."""
     rows = []
     coeffs, weights = scenario.coefficients, scenario.weights
     c1 = check_transport(coeffs, weights, scenario.grid)
     nu = disturbance_gain(coeffs, weights)
+    d_out, d_in = _boundary_diagonals(coeffs, weights)
     for xi in xi_values:
-        c3 = check_boundary(coeffs, weights, float(xi))
+        k12_bound, k21_bound = _gain_bounds(coeffs, d_out, d_in, float(xi))
         env_const = None
         if c1.eta is not None:
             env_const = (1.0 + 1.0 / float(xi)) * nu / c1.eta
         row = {
             "xi": float(xi),
-            "kappa12_bound": c3.kappa12_bound,
-            "kappa21_bound": c3.kappa21_bound,
+            "kappa12_bound": k12_bound,
+            "kappa21_bound": k21_bound,
             "nu": nu,
             "envelope_constant": env_const,
         }

@@ -15,6 +15,7 @@ checks before it writes the trace), running out of memory, or an unusable
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -161,7 +162,11 @@ def _xi_range(text: str) -> List[float]:
     return [float(x) for x in np.linspace(a, b, steps)]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no state
+    between parses: the string defaults of ``--J-list`` and ``--xi-range``
+    are converted again on each."""
     parser = argparse.ArgumentParser(
         prog="hypiss",
         description="Certify and simulate 1-D linear hyperbolic balance laws "
@@ -197,8 +202,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--xi-range", dest="xi_range", type=_xi_range, default="0.05:1.0:20",
                          help="xi grid as a:b:steps")
     p_sweep.set_defaults(fn=cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as exc:

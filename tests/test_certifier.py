@@ -1,11 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypiss import certifier, core
 from hypiss.models import build_linear_benchmark, euler_scenario, saint_venant_scenario
 from hypiss.reports import REFERENCE_ETA
+from hypiss.scenario import load_scenario
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
 class TestTransportCondition:
@@ -91,6 +97,44 @@ class TestConditionMatrixIndexing:
         #           |lam-| at right ghost with weight at cell J-1
         assert d_in[0] == pytest.approx(lam[0, 0] * p[1, 0], rel=1e-14)
         assert d_in[1] == pytest.approx(-lam[J + 1, 1] * p[J, 1], rel=1e-14)
+
+
+def _einsum_source_matrices(coefficients, weights, dt):
+    """C2's matrices with Pi^T P Pi as one three-operand einsum, the
+    reference that :func:`certifier._source_matrices` must match bit for bit."""
+    p, pi = weights.interior(), coefficients.pi
+    p_pi = p[:, :, None] * pi
+    return (p_pi + np.transpose(p_pi, (0, 2, 1))
+            - dt * np.einsum("jca,jc,jcb->jab", pi, p, pi))
+
+
+def _assert_same_bits(got, expected):
+    # through the bit patterns, so that -0.0 and 0.0 differ
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestSourceMatricesBitIdentical:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_shipped_files_at_6400_cells(self, path):
+        sc = load_scenario(str(path)).build(J=6400)
+        _assert_same_bits(
+            certifier._source_matrices(sc.coefficients, sc.weights, sc.grid.dt),
+            _einsum_source_matrices(sc.coefficients, sc.weights, sc.grid.dt))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.sampled_from([2, 3, 4]),
+           scale=st.floats(1e-3, 1e3), dt=st.floats(1e-3, 1.0))
+    def test_drawn_systems_of_two_to_four_components(self, data, k, scale, dt):
+        J = data.draw(st.integers(1, 6))
+        pi = scale * data.draw(hnp.arrays(float, (J, k, k), elements=st.floats(-1.0, 1.0)))
+        p = data.draw(hnp.arrays(float, (J + 2, k), elements=st.floats(1e-3, 1e3)))
+        lam = np.tile([1.0] + [-1.0] * (k - 1), (J + 2, 1))
+        c = core.SystemCoefficients(k=k, m=1, lam=lam, pi=pi, K=np.zeros((k, k)),
+                                    M=np.ones(k), b=core.DisturbanceSignal.constant(np.zeros(k)))
+        w = core.WeightField(p)
+        _assert_same_bits(certifier._source_matrices(c, w, dt),
+                          _einsum_source_matrices(c, w, dt))
 
 
 class TestSourceCondition:
@@ -284,3 +328,24 @@ class TestCertify:
         assert row["nu"] == rep.nu
         assert row["envelope_constant"] == pytest.approx(
             (1 + 1 / 0.125) * rep.nu / rep.eta, rel=1e-14)
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_sweep_bounds_are_the_boundary_checks_bounds(self, path):
+        sc = load_scenario(str(path)).build()
+        xis = [float(x) for x in np.linspace(0.05, 1.0, 20)]   # the sweep command's default
+        rows = certifier.sweep_xi(sc, xis)
+        assert len(rows) == 20
+        for xi, row in zip(xis, rows):
+            c3 = certifier.check_boundary(sc.coefficients, sc.weights, xi)
+            assert c3.kappa12_bound is not None and c3.kappa21_bound is not None
+            for key, bound in (("kappa12_bound", c3.kappa12_bound),
+                               ("kappa21_bound", c3.kappa21_bound)):
+                assert np.float64(row[key]).view(np.uint64) == np.float64(bound).view(np.uint64)
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0])
+    def test_non_positive_xi_rejected(self, xi):
+        sc = build_linear_benchmark(J=16)
+        with pytest.raises(ValueError, match="^xi must be positive$"):
+            certifier.sweep_xi(sc, [xi])

@@ -425,3 +425,29 @@ def test_non_finite_certificate_quantity_exits_2(tmp_path, capsys, field, value,
             assert (code, err) == (0, "")
         else:
             assert (code, err) == (2, f"error: {error} is not finite\n")
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    # main builds its parser once per process; each parse must still start
+    # from the defaults, and a failed parse must leave nothing behind
+    path = str(small_benchmark(tmp_path, J=20, T=0.2))
+
+    def rows(out, name):
+        return (out / name).read_text().splitlines()[2:]
+
+    out = tmp_path / "table"
+    assert main(["table", "--scenario", path, "--out", str(out), "--J-list", "20,40"]) == 0
+    assert len(rows(out, "table.csv")) == 2
+    assert main(["table", "--scenario", path, "--out", str(out)]) == 0
+    assert [r.split(",")[0] for r in rows(out, "table.csv")] == ["200", "400", "800", "1600"]
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", path, "--out", str(out), "--xi-range", "0.1:0.2:2"]) == 0
+    assert len(rows(out, "sweep.csv")) == 2
+    assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
+    assert len(rows(out, "sweep.csv")) == 20
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", path, "--out", str(tmp_path / "run"), "--stride", "0"])
+    assert exc.value.code == 2
+    assert main(["certify", "--scenario", path, "--out", str(tmp_path / "certify")]) == 0
