@@ -82,9 +82,12 @@ def environment() -> dict:
             "commit": _first_line(["git", "-C", str(ROOT), "describe", "--always", "--dirty"])}
 
 
+LOAD = solver._load     # the cached loader, which use("numpy") replaces
+
+
 def use(backend: str) -> None:
     """Select the compiled library, or none, as on a host without a compiler."""
-    solver._lib = None if backend == "c" else False
+    solver._load = LOAD if backend == "c" else (lambda: None)
     if backend == "c" and solver._load() is None:
         raise RuntimeError("the compiled library could not be loaded")
 

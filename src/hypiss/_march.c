@@ -7,10 +7,11 @@
  * level n0 to level n1 with one step size; every other shape marches in
  * the NumPy kernel only.  Cell j's coefficients r_lam and pi_cols are at
  * column cs * j: cs = 1, or cs = 0 when solver.py found them the same in
- * every cell, and step_2x2's one loop body is inlined for each stride, so
- * the constant case streams only the state and the weights.  Each step
- * does the operations of the NumPy kernel in solver.py in the same order,
- * so the state is bit-identical:
+ * every cell.  The compiler inlines step_2x2 at both of its calls, one per
+ * stride, so the constant case streams only the state and the weights; CI
+ * checks that the object has no step_2x2 symbol.  Each step does the
+ * operations of the NumPy kernel in solver.py in the same order, so the
+ * state is bit-identical:
  *
  *   transport   tilde = inner - (upwind difference) * r_lam
  *   source      inner = tilde + (sum_c Pi[:, c] tilde[c]) * (-step)
@@ -62,20 +63,13 @@ static double pairwise_sum(const double *a, ptrdiff_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-#ifdef __GNUC__
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ALWAYS_INLINE inline
-#endif
-
 /* One step of the transport and source updates in one pass over the
  * cells; prod receives the functional's terms.  The positive row is read
  * from a copy, old, because the pass overwrites the upwind cell it needs;
  * the negative row's upwind cell is still unwritten when it is read. */
-static ALWAYS_INLINE void step_2x2(long J, double *restrict W, const double *restrict r_lam,
-                                   const double *restrict pi_cols, const double *restrict p,
-                                   double *restrict old, double *restrict prod,
-                                   double neg_step, long cs)
+static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
+                     const double *restrict pi_cols, const double *restrict p,
+                     double *restrict old, double *restrict prod, double neg_step, long cs)
 {
     double *restrict pos = W + 1, *restrict neg = W + (J + 2) + 1;
     const long nc = cs ? J : 1;

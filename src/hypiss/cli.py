@@ -3,10 +3,10 @@
 Exit codes: ``certify`` is nonzero exactly when the certificate fails,
 ``run`` when it fails and ``--force`` was not given, and ``table`` when
 any row fails, as a row with a value or gap norm that is not finite does.
-A bad ``--stride``, ``--J-list`` or ``--xi-range`` exits 2 from argparse
-before anything is read.  Any other failure is an exception that a
-command raises and :func:`main` alone maps to exit 2 and one stderr line:
-a scenario that fails to load or build (``scenario error:``, before
+A bad ``--stride``, ``--J-list``, ``--xi-range`` or ``--cfl`` exits 2 from
+argparse before anything is read.  Any other failure is an exception that
+a command raises and :func:`main` alone maps to exit 2 and one stderr
+line: a scenario that fails to load or build (``scenario error:``, before
 ``--out`` is made), a solver abort, a value that is not finite (``run``
 checks before it writes the trace), running out of memory, or an unusable
 ``--out`` such as an existing file.  Every command runs in one thread.
@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import certifier, lyapunov, reports, solver
+from . import certifier, core, lyapunov, reports, solver
 from .scenario import ScenarioError, ScenarioSpec, load_scenario
 
 __all__ = ["main"]
@@ -149,6 +149,13 @@ def _j_list(text: str) -> List[int]:
     return values
 
 
+def _cfl(text: str) -> float:
+    try:    # Grid1D's own rule, checked on a unit grid
+        return core.Grid1D(l=1.0, J=2, T=1.0, cfl=float(text), lambda_max=1.0).cfl
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _xi_range(text: str) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -193,7 +200,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p_table)
     p_table.add_argument("--J-list", dest="J_list", type=_j_list, default="200,400,800,1600",
                          help="comma-separated strictly increasing cell counts")
-    p_table.add_argument("--cfl", type=float, default=None,
+    p_table.add_argument("--cfl", type=_cfl, default=None,
                          help="override the scenario Courant number")
     p_table.set_defaults(fn=cmd_table)
 

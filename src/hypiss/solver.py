@@ -29,16 +29,15 @@ The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
 of every shipped scenario; the NumPy kernel marches every other shape and
 is the fallback.  The C kernel does the same operations in the same
 order, so the state is bit-identical, and sums ``L`` pairwise, as numpy
-sums a contiguous array.  Its one loop body is inlined twice, once for
-each column stride.  The first 2x2 :func:`run` of a process (or the
-first trace or trajectory writer of ``reports``, whose row formatter is in
-the same file) compiles it with ``cc`` into ``~/.cache/hypiss/march-<sha256
-of source and command>.so``, which later processes reuse, and removes
-cached builds over 30 days old (an unwritable cache gets a private
-temporary directory).  :func:`_load` returning None, as without a compiler
-or after a failed build, is the one backend selector: NumPy marches and
-``reports`` formats in Python.  The backend is logged once per process at
-INFO and recorded in :attr:`SimulationResult.backend`.
+sums a contiguous array.  :func:`_load`, cached, builds it once per
+process, at the first 2x2 :func:`run` or trace or trajectory writer of
+``reports`` (the file holds their row formatter too): ``cc`` compiles it
+into ``~/.cache/hypiss/march-<sha256 of source and command>.so``, which
+later processes reuse (:func:`_build` has the cache policy).  :func:`_load`
+returning None, as without a compiler or after a failed build, is the one
+backend selector: NumPy marches and ``reports`` formats in Python; tests
+and the benchmark replace ``_load`` with ``lambda: None`` to select it.
+The backend is logged and recorded in :attr:`SimulationResult.backend`.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
+import functools
 import logging
 import math
 import shutil
@@ -70,7 +70,6 @@ logger = logging.getLogger(__name__)
 _CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_march.c")
 _STALE_S = 30 * 86400   # a new build removes cached builds older than this
-_lib = None         # until the first load: then the compiled library, or False if it failed
 
 
 class BlowupError(RuntimeError):
@@ -98,22 +97,13 @@ class SimulationResult:
         return len(self.times) - 1
 
 
-def _compile(out: Path) -> Path:
-    """Compile ``_march.c`` into ``out``; raises OSError when it fails."""
-    import subprocess   # imported here, not at import of hypiss, which need not pay for it
-    done = subprocess.run([*_CC, "-o", str(out), str(_SOURCE)], capture_output=True, text=True)
-    if done.returncode != 0:
-        raise OSError(f"{_CC[0]} exited with {done.returncode}: {done.stderr.strip()}")
-    return out
-
-
 def _build() -> Path:
     """Path of the compiled kernel: the cached build of this source and
     command, compiled into the cache first when missing, which removes the
     cached builds older than ``_STALE_S``.  An unwritable cache compiles
     into a directory private to this process, removed at exit.  Raises
     OSError when the compiler is missing or fails."""
-    import hashlib      # as subprocess in _compile
+    import hashlib, subprocess  # here, not at import of hypiss, which need not pay for them
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CC).encode()).hexdigest()
     cache = Path.home() / ".cache" / "hypiss"
     target = cache / f"march-{key}.so"
@@ -129,7 +119,11 @@ def _build() -> Path:
         atexit.register(shutil.rmtree, cache, True)
         target, work = cache / target.name, tempfile.TemporaryDirectory(dir=cache)
     with work:      # built aside and renamed, so a concurrent build never loads half a file
-        _compile(Path(work.name) / target.name).replace(target)
+        out = Path(work.name) / target.name
+        done = subprocess.run([*_CC, "-o", str(out), str(_SOURCE)], capture_output=True, text=True)
+        if done.returncode != 0:
+            raise OSError(f"{_CC[0]} exited with {done.returncode}: {done.stderr.strip()}")
+        out.replace(target)
     stale = target.stat().st_mtime - _STALE_S     # just built, so its mtime is now
     for old in cache.glob("march-*.so"):
         with contextlib.suppress(OSError):    # a concurrent build may remove it first
@@ -138,26 +132,21 @@ def _build() -> Path:
     return target
 
 
+@functools.cache
 def _load():
     """The compiled library, built and loaded on the first call, with the
     signature of ``hypiss_march`` declared (``reports`` declares its other
     entry point); None when it cannot be built (no compiler, or a failed build)."""
-    global _lib
-    if _lib is None:
-        try:
-            path = _build()
-            lib = ctypes.CDLL(str(path))
-        except OSError as exc:
-            logger.info("march backend: numpy; the C kernel could not be built or loaded: %s",
-                        exc)
-            _lib = False
-        else:
-            long, ptr = ctypes.c_long, ctypes.c_void_p
-            lib.hypiss_march.restype = long
-            lib.hypiss_march.argtypes = [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 3
-            logger.info("march backend: c, %s", path)
-            _lib = lib
-    return _lib or None
+    try:
+        path = _build()
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        logger.info("march backend: numpy; the C kernel could not be built or loaded: %s", exc)
+        return None
+    fn, long, ptr = lib.hypiss_march, ctypes.c_long, ctypes.c_void_p
+    fn.restype, fn.argtypes = long, [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 3
+    logger.info("march backend: c, %s", path)
+    return lib
 
 
 def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:

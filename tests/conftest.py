@@ -35,12 +35,13 @@ def gronwall_closed_form(c: float, a: float, z: float, dt: float, n: int) -> flo
 @pytest.fixture(params=["c", "numpy"])
 def march_backend(request, monkeypatch):
     """Runs the test once with the compiled library and once without it, as
-    on a host with no compiler; the compiled case is skipped when it cannot
-    be built."""
+    on a host with no compiler: ``solver._load`` replaced by ``lambda: None``,
+    the one switch of both the march and the row formatter.  The compiled
+    case is skipped when it cannot be built."""
     if request.param == "c" and solver._load() is None:
         pytest.skip("the compiled step kernel could not be built")
     if request.param == "numpy":
-        monkeypatch.setattr(solver, "_lib", False)
+        monkeypatch.setattr(solver, "_load", lambda: None)
     return request.param
 
 

@@ -355,6 +355,16 @@ class TestTableCommand:
             assert "argument --J-list:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cfl", ["0", "-1", "1.5", "nan", "inf", "x"])
+    def test_bad_cfl_rejected_before_any_output(self, tmp_path, capsys, cfl):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
+                  "--cfl", cfl])
+        assert exc.value.code == 2
+        assert "argument --cfl:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_rows(self, tmp_path):

@@ -3,6 +3,7 @@ library, against the generic row writer ``reports._write_csv``, which
 formats each value of a row tuple; and the compiled row formatter against
 ``reports._python_rows``, whose ``repr`` is its oracle."""
 
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -118,9 +119,11 @@ def test_reference_values_read_the_disturbance_at_every_level():
 def backend_bytes(monkeypatch, tmp_path, write):
     """What ``write(path)`` writes with the compiled library and without it."""
     out = {}
-    for backend, lib in (("c", solver._load()), ("numpy", False)):
-        monkeypatch.setattr(solver, "_lib", lib)
-        write(tmp_path / backend)
+    for backend in ("c", "numpy"):
+        with monkeypatch.context() as mp:
+            if backend == "numpy":
+                mp.setattr(solver, "_load", lambda: None)
+            write(tmp_path / backend)
         out[backend] = (tmp_path / backend).read_bytes()
     return out
 
@@ -171,6 +174,6 @@ def test_writers_fall_back_without_compiler(compiled_rows, monkeypatch, tmp_path
     compiled = write(tmp_path / "c")
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
-    monkeypatch.setattr(solver, "_lib", None)
+    monkeypatch.setattr(solver, "_load", functools.cache(solver._load.__wrapped__))
     assert solver._load() is None
     assert write(tmp_path / "fallback") == compiled

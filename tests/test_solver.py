@@ -1,3 +1,4 @@
+import functools
 import logging
 import os
 import shutil
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypiss import certifier, core, solver
+from hypiss import certifier, core, lyapunov, reports, solver
 from hypiss.models import Scenario
 from hypiss.scenario import load_scenario
 
@@ -398,7 +399,7 @@ class TestConstantCoefficients:
             got = solver.run(sc, stride=1)
         if strides is not None:
             assert strides and set(strides) == {stride}
-        monkeypatch.setattr(solver, "_lib", False)
+        monkeypatch.setattr(solver, "_load", lambda: None)
         monkeypatch.setattr(solver, "same_in_every_cell", lambda *arrays: False)
         want = solver.run(sc, stride=1)     # the NumPy kernel on one column per cell
         assert np.array_equal(got.final, want.final)
@@ -456,7 +457,7 @@ class TestBackends:
             pytest.skip("the compiled step kernel could not be built")
         sc = load_scenario(str(SCENARIOS / f"{name}.json")).build(J=200)
         runs = {"c": solver.run(sc, stride=50)}
-        monkeypatch.setattr(solver, "_lib", False)
+        monkeypatch.setattr(solver, "_load", lambda: None)
         runs["numpy"] = solver.run(sc, stride=50)
         for backend in runs:
             assert runs[backend].backend == backend
@@ -499,17 +500,36 @@ class TestBackends:
     def test_missing_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
-        monkeypatch.setattr(solver, "_lib", None)
+        monkeypatch.setattr(solver, "_load", functools.cache(solver._load.__wrapped__))
         sc = self.benchmark()
         with caplog.at_level(logging.INFO, logger="hypiss.solver"):
             got = solver.run(sc, stride=100)
         assert got.backend == "numpy"
         assert "march backend: numpy; the C kernel could not be built" in caplog.text
-        monkeypatch.setattr(solver, "_lib", False)
+        monkeypatch.setattr(solver, "_load", lambda: None)
         want = solver.run(sc, stride=100)
         assert np.array_equal(got.final, want.final)
         assert np.array_equal(got.lyapunov, want.lyapunov)
         assert not (tmp_path / ".cache").exists()
+
+    def test_one_load_per_process_and_one_switch(self, monkeypatch, tmp_path):
+        # a failed load is not retried: two marches and a writer build once
+        sc = self.benchmark()
+        with monkeypatch.context() as mp:
+            mp.setenv("HOME", str(tmp_path))
+            mp.setattr(solver, "_CC", (str(tmp_path / "no-such-cc"), *solver._CC[1:]))
+            mp.setattr(solver, "_load", functools.cache(solver._load.__wrapped__))
+            builds, build = [], solver._build
+            mp.setattr(solver, "_build", lambda: builds.append(1) or build())
+            result = solver.run(sc, stride=100)
+            solver.run(sc)
+            reports.write_trace_csv(tmp_path / "trace.csv", lyapunov.build_trace(
+                result, sc, certifier.certify(sc)))
+        assert len(builds) == 1
+        # replacing the loader switches both the march and the row formatter
+        monkeypatch.setattr(solver, "_load", lambda: None)
+        assert solver.run(sc).backend == "numpy"
+        assert reports._row_formatter().__code__ is reports._python_rows().__code__
 
     def test_build_is_cached_per_source_and_command(self, monkeypatch, tmp_path):
         if shutil.which(solver._CC[0]) is None:
@@ -551,7 +571,7 @@ class TestBackends:
         home = tmp_path / "home"
         home.write_text("")        # a file, so ~/.cache cannot be made
         monkeypatch.setenv("HOME", str(home))
-        monkeypatch.setattr(solver, "_lib", None)
+        monkeypatch.setattr(solver, "_load", functools.cache(solver._load.__wrapped__))
         with caplog.at_level(logging.INFO, logger="hypiss.solver"):
             assert solver.run(self.benchmark()).backend == "c"
         path = Path(caplog.text.split("march backend: c, ")[1].split()[0])
