@@ -73,6 +73,9 @@ class Grid1D:
             N = int(round(ratio))
         else:
             N = int(math.ceil(ratio))
+        if N > 10**8:   # run's per-level arrays take (k + 3) * 8 * (N + 1) bytes, 4 GB at k = 2
+            raise ValueError(f"grid.T = {self.T!r} and grid.cfl = {self.cfl!r} give N = {N:.3g} "
+                             "time steps, more than 10^8")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "N", max(N, 1))

@@ -224,12 +224,14 @@ class EulerParams:
             return np.full(x.shape, self.rho0)
         ratio = self.a * self.rho0 / self.q_star
         c, theta = ratio * ratio, self.f_over_D / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        with np.errstate(over="ignore", invalid="ignore"):   # Lambert W checks the domain
             z = -c * np.exp(2.0 * theta * x - c)   # nan where c = inf, 0 on an underflow
-        if not np.all(z < 0.0):
+        try:
+            w = lambert_w_minus1(z)
+        except ValueError as exc:
             raise ValueError(f"equilibrium argument out of range at c = {c:g}: rho0 = "
-                             f"{self.rho0!r} and q_star = {self.q_star!r} are too extreme")
-        w = lambert_w_minus1(z)
+                             f"{self.rho0!r} and q_star = {self.q_star!r} are too extreme: "
+                             f"{exc}") from None
         return (abs(self.q_star) / self.a) * np.sqrt(-w)
 
 

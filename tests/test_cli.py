@@ -355,7 +355,7 @@ class TestTableCommand:
             assert "argument --J-list:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("cfl", ["0", "-1", "1.5", "nan", "inf", "x"])
+    @pytest.mark.parametrize("cfl", ["0", "-1", "1.5", "nan", "inf", "x", "1e-300"])
     def test_bad_cfl_rejected_before_any_output(self, tmp_path, capsys, cfl):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -402,6 +402,17 @@ def test_failed_load_makes_no_output_directory(tmp_path, capsys, command):
     assert code == 2
     assert capsys.readouterr().err.startswith("scenario error:")
     assert not (tmp_path / "o").exists()
+
+
+def test_too_many_time_steps_exit_2_before_any_output(tmp_path, capsys):
+    # cfl = 1e-300 loads, but N = T / dt = 8e301 levels could never be allocated
+    path = small_benchmark(tmp_path, J=8, T=10.0, **{"grid.cfl": 1e-300})
+    for command in ("certify", "run"):
+        out = tmp_path / command
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: grid.T = 10.0 and grid.cfl = 1e-300 give "
+                                           "N = 8e+301 time steps, more than 10^8\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "sweep", "table"])

@@ -60,6 +60,13 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"grid\.T .*grid\.l and grid\.cfl"):
             core.Grid1D(**kwargs)
 
+    def test_step_count_bound_names_the_grid_fields(self):
+        # N = T / dt with dt = 0.5: 10^8 steps are allowed and one more is not
+        assert core.Grid1D(1.0, 2, 5e7, 1.0, 1.0).N == 10**8
+        with pytest.raises(ValueError, match=r"grid\.T = 50000000\.5 and grid\.cfl = 1\.0 give "
+                                             r"N = 1e\+08 time steps, more than 10\^8"):
+            core.Grid1D(1.0, 2, 5e7 + 0.5, 1.0, 1.0)
+
     def test_infinite_speed_rejected(self):
         with pytest.raises(ValueError, match="lambda_max must be positive and finite"):
             core.Grid1D(1.0, 4, 1.0, 0.5, math.inf)

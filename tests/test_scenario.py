@@ -352,6 +352,8 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
     ("saint_venant", "model.ic.V0.frequency", 1e308, ("initial data is not finite",)),
     ("linear_benchmark", "model.ic", {"kind": "sin", "amplitude": [1.0, 1.0],
                                       "frequency": 1e308}, ("initial data is not finite",)),
+    ("isothermal_euler", "model.q_star", 5.0, ("rho0", "q_star", "branch point")),
+    ("isothermal_euler", "model.rho0", 5.4, ("rho0", "q_star", "too close to 0")),
 ])
 def test_unbuildable_values_fail_with_one_error_line(tmp_path, capsys, shipped, path, value,
                                                      fields):
