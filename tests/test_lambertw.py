@@ -94,4 +94,4 @@ def test_domain_error_names_the_first_bad_value():
         lambert_w_minus1(np.array([-0.1, math.nan]))
     for z in (-5e-324, -1e-320, -1e-310):   # subnormal: e^w would lose digits
         with pytest.raises(ValueError, match="too close to 0"):
-            lambert_w_minus1(np.array([-0.1, z]))
+            lambert_w_minus1(z)
