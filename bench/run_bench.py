@@ -13,7 +13,10 @@ Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 ``write_trace_csv`` and ``write_trajectory_csv`` with the compiled
 formatter and with the Python row formatter, alternating them in every repeat,
 and reports the median and minimum wall time and the median ns per float
-value written.
+value formatted.  Each timed write goes to a path removed just before, as
+``hypiss run`` removes its outputs, so no repeat times the truncation of a
+file written before.  The script exits non-zero when the two formatters
+wrote different bytes.
 
 Certify rows: for each shipped scenario at J = 6400 (its other fields as
 shipped) this times ``certifier.certify``, its C2 check
@@ -111,24 +114,28 @@ def writer_rows(repeats: int) -> list:
     result = solver.run(scenario, WRITER_SHAPE["stride"])
     trace = lyapunov.build_trace(result, scenario, certifier.certify(scenario))
     J, k = result.history[0][1].shape
-    writers = {   # name: (call, float values written)
+    writers = {   # name: (call, float values formatted); trajectory.csv formats x once
         "trace.csv": (lambda path: reports.write_trace_csv(path, trace),
                       trace.times.size * (3 + (trace.envelope is not None))),
         "trajectory.csv": (lambda path: reports.write_trajectory_csv(
-            path, result, scenario.grid.centers), len(result.history) * (1 + J * (1 + k))),
+            path, result, scenario.grid.centers), len(result.history) * (1 + J * k) + J),
     }
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (write, values) in writers.items():
             times = {backend: [] for backend in BACKENDS}
+            paths = {backend: Path(tmp) / f"{backend}-{name}" for backend in BACKENDS}
             for _ in range(repeats):
-                for backend in BACKENDS:
+                for backend, path in paths.items():
                     use(backend)
+                    path.unlink(missing_ok=True)
                     start = time.perf_counter()
-                    write(Path(tmp) / name)
+                    write(path)
                     times[backend].append(time.perf_counter() - start)
+            if len({path.read_bytes() for path in paths.values()}) != 1:
+                sys.exit(f"{name}: the compiled and the Python formatter wrote different bytes")
             row = {"file": name, **WRITER_SHAPE, "N": result.steps, "values": values,
-                   "bytes": (Path(tmp) / name).stat().st_size,
+                   "bytes": paths["c"].stat().st_size,
                    **{backend: {"median_s": statistics.median(t), "min_s": min(t),
                                 "ns_per_value": statistics.median(t) / values * 1e9}
                       for backend, t in times.items()}}

@@ -26,9 +26,13 @@
  *
  * hypiss_csv_rows writes CSV rows with every double printed as Python's
  * repr prints it: the shortest decimal that rounds back to it, found with
- * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
- * in repr's layout.  Its Python twin, _python_rows in reports.py, formats
- * the rows when this library cannot be built, with the same bytes.
+ * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) on
+ * 128-bit products, in repr's layout.  One call writes the rows of several
+ * blocks, each with its own prefix and its own columns; a row's head is its
+ * number or its slice of a buffer of heads made once per file, so the
+ * trajectory prints each cell's "j,x" once and every snapshot of a chunk in
+ * one call.  Its Python twin, _python_rows in reports.py, formats the rows
+ * when this library cannot be built, with the same bytes.
  */
 
 #include <math.h>
@@ -144,13 +148,13 @@ static int flog10pow2(int e) { return floor_shift(e * INT64_C(661971961083), 41)
 static int flog10_34pow2(int e) { return floor_shift(e * INT64_C(661971961083) - INT64_C(274743187321), 41); }
 static int flog2pow10(int e) { return floor_shift(e * INT64_C(913124641741), 38); }
 
-/* high 64 bits of the 128-bit product, from 32-bit halves */
+/* high 64 bits of the 128-bit product; a compiler without unsigned __int128
+ * fails the build, and the writers then format in Python */
+__extension__ typedef unsigned __int128 u128;
+
 static uint64_t mul_hi(uint64_t a, uint64_t b)
 {
-    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
-    uint64_t p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return (uint64_t)(((u128)a * b) >> 64);
 }
 
 /* cp g 2^-127 rounded to odd */
@@ -198,10 +202,18 @@ static char *put(char *p, const char *s, int n)
     return p + n;
 }
 
-static char *zeros(char *p, int n)
+static const char PAIRS[] =
+    "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849"
+    "5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/* the 8 decimal digits of v < 10^8, leading zeros included, at p */
+static void put8(char *p, uint32_t v)
 {
-    memset(p, '0', (size_t)n);
-    return p + n;
+    const uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(p, PAIRS + 2 * (hi / 100), 2);
+    memcpy(p + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(p + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(p + 6, PAIRS + 2 * (lo % 100), 2);
 }
 
 /* repr(v) at p; returns the end.  At most 24 characters. */
@@ -226,22 +238,45 @@ static char *format_double(char *p, double v, const uint64_t *g)
         f = shortest(g, Q_MIN, 10 * frac, -1, &e);
     else
         f = shortest(g, Q_MIN, frac, 0, &e);
-    for (; f % 10 == 0; e++)
-        f /= 10;
-    char digits[17];
-    int n = 0;
-    for (; f != 0; f /= 10)
-        digits[16 - n++] = (char)('0' + f % 10);
-    const char *d = digits + 17 - n;
+    /* f < 10^17 as 1 + 8 + 8 digits, padded with '0's so that the fixed-size
+     * copies below may read past the last digit; none of them writes more
+     * than 23 bytes from p, which with the sign is within 24 */
+    char digits[33];
+    digits[0] = (char)('0' + f / UINT64_C(10000000000000000));
+    put8(digits + 1, (uint32_t)(f / 100000000 % 100000000));
+    put8(digits + 9, (uint32_t)(f % 100000000));
+    memset(digits + 17, '0', 16);
+    const char *d = digits;
+    int end = 17;
+    while (*d == '0')
+        d++;
+    for (; digits[end - 1] == '0'; e++)
+        end--;
+    const int n = (int)(digits + end - d);
     const int decpt = n + e;                /* v = 0.d 10^decpt */
-    if (decpt > -4 && decpt <= 0)           /* 0.000ddd */
-        return put(zeros(put(p, "0.", 2), -decpt), d, n);
-    if (decpt > 0 && decpt < n)             /* dd.ddd */
-        return put(put(put(p, d, decpt), ".", 1), d + decpt, n - decpt);
-    if (decpt >= n && decpt <= 16)          /* ddd00.0 */
-        return put(zeros(put(p, d, n), decpt - n), ".0", 2);
-    p = n > 1 ? put(put(put(p, d, 1), ".", 1), d + 1, n - 1) : put(p, d, 1);
-    int x = decpt - 1;                      /* d.ddde+XX */
+    if (decpt > -4 && decpt <= 0) {         /* 0.000ddd */
+        memcpy(p, "0.000", 5);
+        memcpy(p + 2 - decpt, d, 17);
+        return p + 2 - decpt + n;
+    }
+    if (decpt > 0 && decpt < n) {           /* dd.ddd */
+        char s[33];
+        memcpy(s, d, 16);
+        s[decpt] = '.';
+        memcpy(s + decpt + 1, d + decpt, 16);
+        memcpy(p, s, 18);
+        return p + n + 1;
+    }
+    if (decpt >= n && decpt <= 16) {        /* ddd00.0 */
+        memcpy(p, d, 16);
+        memcpy(p + decpt, ".0", 2);
+        return p + decpt + 2;
+    }
+    p[0] = d[0];                            /* d.ddde+XX, or de+XX for n = 1 */
+    p[1] = '.';
+    memcpy(p + 2, d + 1, 16);
+    p += n > 1 ? n + 1 : 1;
+    int x = decpt - 1;
     *p++ = 'e';
     *p++ = x < 0 ? '-' : '+';
     x = x < 0 ? -x : x;
@@ -252,33 +287,44 @@ static char *format_double(char *p, double v, const uint64_t *g)
     return p;
 }
 
-/* g: the table above, (617, 2).  Writes rows first .. first+count-1 into
- * out, which must hold count times (prefix_len + 21 + 25 ncols) bytes, and
- * returns the bytes written.  Row r is the prefix, r, then for each column
- * c a comma and repr of cols[c][r * strides[c]], or nothing where cols[c]
- * is NULL, then a newline. */
-long hypiss_csv_rows(const uint64_t *g, char *out, const char *prefix, long prefix_len,
-                     long first, long count, long ncols, const double *const *cols,
-                     const long *strides)
+/* g: the table above, (617, 2).  Writes the rows of nblocks blocks into out
+ * and returns the bytes written.  Block b is described by blocks[4b .. 4b+3] =
+ * (prefix offset, prefix length, first, count) and has the rows r = first ..
+ * first+count-1.  Row r is the prefix (that many bytes of prefixes from that
+ * offset), the head, then for each column c a comma and repr of
+ * cols[b ncols + c][r * strides[b ncols + c]], or nothing where that pointer
+ * is NULL, then a newline.  The head is r in decimal where heads is NULL, and
+ * else heads[head_at[r]] .. heads[head_at[r + 1] - 1].  out must hold each
+ * row's prefix and head (21 bytes for r) and 1 + 25 ncols bytes more. */
+long hypiss_csv_rows(const uint64_t *g, char *out, long nblocks, const long *blocks,
+                     const char *prefixes, long ncols, const double *const *cols,
+                     const long *strides, const char *heads, const long *head_at)
 {
     char *p = out;
-    for (long r = first; r < first + count; r++) {
-        memcpy(p, prefix, (size_t)prefix_len);
-        p += prefix_len;
-        char digits[20];
-        int n = 0;
-        long i = r;
-        do
-            digits[n++] = (char)('0' + i % 10);
-        while ((i /= 10) != 0);
-        while (n > 0)
-            *p++ = digits[--n];
-        for (long c = 0; c < ncols; c++) {
-            *p++ = ',';
-            if (cols[c] != NULL)
-                p = format_double(p, cols[c][r * strides[c]], g);
+    for (long b = 0; b < nblocks; b++) {
+        const long *block = blocks + 4 * b, *step = strides + b * ncols;
+        const double *const *col = cols + b * ncols;
+        for (long r = block[2]; r < block[2] + block[3]; r++) {
+            p = put(p, prefixes + block[0], (int)block[1]);
+            if (heads != NULL) {
+                p = put(p, heads + head_at[r], (int)(head_at[r + 1] - head_at[r]));
+            } else {
+                char digits[20];
+                int n = 0;
+                long i = r;
+                do
+                    digits[n++] = (char)('0' + i % 10);
+                while ((i /= 10) != 0);
+                while (n > 0)
+                    *p++ = digits[--n];
+            }
+            for (long c = 0; c < ncols; c++) {
+                *p++ = ',';
+                if (col[c] != NULL)
+                    p = format_double(p, col[c][r * step[c]], g);
+            }
+            *p++ = '\n';
         }
-        *p++ = '\n';
     }
     return (long)(p - out);
 }

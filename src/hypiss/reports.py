@@ -5,9 +5,13 @@ floats are written with Python's shortest round-trip representation so
 reruns diff cleanly.
 
 The trace and trajectory writers hand blocks of float columns to
-``_write_blocks``.  Its rows come from the compiled ``hypiss_csv_rows``,
-which prints each float as ``repr`` does, when ``solver._load()`` has the
-library, and otherwise from ``_python_rows``: the same bytes either way.
+``_write_blocks``: the trace one block whose rows are headed by their
+number, the trajectory one block per snapshot whose rows are headed by the
+cell's ``j,x``, formatted once per file.  Its rows come, up to ``_CHUNK``
+rows and as many blocks as fit per call, from the compiled
+``hypiss_csv_rows``, which prints each float as ``repr`` does, when
+``solver._load()`` has the library, and otherwise from ``_python_rows``:
+the same bytes either way.
 """
 
 from __future__ import annotations
@@ -73,61 +77,100 @@ def _schubfach_table() -> np.ndarray:
     return np.array(table, dtype=np.uint64)
 
 
-def _python_rows():
-    """``hypiss_csv_rows`` in Python; a column that repeats for the same
-    rows, as the trajectory's ``x`` does at every level, is formatted once."""
-    reprs = functools.lru_cache(16)(lambda raw: list(map(repr, np.frombuffer(raw).tolist())))
-
-    def rows(prefix, first, count, columns):
-        fields = [itertools.repeat("", count) if c is None
-                  else reprs(c[first:first + count].tobytes()) for c in columns]
-        head = prefix.decode()
-        lines = map(",".join, zip(map(str, range(first, first + count)), *fields))
-        return "".join(f"{head}{line}\n" for line in lines).encode()
+def _python_rows(heads):
+    """``hypiss_csv_rows`` in Python, for the ``heads`` that ``_write_blocks`` takes."""
+    def rows(pieces):
+        text = []
+        for prefix, first, count, columns in pieces:
+            fields = [itertools.repeat("", count) if c is None
+                      else map(repr, c[first:first + count].tolist()) for c in columns]
+            names = (map(str, range(first, first + count)) if heads is None
+                     else heads[first:first + count])
+            start = prefix.decode()
+            text += (f"{start}{line}\n" for line in map(",".join, zip(names, *fields)))
+        return "".join(text).encode()
     return rows
 
 
-def _row_formatter():
-    """``_python_rows()``, or when the library loads, ``hypiss_csv_rows``,
-    declared here, with its table bound, returning a view of one reused buffer."""
+def _row_formatter(heads):
+    """``_python_rows(heads)``, or when the library loads, ``hypiss_csv_rows``,
+    declared here, with its table and heads bound, returning a view of one
+    reused buffer."""
     lib = solver._load()
     if lib is None:
-        return _python_rows()
+        return _python_rows(heads)
     fn, ptr, long = lib.hypiss_csv_rows, ctypes.c_void_p, ctypes.c_long
-    fn.restype, fn.argtypes = long, [ptr, ptr, ctypes.c_char_p] + [long] * 4 + [ptr] * 2
-    table = _schubfach_table().ctypes.data
-    buf = np.empty(0, dtype=np.uint8)
+    fn.restype = long
+    fn.argtypes = [ptr, ptr, long, ptr, ctypes.c_char_p, long, ptr, ptr, ctypes.c_char_p, ptr]
+    table, longs = _schubfach_table().ctypes.data, np.dtype(long)
+    if heads is None:
+        head_text, head_at, head_len = None, None, 21
+    else:
+        head_text, head_len = "".join(heads).encode(), max(map(len, heads), default=0)
+        head_at = np.cumsum([0, *map(len, heads)], dtype=longs)
+    buf, addr = np.empty(0, dtype=np.uint8), 0
 
-    def rows(prefix, first, count, columns):
-        nonlocal buf
-        size = count * (len(prefix) + 21 + _FIELD * len(columns))
+    def rows(pieces):
+        nonlocal buf, addr
+        ncols = len(pieces[0][3])
+        prefixes = b"".join(prefix for prefix, *_ in pieces)
+        blocks, at, size = [], 0, 0
+        for prefix, first, count, _ in pieces:
+            blocks += (at, len(prefix), first, count)
+            at += len(prefix)
+            size += count * (len(prefix) + head_len + 1 + _FIELD * ncols)
         if buf.size < size:
             buf = np.empty(size, dtype=np.uint8)
-        ptrs = (ptr * len(columns))(*(None if c is None else c.ctypes.data for c in columns))
-        steps = (long * len(columns))(*(0 if c is None else c.strides[0] // 8 for c in columns))
-        n = fn(table, buf.ctypes.data, prefix, len(prefix), first, count, len(columns), ptrs, steps)
+            addr = buf.ctypes.data
+        columns = [c for *_, block in pieces for c in block]
+        ptrs = np.array([0 if c is None else c.ctypes.data for c in columns], dtype=np.uintp)
+        steps = np.array([0 if c is None else c.strides[0] // 8 for c in columns], dtype=longs)
+        blocks = np.array(blocks, dtype=longs)      # the arrays must outlive the call
+        n = fn(table, addr, len(pieces), blocks.ctypes.data, prefixes, ncols,
+               ptrs.ctypes.data, steps.ctypes.data, head_text,
+               None if head_at is None else head_at.ctypes.data)
         return buf[:n]
     return rows
 
 
+def _calls(blocks):
+    """The rows of ``blocks`` as lists of pieces ``(prefix, first, count,
+    columns)``, each list at most ``_CHUNK`` rows: one list per formatter call."""
+    call, room = [], _CHUNK
+    for prefix, count, columns in blocks:
+        first = 0
+        while first < count:
+            take = min(room, count - first)
+            call.append((prefix, first, take, columns))
+            first, room = first + take, room - take
+            if room == 0:
+                yield call
+                call, room = [], _CHUNK
+    if call:
+        yield call
+
+
 def _write_blocks(path: Path, tag: str, header: Sequence[str],
-                  blocks: Iterable[tuple]) -> None:
+                  blocks: Iterable[tuple], heads: Optional[List[str]] = None) -> None:
     """Tag line, header, then for each block ``(prefix, count, columns)``
-    and i < count the row ``prefix``, i, and per column a comma and
-    ``repr(column[i])``, or only the comma for None, in chunks of at most
-    ``_CHUNK`` rows.  Every block's columns are checked before the file is
-    opened, so a bad column leaves no file behind."""
+    and i < count the row ``prefix``, the head, and per column a comma and
+    ``repr(column[i])``, or only the comma for None.  The head is i, or
+    ``heads[i]`` when ``heads`` is given.  The formatter gets at most
+    ``_CHUNK`` rows per call, from as many blocks as fit.  Every block is
+    checked before the file is opened, so a bad column, a block with other
+    columns than the first or a row without a head leaves no file behind."""
     blocks = list(blocks)
     for _, count, columns in blocks:
         if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
                                   or c.strides[0] % 8) for c in columns):
             raise ValueError(f"each column must hold {count} float64 values")
-    rows = _row_formatter()
+        if len(columns) != len(blocks[0][2]) or (heads is not None and len(heads) != count):
+            raise ValueError("every block must have the same columns and one head per row")
+    rows = _row_formatter(heads)
     with path.open("wb") as fh:
         fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n".encode())
-        for prefix, count, columns in blocks:
-            for first in range(0, count, _CHUNK):
-                fh.write(rows(prefix, first, min(_CHUNK, count - first), columns))
+        for call in _calls(blocks):
+            fh.write(rows(call))
 
 
 def _fmt(value) -> str:
@@ -160,11 +203,11 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
     if result.history is None:
         raise ValueError("simulation was run without history recording")
     J, k = result.history[0][1].shape
-    x = centers[1:-1]
-    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, [x, *interior.T])
+    heads = [f"{j},{x!r}" for j, x in enumerate(centers[1:-1].tolist())]
+    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, list(interior.T))
               for n, interior in result.history)
     _write_blocks(path, "trajectory", ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)],
-                  blocks)
+                  blocks, heads)
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:

@@ -58,11 +58,13 @@ def test_domain_errors():
 def test_against_mpmath():
     # relative error against mpmath's branch -1 at 40 digits, from one array
     # call that mixes lanes seeded by the asymptotic form with lanes seeded by
-    # the branch-point series, down to the smallest normal magnitudes; near
-    # the branch point the cancellation in 1 + e z costs about five digits
+    # the branch-point series, down to the smallest normal magnitudes and up
+    # to a few ulps above the branch point; there the cancellation in
+    # w e^w - z costs about two digits, and the series alone holds all of them
     mpmath = pytest.importorskip("mpmath")
     far_z = -np.exp(np.linspace(-708.0, -1.0, 3000, endpoint=False))
-    near_z = -math.exp(-1.0) + np.geomspace(1e-12, 0.1, 1000)
+    near_z = -math.exp(-1.0) + np.geomspace(1e-16, 0.1, 1000)
+    near_z = near_z[near_z > -math.exp(-1.0)]   # the double -1/e lies below -1/e
     z = np.concatenate([far_z, near_z])
     assert np.any(1.0 + math.e * z < 0.25) and np.any(1.0 + math.e * z >= 0.25)
     w = lambert_w_minus1(z)
@@ -74,7 +76,7 @@ def test_against_mpmath():
 
     errors = [rel_err(a, b) for a, b in zip(z.tolist(), w.tolist())]
     assert max(errors[:far_z.size]) <= 1e-15
-    assert max(errors[far_z.size:]) <= 1e-10
+    assert max(errors[far_z.size:]) <= 1e-13
 
 
 def test_arrays_keep_their_shape_and_match_single_calls():

@@ -49,13 +49,13 @@ def compiled_rows():
     """The compiled library's row formatter; skipped when it cannot be built."""
     if solver._load() is None:
         pytest.skip("the compiled library could not be built")
-    return reports._row_formatter()
+    return reports._row_formatter(None)
 
 
 def formatted(rows_fn, values):
     """The compiled formatter's text for each value, through one column."""
     column = np.asarray(values, dtype=np.float64)
-    text = bytes(rows_fn(b"", 0, column.size, [column])).decode()
+    text = bytes(rows_fn([(b"", 0, column.size, [column])])).decode()
     return [line.split(",", 1)[1] for line in text.splitlines()]
 
 
@@ -106,6 +106,19 @@ def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_blocks_that_do_not_match_leave_no_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    for blocks, heads in (([(b"", 2, [np.zeros(2)]), (b"", 2, [np.zeros(2), None])], None),
+                          ([(b"", 2, [np.zeros(2)])], ["0,0.0"])):
+        with pytest.raises(ValueError, match="same columns and one head per row"):
+            reports._write_blocks(path, "rows", ["n", "v"], blocks, heads)
+        assert not path.exists()
+    result, centers = trajectory(10, 2, 2)
+    with pytest.raises(ValueError, match="one head per row"):
+        reports.write_trajectory_csv(path, result, centers[:-1])
+    assert not path.exists()
+
+
 def test_reference_values_read_the_disturbance_at_every_level():
     sc = build_linear_benchmark()
     assert reports.reference_values(sc) == (*reports.REFERENCE_GAP_NORMS[(0.75, 1600)],
@@ -143,20 +156,65 @@ def test_writers_same_bytes_each_backend(compiled_rows, monkeypatch, tmp_path, n
     assert got["c"] == got["numpy"]
 
 
-def test_trajectory_k3_same_bytes_each_backend(compiled_rows, monkeypatch, tmp_path):
-    # three components, more cells than one chunk, and values of every kind
-    J = reports._CHUNK + 5
-    rng = np.random.default_rng(3)
-    times = np.linspace(0.0, 1.0, 4)
-    history = [(n, rng.normal(scale=10.0 ** n, size=(J, 3))) for n in range(3)]
+def trajectory(J, k, levels, seed=3):
+    """A recorded run of ``levels`` snapshots of J cells and k components,
+    with values of every kind, and its cell centres."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, levels + 1)
+    history = [(n, rng.normal(scale=10.0 ** n, size=(J, k))) for n in range(levels)]
     history[1][1][:6, 0] = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
     result = solver.SimulationResult(times=times, lyapunov=times, b_sq=times,
                                      final=history[-1][1], backend="numpy", history=history)
-    centers = np.linspace(-0.5, J + 0.5, J + 2) / J
+    return result, np.linspace(-0.5, J + 0.5, J + 2) / J
+
+
+def test_trajectory_k3_same_bytes_each_backend(compiled_rows, monkeypatch, tmp_path):
+    # three components, more cells than one chunk, and values of every kind
+    J = reports._CHUNK + 5
+    result, centers = trajectory(J, 3, 3)
     got = backend_bytes(monkeypatch, tmp_path, lambda p: reports.write_trajectory_csv(
         p, result, centers))
     assert got["c"] == got["numpy"]
     assert got["c"].count(b"\n") == 2 + 3 * J
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_trajectory_across_calls_same_bytes_each_backend(compiled_rows, monkeypatch,
+                                                         tmp_path, k):
+    # J does not divide the rows per call, so calls hold the end of one
+    # snapshot and the start of the next, and the bytes are the generic writer's
+    J = 1000
+    result, centers = trajectory(J, k, 6)
+    assert reports._CHUNK % J and len(list(reports._calls(
+        (b"", J, []) for _ in result.history))) == math.ceil(6 * J / reports._CHUNK)
+    got = backend_bytes(monkeypatch, tmp_path, lambda p: reports.write_trajectory_csv(
+        p, result, centers))
+    assert got["c"] == got["numpy"]
+    rows = [(n, result.times[n], j, centers[j + 1], *interior[j])
+            for n, interior in result.history for j in range(J)]
+    reports._write_csv(tmp_path / "rows.csv", "trajectory",
+                       ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)], rows)
+    assert got["c"] == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_trace_without_envelope_writes_an_empty_field(compiled_rows, monkeypatch, tmp_path):
+    times = np.linspace(0.0, 1.0, reports._CHUNK + 7)
+    trace = lyapunov.LyapunovTrace(times=times, L=np.exp(-times), envelope=None,
+                                   sup_b_sq=times ** 2, l2_weight=1.0)
+    got = backend_bytes(monkeypatch, tmp_path, lambda p: reports.write_trace_csv(p, trace))
+    assert got["c"] == got["numpy"]
+    lines = got["c"].decode().splitlines()[2:]
+    assert len(lines) == times.size
+    assert all(line.split(",")[3] == "" and len(line.split(",")) == 5 for line in lines)
+
+
+def test_bad_snapshot_in_the_last_call_leaves_no_file(tmp_path):
+    result, centers = trajectory(1000, 2, 6)
+    result.history[-1] = (5, result.history[-1][1].astype(np.float32))
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ValueError, match="1000 float64 values"):
+        reports.write_trajectory_csv(path, result, centers)
+    assert not path.exists()
 
 
 def test_writers_fall_back_without_compiler(compiled_rows, monkeypatch, tmp_path):

@@ -529,7 +529,7 @@ class TestBackends:
         # replacing the loader switches both the march and the row formatter
         monkeypatch.setattr(solver, "_load", lambda: None)
         assert solver.run(sc).backend == "numpy"
-        assert reports._row_formatter().__code__ is reports._python_rows().__code__
+        assert reports._row_formatter(None).__code__ is reports._python_rows(None).__code__
 
     def test_build_is_cached_per_source_and_command(self, monkeypatch, tmp_path):
         if shutil.which(solver._CC[0]) is None:
