@@ -7,7 +7,10 @@ Three families of conditions are verified on the sampled data:
   differences of the weights and speeds must be positive definite; they
   yield the decay rate.
 * C2 (source): per-cell matrices P Pi + Pi^T P - dt Pi^T P Pi must be
-  positive semi-definite.
+  positive semi-definite.  For k = 2 each cell's smallest eigenvalue is
+  LAPACK's own dsterf/dlae2 steps evaluated in NumPy, with the same bits
+  as numpy.linalg.eigvalsh; other k, and scales outside [1e-120, 1e145],
+  call eigvalsh.
 * C3 (boundary): the reflected boundary quadratic form must be positive
   semi-definite for the chosen xi; for 2x2 systems closed-form admissible
   bounds on the feedback gains are reported.
@@ -161,13 +164,72 @@ def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
     return p_pi + np.transpose(p_pi, (0, 2, 1)) - dt * pit_p_pi
 
 
+_EPS = np.finfo(float).eps / 2     # LAPACK's dlamch('E')
+
+
+@np.errstate(all="ignore")     # np.where evaluates the branches it drops
+def _min_eig_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each [[a, b], [b, c]] as LAPACK's dsyevd
+    (jobz='N', uplo='L') finds it without scaling: dsterf's split tests on
+    d = (a, c), e = b, then dlae2, then dlasrt's insertion sort, operation
+    for operation.  Takes finite entries only."""
+    e2 = b * b
+    rte = np.sqrt(e2)                         # dsterf squares e, dlae2 gets its root
+    split = ((np.abs(b) <= (np.sqrt(np.abs(a)) * np.sqrt(np.abs(c))) * _EPS)
+             | (e2 <= _EPS ** 2 * np.abs(a * c)))
+    ql = np.abs(c) >= np.abs(a)               # QL: dlae2(a, rte, c); QR: dlae2(c, rte, a)
+    # dlae2's ACMX is its C in either orientation, and A + C, |A - C| are the same;
+    # off the split lanes rte > 0, so its three cases for RT are one formula
+    big, small = np.where(ql, c, a), np.where(ql, a, c)
+    sm, adf, ab = a + c, np.abs(a - c), rte + rte
+    hi = np.maximum(adf, ab)
+    rt = hi * np.sqrt(1.0 + (np.minimum(adf, ab) / hi) ** 2)
+    rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
+    rt2 = np.where(sm == 0, -0.5 * rt, (big / rt1) * small - (rte / rt1) * rte)
+    d1 = np.where(split, a, np.where(ql, rt1, rt2))
+    d2 = np.where(split, c, np.where(ql, rt2, rt1))
+    return np.where(d2 < d1, d2, d1)          # comparisons, so signed zeros sort as dlasrt's
+
+
+def _source_entries_2x2(coefficients: SystemCoefficients, weights: WeightField,
+                        dt: float) -> Tuple[np.ndarray, ...]:
+    """Entries (0, 0), (1, 0), (0, 1) and (1, 1) of each cell's source matrix
+    for k = 2, as (J,) arrays made by the operations of
+    :func:`_source_matrices` in its order."""
+    p, pi = weights.interior(), coefficients.pi
+
+    def entry(r, s):
+        acc = 0.0
+        for c in range(2):
+            acc = acc + (pi[:, c, r] * p[:, c]) * pi[:, c, s]
+        return p[:, r] * pi[:, r, s] + p[:, s] * pi[:, s, r] - dt * acc
+
+    return entry(0, 0), entry(1, 0), entry(0, 1), entry(1, 1)
+
+
+def _min_eigs_and_scale(coefficients: SystemCoefficients, weights: WeightField,
+                        dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each cell's smallest source-matrix eigenvalue and largest |entry|.
+
+    For k = 2 with every cell's largest lower-triangle |entry| in
+    [1e-120, 1e145], where neither dsyevd nor dsterf rescales, this is
+    :func:`_min_eig_2x2`; otherwise numpy.linalg.eigvalsh.  Both give the
+    same bits."""
+    if coefficients.k == 2:
+        a, b, b_upper, c = _source_entries_2x2(coefficients, weights, dt)
+        lower = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        if np.all((lower >= 1e-120) & (lower <= 1e145)):    # NaN fails both
+            return _min_eig_2x2(a, b, c), np.maximum(lower, np.abs(b_upper))
+    mats = _source_matrices(coefficients, weights, dt)
+    return np.linalg.eigvalsh(mats)[:, 0], np.max(np.abs(mats), axis=(1, 2))
+
+
 def check_source(coefficients: SystemCoefficients, weights: WeightField,
                  grid: Grid1D) -> SourceCheck:
     """C2: positive semi-definiteness of the per-cell source matrices at
     the grid's time step."""
-    mats = _source_matrices(coefficients, weights, grid.dt)
-    scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
-    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
+    min_eigs, scale = _min_eigs_and_scale(coefficients, weights, grid.dt)
+    scale = np.maximum(scale, 1e-300)
     ok = min_eigs >= -PSD_REL_TOL * scale
     passed = bool(np.all(ok))
     witness = None

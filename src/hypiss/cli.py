@@ -2,9 +2,10 @@
 
 Exit codes: ``certify`` is nonzero exactly when the certificate fails,
 ``run`` when it fails and ``--force`` was not given, and ``table`` when
-any row fails, as a row with a value or gap norm that is not finite does.
-A bad ``--stride``, ``--J-list``, ``--xi-range`` or ``--cfl`` exits 2 from
-argparse before anything is read.  Any other failure is an exception that
+any row fails, as a row with a value or gap norm that is not finite does,
+or one whose grid the ``--cfl`` gives more than 10^8 steps.  A bad
+``--stride``, ``--J-list``, ``--xi-range`` or ``--cfl`` (outside (0, 1])
+exits 2 from argparse before anything is read.  Any other failure is an exception that
 a command raises and :func:`main` alone maps to exit 2 and one stderr
 line: a scenario that fails to load or build (``scenario error:``, before
 ``--out`` is made), a solver abort, a value that is not finite (``run``
@@ -150,8 +151,8 @@ def _j_list(text: str) -> List[int]:
 
 
 def _cfl(text: str) -> float:
-    try:    # Grid1D's own rule, checked on a unit grid
-        return core.Grid1D(l=1.0, J=2, T=1.0, cfl=float(text), lambda_max=1.0).cfl
+    try:    # Grid1D's own rule; a row with too many steps fails at its build
+        return core.courant_number(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

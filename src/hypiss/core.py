@@ -24,8 +24,16 @@ __all__ = [
     "DisturbanceSignal",
     "SystemCoefficients",
     "WeightField",
+    "courant_number",
     "same_in_every_cell",
 ]
+
+
+def courant_number(cfl: float) -> float:
+    """``cfl`` if it lies in (0, 1]; ValueError otherwise."""
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"Courant number must lie in (0, 1], got {cfl}")
+    return cfl
 
 
 def same_in_every_cell(*arrays: np.ndarray) -> bool:
@@ -58,8 +66,7 @@ class Grid1D:
             raise ValueError("domain length and final time must be positive")
         if self.J < 2:
             raise ValueError(f"need at least two cells, got J={self.J}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"Courant number must lie in (0, 1], got {self.cfl}")
+        courant_number(self.cfl)
         if not 0 < self.lambda_max < math.inf:
             raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max!r}")
         dx = self.l / self.J

@@ -1,9 +1,10 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hypiss import certifier, core
@@ -135,6 +136,136 @@ class TestSourceMatricesBitIdentical:
         w = core.WeightField(p)
         _assert_same_bits(certifier._source_matrices(c, w, dt),
                           _einsum_source_matrices(c, w, dt))
+
+
+def _eigvalsh_source_check(c, w, dt):
+    """C2's smallest eigenvalues, failing cells and witness (j, value) from
+    numpy.linalg.eigvalsh on :func:`certifier._source_matrices`."""
+    with np.errstate(all="ignore"):
+        mats = certifier._source_matrices(c, w, dt)
+        min_eigs = np.linalg.eigvalsh(mats)[:, 0]
+        scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
+        ok = min_eigs >= -certifier.PSD_REL_TOL * scale
+        j = int(np.argmin(min_eigs / scale))
+    return min_eigs, int(np.sum(~ok)), None if ok.all() else (j, min_eigs[j])
+
+
+def _assert_source_check(got, expected):
+    min_eigs, failing, witness = expected
+    _assert_same_bits(got.min_eigenvalues, min_eigs)
+    assert got.failing_cells == failing
+    assert (got.witness is None) is (witness is None)
+    if witness is not None:
+        assert (got.witness.condition, got.witness.j, got.witness.component) == ("C2", witness[0], None)
+        _assert_same_bits(np.array(got.witness.value), np.array(witness[1]))
+
+
+def _two_component_system(pi, p):
+    J = pi.shape[0]
+    c = core.SystemCoefficients(k=2, m=1, lam=np.tile([1.0, -1.0], (J + 2, 1)), pi=pi,
+                                K=np.zeros((2, 2)), M=np.ones(2),
+                                b=core.DisturbanceSignal.constant(np.zeros(2)))
+    return c, core.WeightField(p)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("this path must not run")
+
+
+class TestSourceEigenvaluesBitIdentical:
+    """C2 for k = 2, from LAPACK's 2x2 steps in NumPy, against
+    numpy.linalg.eigvalsh on :func:`certifier._source_matrices`, bit for bit."""
+
+    @pytest.mark.parametrize("J", [2, 50, 1600, 6400])
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_shipped_files_without_eigvalsh(self, path, J, monkeypatch):
+        sc = load_scenario(str(path)).build(J=J)
+        expected = _eigvalsh_source_check(sc.coefficients, sc.weights, sc.grid.dt)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _must_not_run)
+        _assert_source_check(certifier.check_source(*_cwg(sc)), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), scale=st.floats(1e-6, 1e6), dt=st.floats(1e-3, 1.0))
+    def test_drawn_systems(self, data, scale, dt):
+        J = data.draw(st.integers(1, 8))
+        pi = scale * data.draw(hnp.arrays(float, (J, 2, 2), elements=st.floats(-1.0, 1.0)))
+        p = data.draw(hnp.arrays(float, (J + 2, 2), elements=st.floats(1e-3, 1e3)))
+        c, w = _two_component_system(pi, p)
+        expected = _eigvalsh_source_check(c, w, dt)
+        with np.errstate(all="ignore"):    # a zero cell's witness may divide by 1e-300
+            got = certifier.check_source(c, w, SimpleNamespace(dt=dt))
+        _assert_source_check(got, expected)
+        mats = certifier._source_matrices(c, w, dt)
+        for entry, (r, s) in zip(certifier._source_entries_2x2(c, w, dt),
+                                 [(0, 0), (1, 0), (0, 1), (1, 1)]):
+            _assert_same_bits(entry, mats[:, r, s])
+
+    def test_entries_and_scale(self):
+        rng = np.random.default_rng(7)
+        pi = rng.normal(size=(64, 2, 2))
+        pi[0] = [[1.0, -0.0], [-0.0, 1.0]]     # b = -0.0 only if the sums over c start at 0.0
+        c, w = _two_component_system(pi, rng.uniform(0.5, 2.0, (66, 2)))
+        mats = certifier._source_matrices(c, w, 0.5)
+        a, b, b_upper, d = entries = certifier._source_entries_2x2(c, w, 0.5)
+        for entry, (r, s) in zip(entries, [(0, 0), (1, 0), (0, 1), (1, 1)]):
+            _assert_same_bits(entry, mats[:, r, s])
+        # in some cells the upper off-diagonal, rounded apart from the lower, is the largest entry
+        assert np.any(np.abs(b_upper) > np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))
+        _assert_same_bits(certifier._min_eigs_and_scale(c, w, 0.5)[1],
+                          np.max(np.abs(mats), axis=(1, 2)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), shape=st.sampled_from(
+        ["free", "equal diagonals", "zero off-diagonal", "zero diagonal, b * b subnormal",
+         "near split", "a = -c", "|a - c| = 2|b|"]))
+    def test_drawn_entries_of_each_shape(self, data, shape):
+        J = data.draw(st.integers(1, 8))
+        unit = hnp.arrays(float, J, elements=st.floats(-1.0, 1.0))
+        exponent = data.draw(hnp.arrays(int, J, elements=st.integers(-110, 140)))
+        a, b, c = (data.draw(unit) * 10.0 ** exponent for _ in range(3))
+        if shape == "equal diagonals":
+            c = a.copy()
+        elif shape == "zero off-diagonal":
+            b = np.copysign(0.0, b)
+        elif shape == "zero diagonal, b * b subnormal":
+            a, b = np.copysign(0.0, a), data.draw(unit) * 1e-156
+        elif shape == "near split":    # about dsterf's first split threshold
+            factor = 1.0 + data.draw(hnp.arrays(int, J, elements=st.integers(-8, 8))) * 2.0 ** -52
+            b = np.copysign(np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0 ** -53 * factor, b)
+        elif shape == "a = -c":
+            c = -a
+        elif shape == "|a - c| = 2|b|":
+            b = np.copysign((a - c) / 2.0, b)
+        lower = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        assume(np.all((lower >= 1e-120) & (lower <= 1e145)))
+        mats = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+        _assert_same_bits(certifier._min_eig_2x2(a, b, c), np.linalg.eigvalsh(mats)[:, 0])
+
+    @pytest.mark.parametrize("a,b,c", [
+        ("0x1.e8328b0ffe248p-7", "0x1.083399b327e0dp-59", "0x1.1df5c1d2ea8b9p-6"),
+        ("-0x1.2c72c6118712fp-14", "0x1.0257ec05760e0p-67", "0x1.bc473dc592754p-15"),
+        ("-0x1.fac09cb53dae4p-6", "0x1.16b5d5f0888d5p-58", "-0x1.3293d4059f759p-5"),
+        ("0x1.557f8f1388307p-6", "0x1.128f7945253a7p-59", "-0x1.b97c8a7e7c498p-7")])
+    def test_cells_that_only_the_second_split_test_splits(self, a, b, c):
+        # b is just above the first test's threshold, and b * b rounds to the second's
+        a, b, c = (np.array([float.fromhex(v)]) for v in (a, b, c))
+        mats = np.array([[[a[0], b[0]], [b[0], c[0]]]])
+        _assert_same_bits(certifier._min_eig_2x2(a, b, c), np.linalg.eigvalsh(mats)[:, 0])
+
+    @pytest.mark.parametrize("value", [1e150, 1e-130, np.inf, np.nan])
+    def test_a_cell_outside_the_band_sends_the_batch_to_eigvalsh(self, value, monkeypatch):
+        rng = np.random.default_rng(5)
+        pi = rng.normal(size=(6, 2, 2))
+        if value < 1:
+            pi[3] *= value           # every entry of one cell tiny
+        else:
+            pi[3, 0, 0] = value
+        c, w = _two_component_system(pi, rng.uniform(0.5, 2.0, (8, 2)))
+        expected = _eigvalsh_source_check(c, w, 0.1)
+        monkeypatch.setattr(certifier, "_min_eig_2x2", _must_not_run)
+        with np.errstate(all="ignore"):
+            got = certifier.check_source(c, w, SimpleNamespace(dt=0.1))
+        _assert_source_check(got, expected)
 
 
 class TestSourceCondition:

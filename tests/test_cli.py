@@ -355,7 +355,7 @@ class TestTableCommand:
             assert "argument --J-list:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("cfl", ["0", "-1", "1.5", "nan", "inf", "x", "1e-300"])
+    @pytest.mark.parametrize("cfl", ["0", "-1", "1.5", "nan", "inf", "x"])
     def test_bad_cfl_rejected_before_any_output(self, tmp_path, capsys, cfl):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -364,6 +364,25 @@ class TestTableCommand:
         assert exc.value.code == 2
         assert "argument --cfl:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_too_many_steps_fail_each_row(self, tmp_path, capsys):
+        # a Courant number, but one that gives each row's grid more than 10^8 steps
+        out = tmp_path / "o"
+        assert main(["table", "--scenario", str(small_benchmark(tmp_path, J=8)), "--out", str(out),
+                     "--cfl", "1e-300", "--J-list", "8,16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            f"{J:>6d} failed: grid.T = 4.0 and grid.cfl = 1e-300 give N = {n} time steps, "
+            "more than 10^8" for J, n in ((8, "3.2e+301"), (16, "6.4e+301"))]
+
+    def test_small_cfl_on_a_file_with_a_small_T(self, tmp_path, capsys):
+        # N = 1600 steps here; on a unit grid (T = 1, J = 2) it would be 2e9
+        out = tmp_path / "o"
+        assert main(["table", "--scenario", str(small_benchmark(tmp_path, J=8, T=2e-7)),
+                     "--out", str(out), "--cfl", "1e-9", "--J-list", "8"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("     8 ") and "failed" not in rows[0]
 
 
 class TestSweepCommand:
