@@ -1,12 +1,12 @@
 """March, writer and certify benchmark on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_6.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_7.json]
 
-March rows: for each shipped scenario at J = 200 and J = 1600 (its other
-fields as shipped) this times ``hypiss.solver.run`` with the compiled and
-with the NumPy kernel, alternating them in every repeat, and reports the
-median and the minimum over the repeats of the wall time divided by the
-J * N cell-steps marched.
+March rows: for each shipped scenario at J = 200, 400, 800 and 1600, the
+rows of the ``table`` command (its other fields as shipped), this times
+``hypiss.solver.run`` with the compiled and with the NumPy kernel,
+alternating them in every repeat, and reports the median and the minimum
+over the repeats of the wall time divided by the J * N cell-steps marched.
 
 Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
 (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
@@ -27,17 +27,22 @@ before the timed repeats, and reports the median and the minimum wall time.
 
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_6.json`` at the repository root by default;
-``BENCH_1.json`` to ``BENCH_5.json`` hold those of earlier versions, and
+``--out`` (``BENCH_7.json`` at the repository root by default;
+``BENCH_1.json`` to ``BENCH_6.json`` hold those of earlier versions, and
 ``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
 writes: the compiled kernel with one coefficient column per cell where
-every cell holds the same coefficients).
+every cell holds the same coefficients).  The environment names the code
+measured by ``git describe`` and by a sha256 over the files of
+``src/hypiss``, which a working tree's uncommitted edits change too, and
+says whether the CPU has AVX-512F and AVX2, which pick the compiled
+march's body.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -58,7 +63,7 @@ from hypiss import __version__, certifier, cli, load_scenario, lyapunov, reports
 from hypiss.scenario import ScenarioSpec  # noqa: E402
 
 SCENARIOS = ("linear_benchmark", "saint_venant", "isothermal_euler")
-J_LIST = (200, 1600)
+J_LIST = (200, 400, 800, 1600)     # the table command's rows
 BACKENDS = ("c", "numpy")
 WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
 CERTIFY_J = 6400
@@ -73,16 +78,28 @@ def _first_line(argv) -> str | None:
     return done.stdout.splitlines()[0].strip() if done.returncode == 0 and done.stdout else None
 
 
+def source_sha256() -> str:
+    """sha256 over each file of src/hypiss, its path and then its bytes, in path order."""
+    digest, package = hashlib.sha256(), ROOT / "src" / "hypiss"
+    for path in sorted(p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def environment() -> dict:
-    cpu = next((line.split(":", 1)[1].strip()
-                for line in Path("/proc/cpuinfo").read_text().splitlines()
+    lines = Path("/proc/cpuinfo").read_text().splitlines()
+    cpu = next((line.split(":", 1)[1].strip() for line in lines
                 if line.startswith("model name")), platform.processor())
+    flags = next((set(line.split(":", 1)[1].split()) for line in lines
+                  if line.startswith("flags")), set())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "hypiss": __version__, "platform": platform.platform(), "cpu_model": cpu,
+            "cpu_avx512f": "avx512f" in flags, "cpu_avx2": "avx2" in flags,
             "nproc": len(os.sched_getaffinity(0)),
             "compiler": _first_line([solver._CC[0], "--version"]),
             "compile_command": " ".join(solver._CC),
-            "commit": _first_line(["git", "-C", str(ROOT), "describe", "--always", "--dirty"])}
+            "commit": _first_line(["git", "-C", str(ROOT), "describe", "--always", "--dirty"]),
+            "src_sha256": source_sha256()}
 
 
 LOAD = solver._load     # the cached loader, which use("numpy") replaces
@@ -191,7 +208,7 @@ def certify_rows(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)

@@ -7,11 +7,8 @@
  * level n0 to level n1 with one step size; every other shape marches in
  * the NumPy kernel only.  Cell j's coefficients r_lam and pi_cols are at
  * column cs * j: cs = 1, or cs = 0 when solver.py found them the same in
- * every cell.  The compiler inlines step_2x2 at both of its calls, one per
- * stride, so the constant case streams only the state and the weights; CI
- * checks that the object has no step_2x2 symbol.  Each step does the
- * operations of the NumPy kernel in solver.py in the same order, so the
- * state is bit-identical:
+ * every cell.  Each step does the operations of the NumPy kernel in
+ * solver.py in the same order, so the state is bit-identical:
  *
  *   transport   tilde = inner - (upwind difference) * r_lam
  *   source      inner = tilde + (sum_c Pi[:, c] tilde[c]) * (-step)
@@ -19,10 +16,24 @@
  *               numpy sums a contiguous array (pairwise, 8 accumulators)
  *   boundary    ghosts = K w_in + M * b[n+1]
  *
+ * A step keeps no copy of a whole row and no array of the functional's
+ * terms, so that W and p are most of what it touches: 51 KB at J = 1600,
+ * about the size of a core's L1 data cache.  It updates the cells in place,
+ * in chunks, each with a copy of its own old positive values on the stack.
+ * After each chunk it sums, straight from W and p, every leaf of numpy's
+ * pairwise tree whose cells are done, and feeds the leaf sums to the tree.
+ *
+ * The march and its step are built once for AVX-512F, once for AVX2 and
+ * once for the baseline instruction set, and the loader picks one at the
+ * first call (gcc's target_clones, through an ifunc).  The bodies differ in
+ * vector width only: each lane does one cell's or one accumulator's
+ * operations in their order.  Compile without -ffast-math and with
+ * -ffp-contract=off, so that no body reorders a sum or fuses a
+ * multiply-add; then all three give the same bits.  CI checks that the
+ * clones are there and that the helpers are inlined into them.
+ *
  * lyap[n+1] receives L.  The return value is the first level whose L is
- * not finite, or -1; the state is left at that level.  Compile without
- * -ffast-math and with -ffp-contract=off, so that no reassociation or
- * fused multiply-add changes the last bits.
+ * not finite, or -1; the state is left at that level.
  *
  * hypiss_csv_rows writes CSV rows with every double printed as Python's
  * repr prints it: the shortest decimal that rounds back to it, found with
@@ -40,77 +51,196 @@
 #include <stdint.h>
 #include <string.h>
 
-/* numpy's pairwise summation of a contiguous float64 array */
-static double pairwise_sum(const double *a, ptrdiff_t n)
+/* one body per instruction set, where ELF and glibc give the loader ifuncs
+ * and the compiler knows target_clones */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
+/* the most cells updated between two rounds of leaf sums; chunks of LEAF
+ * cells cost the baseline body about 15 % more at J = 400, in set-up */
+#define CHUNK 512
+#define LEAF 128            /* the most terms numpy sums in one leaf */
+
+/* numpy's leaf of n <= LEAF terms (p[i] w[i]) w[i]: 8 accumulators over the
+ * whole groups of 8, then the rest one by one.  An accumulator that starts
+ * at -0.0 holds the bits of one that starts at its first term. */
+static inline double leaf(const double *restrict p, const double *restrict w, ptrdiff_t n)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        ptrdiff_t i;
-        for (int q = 0; q < 8; q++)
-            r[q] = a[q];
-        for (i = 8; i < n - (n % 8); i += 8)
+    double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
+    ptrdiff_t i = 0;
+    if (n >= 8) {
+        for (; i < n - n % 8; i += 8)
             for (int q = 0; q < 8; q++)
-                r[q] += a[i + q];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
+                r[q] += (p[i + q] * w[i + q]) * w[i + q];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     }
-    ptrdiff_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    for (; i < n; i++)
+        res += (p[i] * w[i]) * w[i];
+    return res;
 }
 
-/* One step of the transport and source updates in one pass over the
- * cells; prod receives the functional's terms.  The positive row is read
- * from a copy, old, because the pass overwrites the upwind cell it needs;
- * the negative row's upwind cell is still unwritten when it is read. */
-static void step_2x2(long J, double *restrict W, const double *restrict r_lam,
-                     const double *restrict pi_cols, const double *restrict p,
-                     double *restrict old, double *restrict prod, double neg_step, long cs)
+/* numpy's pairwise tree over some terms, fed the sums of its leaves in
+ * order: the nodes above the next leaf, each with its left child's sum once
+ * that is in; next is the next leaf's size, 0 once sum holds the root's */
+struct tree {
+    long node[64], next;
+    double left[64], sum;
+    int full[64], depth;
+};
+
+static long split(long n)
 {
-    double *restrict pos = W + 1, *restrict neg = W + (J + 2) + 1;
-    const long nc = cs ? J : 1;
+    return n / 2 - (n / 2) % 8;
+}
+
+static void descend(struct tree *t, long n)
+{
+    for (; n > LEAF; n = split(n)) {
+        t->node[t->depth] = n;
+        t->full[t->depth++] = 0;
+    }
+    t->next = n;
+}
+
+static void push(struct tree *t, double v)
+{
+    for (; t->depth > 0; t->depth--) {
+        const int d = t->depth - 1;
+        if (!t->full[d]) {
+            t->left[d] = v;
+            t->full[d] = 1;
+            descend(t, t->node[d] - split(t->node[d]));
+            return;
+        }
+        v = t->left[d] + v;
+    }
+    t->next = 0;
+    t->sum = v;
+}
+
+/* Cells c0 .. c1-1 of one step's transport and source updates, in place.
+ * The positive row's upwind cell is read from old, a copy of that row's
+ * old values at cells c0-1 .. c1-1; the negative row's upwind cell is
+ * still unwritten when it is read. */
+static inline void update_cells(double *restrict pos, double *restrict neg,
+                                const double *restrict old, const double *restrict r_lam,
+                                const double *restrict pi_cols, long nc, long cs,
+                                long c0, long c1, double neg_step)
+{
     const double *r_pos = r_lam, *r_neg = r_lam + nc;
     const double *pi00 = pi_cols, *pi10 = pi_cols + nc;        /* column 0 */
     const double *pi01 = pi_cols + 2 * nc, *pi11 = pi_cols + 3 * nc;
-    memcpy(old, W, (size_t)(J + 1) * sizeof(double));
-    for (long j = 0; j < J; j++) {
-        double t0 = old[j + 1] - (old[j + 1] - old[j]) * r_pos[cs * j];
+    for (long j = c0; j < c1; j++) {
+        const double *o = old + (j - c0);
+        double t0 = o[1] - (o[1] - o[0]) * r_pos[cs * j];
         double t1 = neg[j] - (neg[j + 1] - neg[j]) * r_neg[cs * j];
         double s0 = pi00[cs * j] * t0;
         s0 += pi01[cs * j] * t1;
         double s1 = pi10[cs * j] * t0;
         s1 += pi11[cs * j] * t1;
-        double w0 = t0 + s0 * neg_step, w1 = t1 + s1 * neg_step;
-        pos[j] = w0;
-        neg[j] = w1;
-        prod[j] = (p[j] * w0) * w0;
-        prod[J + j] = (p[J + j] * w1) * w1;
+        pos[j] = t0 + s0 * neg_step;
+        neg[j] = t1 + s1 * neg_step;
     }
 }
 
-/* p, prod: (2, J); old: J + 1 doubles of scratch; r_lam: (2, C) and
- * pi_cols: (2, 2, C) with pi_cols[c][a][j] = Pi_j[a][c], where C = J for
- * cs = 1 and C = 1 for cs = 0; K: (2, 2); M: (2); b: (levels, 2). */
+/* update_cells with the stride a constant, so that the constant case
+ * streams only the state */
+static inline void update(double *restrict pos, double *restrict neg, const double *restrict old,
+                          const double *restrict r_lam, const double *restrict pi_cols,
+                          long nc, long cs, long c0, long c1, double neg_step)
+{
+    if (cs)
+        update_cells(pos, neg, old, r_lam, pi_cols, nc, 1, c0, c1, neg_step);
+    else
+        update_cells(pos, neg, old, r_lam, pi_cols, nc, 0, c0, c1, neg_step);
+}
+
+/* old[0] = v, then the n values at a */
+static void fill(double *old, double v, const double *a, long n)
+{
+    old[0] = v;
+    memcpy(old + 1, a, (size_t)n * sizeof(double));
+}
+
+/* One step's updates; returns L / dx, numpy's pairwise sum of the 2J terms
+ * (p w) w, positive row first.  Above LEAF terms numpy splits them at J8 =
+ * J - J % 8 into a left tree, the positive cells below J8, and a right
+ * tree, the positive tail J8 .. J-1 and then the negative row; at most LEAF
+ * terms are one leaf, the right tree's with J8 = 0.  The tail is updated
+ * first, with the negative row's cell J8 left at its old value until the
+ * cells below it are done, and the right tree's first leaf, which holds the
+ * tail, is summed from a copy w.  The other cells are updated in chunks;
+ * after each, every leaf whose cells are all done is summed from W and p
+ * and fed to its tree. */
+CLONES
+static double step_2x2(long J, double *restrict W, const double *restrict r_lam,
+                       const double *restrict pi_cols, const double *restrict p,
+                       double neg_step, long cs)
+{
+    double *restrict pos = W + 1, *restrict neg = W + (J + 2) + 1;
+    const long nc = cs ? J : 1, J8 = 2 * J <= LEAF ? 0 : J - J % 8, r = J - J8;
+    double old[CHUNK + 1], w[LEAF], neg_j8 = 0.0;
+    struct tree left, right;
+    left.depth = right.depth = 0;
+    left.sum = right.sum = 0.0;
+    descend(&left, J8);
+    descend(&right, J + r);
+    if (r > 0) {
+        const double keep = neg[J8];
+        fill(old, pos[J8 - 1], pos + J8, r);
+        /* at most 64 cells, so the stride stays a variable: one loop less to build */
+        update_cells(pos, neg, old, r_lam, pi_cols, nc, cs, J8, J, neg_step);
+        neg_j8 = neg[J8];
+        neg[J8] = keep;
+        memcpy(w, pos + J8, (size_t)r * sizeof(double));
+    }
+    /* the next chunk's copy is made before the sums, whose loads give its
+     * stores time to land before the update loads them */
+    fill(old, W[0], pos, J8 < CHUNK ? J8 : CHUNK);
+    for (long c = 0, l = 0, i = 0; c < J;) {    /* l, i: the terms summed in each tree */
+        long c1 = J8 - c < CHUNK ? J8 : c + CHUNK;
+        if (c1 > c) {
+            update(pos, neg, old, r_lam, pi_cols, nc, cs, c, c1, neg_step);
+            fill(old, old[c1 - c], pos + c1, J8 - c1 < CHUNK ? J8 - c1 : CHUNK);
+        }
+        if (c1 == J8) {
+            if (r > 0)
+                neg[J8] = neg_j8;
+            c1 = J;
+        }
+        for (long n; (n = left.next) > 0 && l + n <= c1; l += n)
+            push(&left, leaf(p + l, pos + l, n));
+        for (long n; (n = right.next) > 0 && i + n - r <= c1; i += n) {
+            const double *src = neg + i - r;
+            if (i == 0 && r > 0) {      /* the tail, then the negative row's head */
+                memcpy(w + r, neg, (size_t)(n - r) * sizeof(double));
+                src = w;
+            }
+            push(&right, leaf(p + J8 + i, src, n));
+        }
+        c = c1;
+    }
+    return J8 > 0 ? left.sum + right.sum : right.sum;
+}
+
+/* p: (2, J); r_lam: (2, C) and pi_cols: (2, 2, C) with pi_cols[c][a][j] =
+ * Pi_j[a][c], where C = J for cs = 1 and C = 1 for cs = 0; K: (2, 2); M: (2);
+ * b: (levels, 2). */
+CLONES
 long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
                   const double *p, const double *K, const double *M,
-                  const double *b, double *lyap, double *old, double *prod,
-                  double step, double dx, long n0, long n1, long cs)
+                  const double *b, double *lyap, double step, double dx,
+                  long n0, long n1, long cs)
 {
     const ptrdiff_t w = J + 2;
     for (long n = n0; n < n1; n++) {
-        if (cs)
-            step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step, 1);
-        else
-            step_2x2(J, W, r_lam, pi_cols, p, old, prod, -step, 0);
-        double L = dx * pairwise_sum(prod, 2 * J);
+        double L = dx * step_2x2(J, W, r_lam, pi_cols, p, -step, cs);
         if (!isfinite(L))
             return n + 1;
         /* the feedback reads (W+_{J-1}, W-_0), columns J and 1, and writes

@@ -211,14 +211,14 @@ def _min_eigs_and_scale(coefficients: SystemCoefficients, weights: WeightField,
                         dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Each cell's smallest source-matrix eigenvalue and largest |entry|.
 
-    For k = 2 with every cell's largest lower-triangle |entry| in
+    For k = 2 with every cell's largest lower-triangle |entry| zero or in
     [1e-120, 1e145], where neither dsyevd nor dsterf rescales, this is
     :func:`_min_eig_2x2`; otherwise numpy.linalg.eigvalsh.  Both give the
     same bits."""
     if coefficients.k == 2:
         a, b, b_upper, c = _source_entries_2x2(coefficients, weights, dt)
         lower = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-        if np.all((lower >= 1e-120) & (lower <= 1e145)):    # NaN fails both
+        if np.all((lower == 0) | ((lower >= 1e-120) & (lower <= 1e145))):    # NaN fails all
             return _min_eig_2x2(a, b, c), np.maximum(lower, np.abs(b_upper))
     mats = _source_matrices(coefficients, weights, dt)
     return np.linalg.eigvalsh(mats)[:, 0], np.max(np.abs(mats), axis=(1, 2))

@@ -28,15 +28,22 @@ stride of 0 (1 otherwise).
 The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
 of every shipped scenario; the NumPy kernel marches every other shape and
 is the fallback.  The C kernel does the same operations in the same
-order, so the state is bit-identical, and sums ``L`` pairwise, as numpy
-sums a contiguous array.  :func:`_load`, cached, builds it once per
-process, at the first 2x2 :func:`run` or trace or trajectory writer of
-``reports`` (the file holds their row formatter too): ``cc`` compiles it
-into ``~/.cache/hypiss/march-<sha256 of source and command>.so``, which
-later processes reuse (:func:`_build` has the cache policy).  :func:`_load`
-returning None, as without a compiler or after a failed build, is the one
-backend selector: NumPy marches and ``reports`` formats in Python; tests
-and the benchmark replace ``_load`` with ``lambda: None`` to select it.
+order, so the state is bit-identical.  It updates the state in place, in
+chunks, with no copy of a whole row, and sums ``L`` with no array of its
+terms: leaf by leaf of numpy's pairwise tree, straight from the state and
+the weights, as each leaf's cells are done, so ``L`` too has numpy's bits;
+``tilde`` and ``acc`` are the NumPy kernel's alone.  The library holds
+the march three times, for AVX-512F, AVX2 and the baseline instruction
+set, and the loader picks one at the first call; the three differ in
+vector width only, and give the same bits.  :func:`_load`, cached,
+builds it once per process, at the first 2x2 :func:`run` or trace or
+trajectory writer of ``reports`` (the file holds their row formatter
+too): ``cc`` compiles it into ``~/.cache/hypiss/march-<sha256 of source
+and command>.so``, which later processes reuse (:func:`_build` has the
+cache policy).  :func:`_load` returning None, as without a compiler or
+after a failed build, is the one backend selector: NumPy marches and
+``reports`` formats in Python; tests and the benchmark replace ``_load``
+with ``lambda: None`` to select it.
 The backend is logged and recorded in :attr:`SimulationResult.backend`.
 """
 
@@ -144,7 +151,7 @@ def _load():
         logger.info("march backend: numpy; the C kernel could not be built or loaded: %s", exc)
         return None
     fn, long, ptr = lib.hypiss_march, ctypes.c_long, ctypes.c_void_p
-    fn.restype, fn.argtypes = long, [long] + [ptr] * 10 + [ctypes.c_double] * 2 + [long] * 3
+    fn.restype, fn.argtypes = long, [long] + [ptr] * 8 + [ctypes.c_double] * 2 + [long] * 3
     logger.info("march backend: c, %s", path)
     return lib
 
@@ -236,7 +243,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
         steps = numpy_steps
     else:
         kernel = lib.hypiss_march
-        buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap, tilde, acc)]
+        buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap)]
 
         def steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
             return kernel(J, W.ctypes.data, r_lam.ctypes.data, *buffers, step, dx, n0, n1, cs)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -251,6 +252,21 @@ class TestSourceEigenvaluesBitIdentical:
         a, b, c = (np.array([float.fromhex(v)]) for v in (a, b, c))
         mats = np.array([[[a[0], b[0]], [b[0], c[0]]]])
         _assert_same_bits(certifier._min_eig_2x2(a, b, c), np.linalg.eigvalsh(mats)[:, 0])
+
+    @pytest.mark.parametrize("signs", list(itertools.product([0.0, -0.0], repeat=3)),
+                             ids=lambda signs: "".join("-" if np.signbit(v) else "+" for v in signs))
+    def test_all_zero_cells_without_eigvalsh(self, signs, monkeypatch):
+        # an all-zero source matrix needs no rescaling in LAPACK, so it stays off
+        # eigvalsh; Pi's diagonal and off-diagonal zeros give (a, b, c) these signs
+        rng = np.random.default_rng(6)
+        pi = rng.normal(size=(6, 2, 2))
+        pi[3] = [[signs[0], signs[1]], [signs[1], signs[2]]]
+        c, w = _two_component_system(pi, rng.uniform(0.5, 2.0, (8, 2)))
+        a, b, _, d = certifier._source_entries_2x2(c, w, 0.1)
+        _assert_same_bits(np.array([a[3], b[3], d[3]]), np.array(signs))
+        expected = _eigvalsh_source_check(c, w, 0.1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _must_not_run)
+        _assert_source_check(certifier.check_source(c, w, SimpleNamespace(dt=0.1)), expected)
 
     @pytest.mark.parametrize("value", [1e150, 1e-130, np.inf, np.nan])
     def test_a_cell_outside_the_band_sends_the_batch_to_eigvalsh(self, value, monkeypatch):

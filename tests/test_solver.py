@@ -12,7 +12,7 @@ import pytest
 
 from hypiss import certifier, core, lyapunov, reports, solver
 from hypiss.models import Scenario
-from hypiss.scenario import load_scenario
+from hypiss.scenario import ScenarioSpec, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -467,7 +467,32 @@ class TestBackends:
         for (n, got), (_, want) in zip(c.history, ref.history):
             assert np.array_equal(got, want), f"level {n}"
         assert np.array_equal(c.b_sq, ref.b_sq)
-        assert np.allclose(c.lyapunov, ref.lyapunov, rtol=1e-14, atol=0)
+        assert np.array_equal(c.lyapunov.view(np.uint64), ref.lyapunov.view(np.uint64))
+
+    # J at the edges of the compiled march's chunks (512 cells) and of
+    # numpy's pairwise leaves: 2J below 8 terms, one leaf up to J = 64, and
+    # above that a split at J - J % 8, whose remainder cells open the second
+    # half's first leaf
+    @pytest.mark.parametrize("J", [2, 3, 7, 8, 9, 64, 65, 127, 128, 129, 130, 200, 203, 257,
+                                   512, 513, 1031, 1601])
+    @pytest.mark.parametrize("name", ["linear_benchmark", "saint_venant", "isothermal_euler"])
+    def test_same_bits_at_chunk_and_leaf_edges(self, name, J, monkeypatch):
+        # Euler's coefficients differ per cell (stride 1), the others' do not
+        # (stride 0); 20.5 steps end on a shortened one, its own kernel call
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        raw = load_scenario(str(SCENARIOS / f"{name}.json")).raw
+        raw["grid"]["T"] = 20.5 * ScenarioSpec(raw=raw).build(J=J).grid.dt
+        sc = ScenarioSpec(raw=raw).build(J=J)
+        c = solver.run(sc, stride=6)
+        monkeypatch.setattr(solver, "_load", lambda: None)
+        ref = solver.run(sc, stride=6)
+        assert (c.backend, ref.backend, c.steps) == ("c", "numpy", 21)
+        assert np.array_equal(c.lyapunov.view(np.uint64), ref.lyapunov.view(np.uint64))
+        assert [n for n, _ in c.history] == [n for n, _ in ref.history]
+        for (n, got), (_, want) in zip(c.history, ref.history):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"level {n}"
+        assert np.array_equal(c.final.view(np.uint64), ref.final.view(np.uint64))
 
     def test_three_components_each_backend(self, march_backend):
         # under "c" the k = 3 march is routed to NumPy; its result must not change
