@@ -1,6 +1,6 @@
 """March, writer and certify benchmark on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_7.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_8.json]
 
 March rows: for each shipped scenario at J = 200, 400, 800 and 1600, the
 rows of the ``table`` command (its other fields as shipped), this times
@@ -27,8 +27,8 @@ before the timed repeats, and reports the median and the minimum wall time.
 
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_7.json`` at the repository root by default;
-``BENCH_1.json`` to ``BENCH_6.json`` hold those of earlier versions, and
+``--out`` (``BENCH_8.json`` at the repository root by default;
+``BENCH_1.json`` to ``BENCH_7.json`` hold those of earlier versions, and
 ``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
 writes: the compiled kernel with one coefficient column per cell where
 every cell holds the same coefficients).  The environment names the code
@@ -208,7 +208,7 @@ def certify_rows(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)

@@ -12,20 +12,23 @@
  *
  *   transport   tilde = inner - (upwind difference) * r_lam
  *   source      inner = tilde + (sum_c Pi[:, c] tilde[c]) * (-step)
- *   functional  L = dx * sum of (p * inner) * inner, summed the way
- *               numpy sums a contiguous array (pairwise, 8 accumulators)
+ *   functional  L = dx * sum of (p * inner) * inner: each row summed the
+ *               way numpy sums a row (pairwise, 8 accumulators), then the
+ *               two row sums added
  *   boundary    ghosts = K w_in + M * b[n+1]
  *
- * A step keeps no copy of a whole row and no array of the functional's
- * terms, so that W and p are most of what it touches: 51 KB at J = 1600,
- * about the size of a core's L1 data cache.  It updates the cells in place,
- * in chunks, each with a copy of its own old positive values on the stack.
- * After each chunk it sums, straight from W and p, every leaf of numpy's
- * pairwise tree whose cells are done, and feeds the leaf sums to the tree.
+ * Both rows' pairwise trees have the same shape, so one recursion over the
+ * cells walks them.  When J is a multiple of 8 above 64, numpy's sum of the
+ * whole (2, J) state splits at J too, and gives the same bits.  A step keeps
+ * no copy of a whole row and no array of the functional's terms, so that W
+ * and p are most of what it touches: 51 KB at J = 1600, about the size of a
+ * core's L1 data cache.  It updates the cells in place, in chunks, each with
+ * a copy of its own old positive values on the stack, and sums each chunk's
+ * rows straight from W and p while they are in L1.
  *
- * The march and its step are built once for AVX-512F, once for AVX2 and
- * once for the baseline instruction set, and the loader picks one at the
- * first call (gcc's target_clones, through an ifunc).  The bodies differ in
+ * The march, its chunks and its sums are built once for AVX-512F, once for
+ * AVX2 and once for the baseline instruction set, and the loader picks one
+ * at the first call (gcc's target_clones, through an ifunc).  The bodies differ in
  * vector width only: each lane does one cell's or one accumulator's
  * operations in their order.  Compile without -ffast-math and with
  * -ffp-contract=off, so that no body reorders a sum or fuses a
@@ -62,7 +65,7 @@
 #define CLONES
 #endif
 
-/* the most cells updated between two rounds of leaf sums; chunks of LEAF
+/* the most cells updated before their rows are summed; chunks of LEAF
  * cells cost the baseline body about 15 % more at J = 400, in set-up */
 #define CHUNK 512
 #define LEAF 128            /* the most terms numpy sums in one leaf */
@@ -85,43 +88,16 @@ static inline double leaf(const double *restrict p, const double *restrict w, pt
     return res;
 }
 
-/* numpy's pairwise tree over some terms, fed the sums of its leaves in
- * order: the nodes above the next leaf, each with its left child's sum once
- * that is in; next is the next leaf's size, 0 once sum holds the root's */
-struct tree {
-    long node[64], next;
-    double left[64], sum;
-    int full[64], depth;
-};
-
-static long split(long n)
+/* numpy's pairwise sum of the n terms (p[i] w[i]) w[i]: above LEAF terms
+ * the sums of the first n2 and of the rest, n2 half of n rounded down to a
+ * multiple of 8 */
+CLONES
+static double pairwise(const double *restrict p, const double *restrict w, long n)
 {
-    return n / 2 - (n / 2) % 8;
-}
-
-static void descend(struct tree *t, long n)
-{
-    for (; n > LEAF; n = split(n)) {
-        t->node[t->depth] = n;
-        t->full[t->depth++] = 0;
-    }
-    t->next = n;
-}
-
-static void push(struct tree *t, double v)
-{
-    for (; t->depth > 0; t->depth--) {
-        const int d = t->depth - 1;
-        if (!t->full[d]) {
-            t->left[d] = v;
-            t->full[d] = 1;
-            descend(t, t->node[d] - split(t->node[d]));
-            return;
-        }
-        v = t->left[d] + v;
-    }
-    t->next = 0;
-    t->sum = v;
+    if (n <= LEAF)
+        return leaf(p, w, n);
+    const long n2 = n / 2 - (n / 2) % 8;
+    return pairwise(p, w, n2) + pairwise(p + n2, w + n2, n - n2);
 }
 
 /* Cells c0 .. c1-1 of one step's transport and source updates, in place.
@@ -161,72 +137,39 @@ static inline void update(double *restrict pos, double *restrict neg, const doub
         update_cells(pos, neg, old, r_lam, pi_cols, nc, 0, c0, c1, neg_step);
 }
 
-/* old[0] = v, then the n values at a */
-static void fill(double *old, double v, const double *a, long n)
-{
-    old[0] = v;
-    memcpy(old + 1, a, (size_t)n * sizeof(double));
-}
+/* one march call's step: the interior rows, the coefficients, and old, the
+ * copy of the positive row's old values before and in the next chunk */
+struct step {
+    double *pos, *neg, *old;
+    const double *r_lam, *pi_cols, *p;
+    long J, nc, cs;
+    double neg_step;
+};
 
-/* One step's updates; returns L / dx, numpy's pairwise sum of the 2J terms
- * (p w) w, positive row first.  Above LEAF terms numpy splits them at J8 =
- * J - J % 8 into a left tree, the positive cells below J8, and a right
- * tree, the positive tail J8 .. J-1 and then the negative row; at most LEAF
- * terms are one leaf, the right tree's with J8 = 0.  The tail is updated
- * first, with the negative row's cell J8 left at its old value until the
- * cells below it are done, and the right tree's first leaf, which holds the
- * tail, is summed from a copy w.  The other cells are updated in chunks;
- * after each, every leaf whose cells are all done is summed from W and p
- * and fed to its tree. */
+/* Cells t .. t+n-1 of one step, updated in place, with each row's sum of
+ * their terms (p w) w in sum.  Above CHUNK cells they split where numpy's
+ * pairwise sum splits n terms; a chunk of at most CHUNK cells is updated,
+ * then the next chunk's old values are copied, then the chunk's two rows
+ * are summed while they are in L1.  The copy comes before the sums, whose loads give
+ * its stores time to land before the next update loads them. */
 CLONES
-static double step_2x2(long J, double *restrict W, const double *restrict r_lam,
-                       const double *restrict pi_cols, const double *restrict p,
-                       double neg_step, long cs)
+static void rows(const struct step *s, long t, long n, double sum[2])
 {
-    double *restrict pos = W + 1, *restrict neg = W + (J + 2) + 1;
-    const long nc = cs ? J : 1, J8 = 2 * J <= LEAF ? 0 : J - J % 8, r = J - J8;
-    double old[CHUNK + 1], w[LEAF], neg_j8 = 0.0;
-    struct tree left, right;
-    left.depth = right.depth = 0;
-    left.sum = right.sum = 0.0;
-    descend(&left, J8);
-    descend(&right, J + r);
-    if (r > 0) {
-        const double keep = neg[J8];
-        fill(old, pos[J8 - 1], pos + J8, r);
-        /* at most 64 cells, so the stride stays a variable: one loop less to build */
-        update_cells(pos, neg, old, r_lam, pi_cols, nc, cs, J8, J, neg_step);
-        neg_j8 = neg[J8];
-        neg[J8] = keep;
-        memcpy(w, pos + J8, (size_t)r * sizeof(double));
+    if (n > CHUNK) {
+        const long n2 = n / 2 - (n / 2) % 8;
+        double right[2];
+        rows(s, t, n2, sum);
+        rows(s, t + n2, n - n2, right);
+        sum[0] += right[0];
+        sum[1] += right[1];
+        return;
     }
-    /* the next chunk's copy is made before the sums, whose loads give its
-     * stores time to land before the update loads them */
-    fill(old, W[0], pos, J8 < CHUNK ? J8 : CHUNK);
-    for (long c = 0, l = 0, i = 0; c < J;) {    /* l, i: the terms summed in each tree */
-        long c1 = J8 - c < CHUNK ? J8 : c + CHUNK;
-        if (c1 > c) {
-            update(pos, neg, old, r_lam, pi_cols, nc, cs, c, c1, neg_step);
-            fill(old, old[c1 - c], pos + c1, J8 - c1 < CHUNK ? J8 - c1 : CHUNK);
-        }
-        if (c1 == J8) {
-            if (r > 0)
-                neg[J8] = neg_j8;
-            c1 = J;
-        }
-        for (long n; (n = left.next) > 0 && l + n <= c1; l += n)
-            push(&left, leaf(p + l, pos + l, n));
-        for (long n; (n = right.next) > 0 && i + n - r <= c1; i += n) {
-            const double *src = neg + i - r;
-            if (i == 0 && r > 0) {      /* the tail, then the negative row's head */
-                memcpy(w + r, neg, (size_t)(n - r) * sizeof(double));
-                src = w;
-            }
-            push(&right, leaf(p + J8 + i, src, n));
-        }
-        c = c1;
-    }
-    return J8 > 0 ? left.sum + right.sum : right.sum;
+    const long rest = s->J - t - n;
+    update(s->pos, s->neg, s->old, s->r_lam, s->pi_cols, s->nc, s->cs, t, t + n, s->neg_step);
+    s->old[0] = s->old[n];
+    memcpy(s->old + 1, s->pos + t + n, (size_t)(rest < CHUNK ? rest : CHUNK) * sizeof(double));
+    sum[0] = pairwise(s->p + t, s->pos + t, n);
+    sum[1] = pairwise(s->p + s->J + t, s->neg + t, n);
 }
 
 /* p: (2, J); r_lam: (2, C) and pi_cols: (2, 2, C) with pi_cols[c][a][j] =
@@ -239,8 +182,14 @@ long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
                   long n0, long n1, long cs)
 {
     const ptrdiff_t w = J + 2;
+    double old[CHUNK + 1];
+    const struct step s = {W + 1, W + w + 1, old, r_lam, pi_cols, p, J, cs ? J : 1, cs, -step};
     for (long n = n0; n < n1; n++) {
-        double L = dx * step_2x2(J, W, r_lam, pi_cols, p, -step, cs);
+        double sum[2];
+        old[0] = W[0];
+        memcpy(old + 1, s.pos, (size_t)(J < CHUNK ? J : CHUNK) * sizeof(double));
+        rows(&s, 0, J, sum);
+        const double L = dx * (sum[0] + sum[1]);
         if (!isfinite(L))
             return n + 1;
         /* the feedback reads (W+_{J-1}, W-_0), columns J and 1, and writes

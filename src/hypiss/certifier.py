@@ -153,17 +153,6 @@ def check_transport(coefficients: SystemCoefficients, weights: WeightField,
                           eta=eta, eta_closed_form=eta_closed, witness=witness)
 
 
-def _source_matrices(coefficients: SystemCoefficients, weights: WeightField,
-                     dt: float) -> np.ndarray:
-    p = weights.interior()                        # (J, k) diagonal entries
-    pi = coefficients.pi                          # (J, k, k)
-    p_pi = p[:, :, None] * pi                     # P_j Pi_j
-    pit_p_pi = 0.0                                # Pi_j^T P_j Pi_j, summed over c in order
-    for c in range(coefficients.k):
-        pit_p_pi = pit_p_pi + (pi[:, c, :, None] * p[:, c, None, None]) * pi[:, c, None, :]
-    return p_pi + np.transpose(p_pi, (0, 2, 1)) - dt * pit_p_pi
-
-
 _EPS = np.finfo(float).eps / 2     # LAPACK's dlamch('E')
 
 
@@ -191,20 +180,19 @@ def _min_eig_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(d2 < d1, d2, d1)          # comparisons, so signed zeros sort as dlasrt's
 
 
-def _source_entries_2x2(coefficients: SystemCoefficients, weights: WeightField,
-                        dt: float) -> Tuple[np.ndarray, ...]:
-    """Entries (0, 0), (1, 0), (0, 1) and (1, 1) of each cell's source matrix
-    for k = 2, as (J,) arrays made by the operations of
-    :func:`_source_matrices` in its order."""
-    p, pi = weights.interior(), coefficients.pi
+def _source_entries(coefficients: SystemCoefficients, weights: WeightField,
+                    dt: float) -> List[List[np.ndarray]]:
+    """Entry [r][s] of each cell's source matrix ``P Pi + Pi^T P - dt Pi^T P
+    Pi`` as a (J,) array, ``Pi^T P Pi`` summed over components in order."""
+    k, p, pi = coefficients.k, weights.interior(), coefficients.pi
 
     def entry(r, s):
         acc = 0.0
-        for c in range(2):
+        for c in range(k):
             acc = acc + (pi[:, c, r] * p[:, c]) * pi[:, c, s]
         return p[:, r] * pi[:, r, s] + p[:, s] * pi[:, s, r] - dt * acc
 
-    return entry(0, 0), entry(1, 0), entry(0, 1), entry(1, 1)
+    return [[entry(r, s) for s in range(k)] for r in range(k)]
 
 
 def _min_eigs_and_scale(coefficients: SystemCoefficients, weights: WeightField,
@@ -215,12 +203,13 @@ def _min_eigs_and_scale(coefficients: SystemCoefficients, weights: WeightField,
     [1e-120, 1e145], where neither dsyevd nor dsterf rescales, this is
     :func:`_min_eig_2x2`; otherwise numpy.linalg.eigvalsh.  Both give the
     same bits."""
+    entries = _source_entries(coefficients, weights, dt)
     if coefficients.k == 2:
-        a, b, b_upper, c = _source_entries_2x2(coefficients, weights, dt)
+        (a, b_upper), (b, c) = entries
         lower = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
         if np.all((lower == 0) | ((lower >= 1e-120) & (lower <= 1e145))):    # NaN fails all
             return _min_eig_2x2(a, b, c), np.maximum(lower, np.abs(b_upper))
-    mats = _source_matrices(coefficients, weights, dt)
+    mats = np.array(entries).transpose(2, 0, 1)
     return np.linalg.eigvalsh(mats)[:, 0], np.max(np.abs(mats), axis=(1, 2))
 
 

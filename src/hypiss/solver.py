@@ -26,24 +26,26 @@ that (k, 1) column, and the C kernel marches it with a coefficient column
 stride of 0 (1 otherwise).
 
 The compiled backend, ``_march.c``, marches k = 2 with m = 1, the shape
-of every shipped scenario; the NumPy kernel marches every other shape and
-is the fallback.  The C kernel does the same operations in the same
-order, so the state is bit-identical.  It updates the state in place, in
-chunks, with no copy of a whole row, and sums ``L`` with no array of its
-terms: leaf by leaf of numpy's pairwise tree, straight from the state and
-the weights, as each leaf's cells are done, so ``L`` too has numpy's bits;
-``tilde`` and ``acc`` are the NumPy kernel's alone.  The library holds
-the march three times, for AVX-512F, AVX2 and the baseline instruction
-set, and the loader picks one at the first call; the three differ in
-vector width only, and give the same bits.  :func:`_load`, cached,
-builds it once per process, at the first 2x2 :func:`run` or trace or
-trajectory writer of ``reports`` (the file holds their row formatter
-too): ``cc`` compiles it into ``~/.cache/hypiss/march-<sha256 of source
-and command>.so``, which later processes reuse (:func:`_build` has the
-cache policy).  :func:`_load` returning None, as without a compiler or
-after a failed build, is the one backend selector: NumPy marches and
-``reports`` formats in Python; tests and the benchmark replace ``_load``
-with ``lambda: None`` to select it.
+of every shipped scenario; the NumPy kernel marches every other shape
+and is the fallback.  The C kernel does the same operations in the same
+order, so the state and ``L`` are bit-identical.  Both sum ``L`` over
+each component row as numpy sums a row (pairwise), then add the row
+sums: numpy's sum of the whole state when J is a multiple of 8 above 64.
+The C kernel updates the state in place, in chunks, with no copy of a
+whole row, and sums each chunk's rows from the state and the weights
+while they are in cache; ``tilde`` and ``acc`` are the NumPy kernel's
+alone.  The library holds the march three times, for AVX-512F, AVX2 and
+the baseline instruction set, and the loader picks one at the first
+call; the three differ in vector width only, and give the same bits.
+:func:`_load`, cached, builds it once per process, at the first 2x2
+:func:`run` or trace or trajectory writer of ``reports`` (the file holds
+their row formatter too): ``cc`` compiles it into
+``~/.cache/hypiss/march-<sha256 of source and command>.so``, which later
+processes reuse (:func:`_build` has the cache policy).  :func:`_load`
+returning None, as without a compiler or after a failed build, is the
+one backend selector: NumPy marches and ``reports`` formats in Python;
+tests and the benchmark replace ``_load`` with ``lambda: None`` to
+select it.
 The backend is logged and recorded in :attr:`SimulationResult.backend`.
 """
 
@@ -199,7 +201,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     def functional() -> float:
         np.multiply(p, inner, out=acc)
         np.multiply(acc, inner, out=acc)
-        return dx * float(acc.sum())
+        return dx * float(acc.sum(axis=1).sum())
 
     # the feedback reads (W+_{J-1}, W-_0) and writes (W+_{-1}, W-_J)
     comp = np.arange(k)

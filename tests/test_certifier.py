@@ -79,7 +79,7 @@ class TestConditionMatrixIndexing:
 
     def test_source_matrices_match_loop(self):
         g, c, w = self.random_setup(32)
-        mats = certifier._source_matrices(c, w, g.dt)
+        mats = _stacked(certifier._source_entries(c, w, g.dt))
         for j in range(g.J):
             P = np.diag(w.values[j + 1])
             Pi = c.pi[j]
@@ -101,9 +101,14 @@ class TestConditionMatrixIndexing:
         assert d_in[1] == pytest.approx(-lam[J + 1, 1] * p[J, 1], rel=1e-14)
 
 
+def _stacked(entries):
+    """The (J, k, k) stack of :func:`certifier._source_entries`' [r][s] rows."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
 def _einsum_source_matrices(coefficients, weights, dt):
     """C2's matrices with Pi^T P Pi as one three-operand einsum, the
-    reference that :func:`certifier._source_matrices` must match bit for bit."""
+    reference that :func:`certifier._source_entries` must match bit for bit."""
     p, pi = weights.interior(), coefficients.pi
     p_pi = p[:, :, None] * pi
     return (p_pi + np.transpose(p_pi, (0, 2, 1))
@@ -121,7 +126,7 @@ class TestSourceMatricesBitIdentical:
     def test_shipped_files_at_6400_cells(self, path):
         sc = load_scenario(str(path)).build(J=6400)
         _assert_same_bits(
-            certifier._source_matrices(sc.coefficients, sc.weights, sc.grid.dt),
+            _stacked(certifier._source_entries(sc.coefficients, sc.weights, sc.grid.dt)),
             _einsum_source_matrices(sc.coefficients, sc.weights, sc.grid.dt))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -135,15 +140,15 @@ class TestSourceMatricesBitIdentical:
         c = core.SystemCoefficients(k=k, m=1, lam=lam, pi=pi, K=np.zeros((k, k)),
                                     M=np.ones(k), b=core.DisturbanceSignal.constant(np.zeros(k)))
         w = core.WeightField(p)
-        _assert_same_bits(certifier._source_matrices(c, w, dt),
+        _assert_same_bits(_stacked(certifier._source_entries(c, w, dt)),
                           _einsum_source_matrices(c, w, dt))
 
 
 def _eigvalsh_source_check(c, w, dt):
     """C2's smallest eigenvalues, failing cells and witness (j, value) from
-    numpy.linalg.eigvalsh on :func:`certifier._source_matrices`."""
+    numpy.linalg.eigvalsh on the stacked :func:`certifier._source_entries`."""
     with np.errstate(all="ignore"):
-        mats = certifier._source_matrices(c, w, dt)
+        mats = _stacked(certifier._source_entries(c, w, dt))
         min_eigs = np.linalg.eigvalsh(mats)[:, 0]
         scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1e-300)
         ok = min_eigs >= -certifier.PSD_REL_TOL * scale
@@ -175,7 +180,8 @@ def _must_not_run(*args, **kwargs):
 
 class TestSourceEigenvaluesBitIdentical:
     """C2 for k = 2, from LAPACK's 2x2 steps in NumPy, against
-    numpy.linalg.eigvalsh on :func:`certifier._source_matrices`, bit for bit."""
+    numpy.linalg.eigvalsh on the stacked :func:`certifier._source_entries`,
+    bit for bit."""
 
     @pytest.mark.parametrize("J", [2, 50, 1600, 6400])
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -196,20 +202,15 @@ class TestSourceEigenvaluesBitIdentical:
         with np.errstate(all="ignore"):    # a zero cell's witness may divide by 1e-300
             got = certifier.check_source(c, w, SimpleNamespace(dt=dt))
         _assert_source_check(got, expected)
-        mats = certifier._source_matrices(c, w, dt)
-        for entry, (r, s) in zip(certifier._source_entries_2x2(c, w, dt),
-                                 [(0, 0), (1, 0), (0, 1), (1, 1)]):
-            _assert_same_bits(entry, mats[:, r, s])
 
     def test_entries_and_scale(self):
         rng = np.random.default_rng(7)
         pi = rng.normal(size=(64, 2, 2))
         pi[0] = [[1.0, -0.0], [-0.0, 1.0]]     # b = -0.0 only if the sums over c start at 0.0
         c, w = _two_component_system(pi, rng.uniform(0.5, 2.0, (66, 2)))
-        mats = certifier._source_matrices(c, w, 0.5)
-        a, b, b_upper, d = entries = certifier._source_entries_2x2(c, w, 0.5)
-        for entry, (r, s) in zip(entries, [(0, 0), (1, 0), (0, 1), (1, 1)]):
-            _assert_same_bits(entry, mats[:, r, s])
+        (a, b_upper), (b, d) = entries = certifier._source_entries(c, w, 0.5)
+        mats = _stacked(entries)
+        _assert_same_bits(mats, _einsum_source_matrices(c, w, 0.5))
         # in some cells the upper off-diagonal, rounded apart from the lower, is the largest entry
         assert np.any(np.abs(b_upper) > np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))
         _assert_same_bits(certifier._min_eigs_and_scale(c, w, 0.5)[1],
@@ -262,7 +263,7 @@ class TestSourceEigenvaluesBitIdentical:
         pi = rng.normal(size=(6, 2, 2))
         pi[3] = [[signs[0], signs[1]], [signs[1], signs[2]]]
         c, w = _two_component_system(pi, rng.uniform(0.5, 2.0, (8, 2)))
-        a, b, _, d = certifier._source_entries_2x2(c, w, 0.1)
+        (a, _), (b, d) = certifier._source_entries(c, w, 0.1)
         _assert_same_bits(np.array([a[3], b[3], d[3]]), np.array(signs))
         expected = _eigvalsh_source_check(c, w, 0.1)
         monkeypatch.setattr(np.linalg, "eigvalsh", _must_not_run)

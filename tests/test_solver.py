@@ -469,12 +469,12 @@ class TestBackends:
         assert np.array_equal(c.b_sq, ref.b_sq)
         assert np.array_equal(c.lyapunov.view(np.uint64), ref.lyapunov.view(np.uint64))
 
-    # J at the edges of the compiled march's chunks (512 cells) and of
-    # numpy's pairwise leaves: 2J below 8 terms, one leaf up to J = 64, and
-    # above that a split at J - J % 8, whose remainder cells open the second
-    # half's first leaf
+    # J at the edges of the compiled march's chunks and of numpy's pairwise
+    # leaves: one chunk up to 512 cells and a split above it; a row below 8
+    # terms, one leaf per row up to 128 cells and a split above it; and the
+    # flat sum of both rows, one leaf up to 64 cells
     @pytest.mark.parametrize("J", [2, 3, 7, 8, 9, 64, 65, 127, 128, 129, 130, 200, 203, 257,
-                                   512, 513, 1031, 1601])
+                                   512, 513, 1024, 1025, 1031, 1601])
     @pytest.mark.parametrize("name", ["linear_benchmark", "saint_venant", "isothermal_euler"])
     def test_same_bits_at_chunk_and_leaf_edges(self, name, J, monkeypatch):
         # Euler's coefficients differ per cell (stride 1), the others' do not
@@ -493,6 +493,26 @@ class TestBackends:
         for (n, got), (_, want) in zip(c.history, ref.history):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"level {n}"
         assert np.array_equal(c.final.view(np.uint64), ref.final.view(np.uint64))
+
+    @pytest.mark.parametrize("J", [8, 50, 64, 65, 72, 200, 203])
+    def test_lyapunov_sums_row_by_row(self, march_backend, J):
+        # L is each component row summed as numpy sums a row, then the row
+        # sums added; for J a multiple of 8 above 64 that is numpy's flat sum
+        raw = load_scenario(str(SCENARIOS / "linear_benchmark.json")).raw
+        raw["grid"]["T"] = 5.5 * ScenarioSpec(raw=raw).build(J=J).grid.dt
+        sc = ScenarioSpec(raw=raw).build(J=J)
+        res = solver.run(sc, stride=1)
+        assert res.backend == march_backend and res.steps == 6
+        p = np.ascontiguousarray(sc.weights.interior().T)
+        for n, snapshot in res.history:
+            w = np.ascontiguousarray(snapshot.T)
+            terms = (p * w) * w
+            got = res.lyapunov[n:n + 1].view(np.uint64)
+            rows = np.array([sc.grid.dx * float(terms.sum(axis=1).sum())])
+            assert np.array_equal(got, rows.view(np.uint64)), f"level {n}"
+            if J in (72, 200):
+                flat = np.array([sc.grid.dx * float(terms.sum())])
+                assert np.array_equal(got, flat.view(np.uint64)), f"level {n}"
 
     def test_three_components_each_backend(self, march_backend):
         # under "c" the k = 3 march is routed to NumPy; its result must not change
