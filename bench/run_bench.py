@@ -1,6 +1,6 @@
-"""March, writer and certify benchmark on the shipped scenarios.
+"""March, writer, certify and table benchmark on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_8.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_9.json]
 
 March rows: for each shipped scenario at J = 200, 400, 800 and 1600, the
 rows of the ``table`` command (its other fields as shipped), this times
@@ -25,10 +25,18 @@ shipped) this times ``certifier.certify``, its C2 check
 ``certify`` and of ``sweep`` on a copy of the file with that J, each once
 before the timed repeats, and reports the median and the minimum wall time.
 
+Table rows: in-process ``cli.main`` calls of ``table`` on the shipped
+benchmark with the default J list, once before the timed runs, then
+``TABLE_RUNS`` times per repeat alternating between the threads the
+command starts itself (one per available CPU, at most one per row) and
+one thread, the process pinned to one of its CPUs, each in turn, while it
+runs; they report the median and the minimum wall time.  The script
+exits non-zero when the two wrote different bytes.
+
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_8.json`` at the repository root by default;
-``BENCH_1.json`` to ``BENCH_7.json`` hold those of earlier versions, and
+``--out`` (``BENCH_9.json`` at the repository root by default;
+``BENCH_1.json`` to ``BENCH_8.json`` hold those of earlier versions, and
 ``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
 writes: the compiled kernel with one coefficient column per cell where
 every cell holds the same coefficients).  The environment names the code
@@ -68,6 +76,7 @@ BACKENDS = ("c", "numpy")
 WRITER_SHAPE = {"scenario": "saint_venant", "J": 400, "T": 5.0, "stride": 100}
 CERTIFY_J = 6400
 SWEEP_XI = "0.05:1.0:20"    # the sweep command's default grid
+TABLE_RUNS = 4      # timed runs of each kind per repeat; one table takes about 0.07 s
 
 
 def _first_line(argv) -> str | None:
@@ -205,10 +214,49 @@ def certify_rows(repeats: int) -> list:
     return rows
 
 
+def table_rows(repeats: int) -> list:
+    """Wall time of the default ``table`` on the shipped benchmark, with the
+    command's own threads and with one."""
+    use("c")
+    cpus = sorted(os.sched_getaffinity(0))
+    scenario = str(ROOT / "scenarios" / "linear_benchmark.json")
+    times = {"helpers": [], "one_thread": []}
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for run in range(-1, TABLE_RUNS * repeats):     # run -1 is the warm-up
+            for mode in times:
+                out = Path(tmp) / mode
+                # one thread: pinned to one CPU, a different one in turn
+                os.sched_setaffinity(0, cpus if mode == "helpers" else [cpus[run % len(cpus)]])
+                try:
+                    start = time.perf_counter()
+                    code = cli.main(["table", "--scenario", scenario, "--out", str(out)])
+                    elapsed = time.perf_counter() - start
+                finally:
+                    os.sched_setaffinity(0, cpus)
+                if code != 0:
+                    raise RuntimeError(f"table exited {code} with {mode}")
+                outputs[mode] = [(out / name).read_bytes() for name in ("table.csv", "table.txt")]
+                if run >= 0:
+                    times[mode].append(elapsed)
+    if outputs["helpers"] != outputs["one_thread"]:
+        sys.exit("table: the threaded and the one-thread command wrote different bytes")
+    row = {"scenario": "linear_benchmark", "J": list(J_LIST),
+           "threads": min(len(J_LIST), len(cpus)), "runs": TABLE_RUNS * repeats,
+           **{mode: {"median_s": statistics.median(t), "min_s": min(t)}
+              for mode, t in times.items()}}
+    row["speedup_median"] = row["one_thread"]["median_s"] / row["helpers"]["median_s"]
+    print(f"table linear_benchmark  {row['threads']} threads "
+          f"{row['helpers']['median_s'] * 1e3:.1f} ms  one thread "
+          f"{row['one_thread']['median_s'] * 1e3:.1f} ms  x{row['speedup_median']:.2f}",
+          file=sys.stderr)
+    return [row]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)
@@ -230,9 +278,10 @@ def main(argv=None) -> int:
             print(f"{name:17s} J={J:5d}  c {row['c']['median']:7.2f}  "
                   f"numpy {row['numpy']['median']:7.2f} ns per cell-step  "
                   f"x{row['speedup_median']:.1f}", file=sys.stderr)
-    report = {"benchmark": "march, writers and certify", "unit": "ns per cell-step",
+    report = {"benchmark": "march, writers, certify and table", "unit": "ns per cell-step",
               "repeats": args.repeats, "environment": environment(), "rows": rows,
-              "writers": writer_rows(args.repeats), "certify": certify_rows(args.repeats)}
+              "writers": writer_rows(args.repeats), "certify": certify_rows(args.repeats),
+              "table": table_rows(args.repeats)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

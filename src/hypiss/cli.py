@@ -10,14 +10,23 @@ a command raises and :func:`main` alone maps to exit 2 and one stderr
 line: a scenario that fails to load or build (``scenario error:``, before
 ``--out`` is made), a solver abort, a value that is not finite (``run``
 checks before it writes the trace), running out of memory, or an unusable
-``--out`` such as an existing file.  Every command runs in one thread.
+``--out`` such as an existing file.
+
+``table`` marches its rows on up to one thread per available CPU when
+the compiled march runs, the largest J first, and its output is the same
+for any number of threads; an exception that is not a row's own error,
+raised in any thread, is raised again on the calling thread once every
+helper has finished.  Every other command, and ``table`` under the NumPy
+march, runs in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+import threading
 from pathlib import Path
 from typing import List, Optional
 
@@ -113,10 +122,36 @@ def _table_row(spec: ScenarioSpec, J: int, cfl: Optional[float]) -> dict:
 def cmd_table(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     out = _out_dir(args)
-    rows = [_table_row(spec, J, args.cfl) for J in args.J_list]
-    text = reports.write_table(out / "table.csv", out / "table.txt", rows)
+    rows, failures = {}, []
+    todo = reversed(args.J_list)    # one iterator for every thread: the largest row first
+
+    def march_rows() -> None:
+        try:
+            for J in todo:
+                if failures:    # another thread's error ends the command
+                    break
+                rows[J] = _table_row(spec, J, args.cfl)
+        except BaseException as exc:
+            failures.append(exc)
+
+    # helper threads only with the compiled march, which releases the GIL (NumPy's
+    # march holds it); loaded here first, so that no two helpers build it at once
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = min(len(args.J_list), cpus)
+    helpers = [threading.Thread(target=march_rows)
+               for _ in range(threads - 1 if threads > 1 and solver._load() else 0)]
+    for helper in helpers:
+        helper.start()
+    march_rows()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    table = [rows[J] for J in args.J_list]
+    text = reports.write_table(out / "table.csv", out / "table.txt", table)
     sys.stdout.write(text)
-    return 0 if all("error" not in r for r in rows) else 1
+    return 0 if all("error" not in r for r in table) else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,11 +1,17 @@
+import functools
 import json
 import math
+import os
+import sys
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hypiss import scenario
+from hypiss import cli, scenario, solver
 from hypiss.cli import main
 from hypiss.scenario import load_scenario
 
@@ -383,6 +389,128 @@ class TestTableCommand:
                      "--out", str(out), "--cfl", "1e-9", "--J-list", "8"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("     8 ") and "failed" not in rows[0]
+
+
+class TestTableThreads:
+    """``table`` marches its rows on helper threads, one per CPU beyond the
+    first and at most one per row beyond the first, when the compiled
+    march runs.  The CPU count is forced here through ``os.sched_getaffinity``."""
+
+    J_LIST = ("--J-list", "50,100,200")
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def helpers(self, monkeypatch):
+        """The helper threads each ``table`` starts, recorded in a list."""
+        started = []
+
+        class Helper(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(cli, "threading", SimpleNamespace(Thread=Helper))
+        return started
+
+    @pytest.mark.parametrize("name, code", [("linear_benchmark", 0), ("saint_venant", 1)])
+    def test_output_does_not_depend_on_the_thread_count(self, tmp_path, capsys, monkeypatch,
+                                                        name, code):
+        # Saint-Venant's rows fail at C2
+        got = []
+        for cpus in (1, 3):
+            self.cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            exit_code = main(["table", "--scenario", str(SCENARIOS / f"{name}.json"),
+                              "--out", str(out), *self.J_LIST])
+            got.append((exit_code, capsys.readouterr(), (out / "table.csv").read_bytes(),
+                        (out / "table.txt").read_bytes()))
+        assert got[0] == got[1]
+        assert got[0][0] == code
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_helpers_only_with_the_compiled_march(self, tmp_path, capsys, monkeypatch,
+                                                  march_backend, cpus):
+        self.cpus(monkeypatch, cpus)
+        started, taken, row = self.helpers(monkeypatch), [], cli._table_row
+        monkeypatch.setattr(cli, "_table_row", lambda spec, J, cfl: taken.append(J) or row(
+            spec, J, cfl))
+        assert main(["table", "--scenario", str(small_benchmark(tmp_path)),
+                     "--out", str(tmp_path / "o"), *self.J_LIST]) == 0
+        assert len(started) == (min(cpus, 3) - 1 if march_backend == "c" else 0)
+        assert not any(helper.is_alive() for helper in started)
+        # one thread takes the rows largest first; several take each row once
+        assert taken == [200, 100, 50] if not started else sorted(taken) == [50, 100, 200]
+
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+    def test_error_in_a_helper_propagates(self, tmp_path, capsys, monkeypatch, error):
+        # a MemoryError is an exit 2 with one line from main, a RuntimeError (a bug)
+        # leaves main as it does from one thread; the stand-in library starts the
+        # helpers, and no row marches
+        self.cpus(monkeypatch, 3)
+        monkeypatch.setattr(solver, "_load", lambda: True)
+        caller, entered = threading.current_thread(), threading.Event()
+
+        def row(spec, J, cfl):
+            if threading.current_thread() is caller:
+                assert entered.wait(10)     # a helper has taken a row first
+                return {"J": J, "error": "not marched"}
+            entered.set()
+            raise error("no room for the row")
+
+        monkeypatch.setattr(cli, "_table_row", row)
+        before = threading.active_count()
+        out = tmp_path / "o"
+        argv = ["table", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
+                *self.J_LIST]
+        if error is MemoryError:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: no room for the row\n"
+        else:
+            with pytest.raises(RuntimeError, match="no room for the row"):
+                main(argv)
+        assert threading.active_count() == before
+        assert not (out / "table.csv").exists()
+
+    def test_every_row_taken_once_under_contention(self, tmp_path, capsys, monkeypatch):
+        # more threads than cores, switching as often as the interpreter can; the
+        # stand-in library starts the helpers, and no row marches
+        self.cpus(monkeypatch, 8)
+        monkeypatch.setattr(solver, "_load", lambda: True)
+        started, taken = self.helpers(monkeypatch), []
+        monkeypatch.setattr(cli, "_table_row", lambda spec, J, cfl: taken.append(J) or {
+            "J": J, "error": "not marched"})
+        j_list, out = list(range(2, 402)), tmp_path / "o"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = main(["table", "--scenario", str(small_benchmark(tmp_path)), "--out", str(out),
+                         "--J-list", ",".join(map(str, j_list))])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 1 and len(started) == 7
+        assert sorted(taken) == j_list
+        rows = (out / "table.csv").read_text().splitlines()[2:]
+        assert [int(row.split(",")[0]) for row in rows] == j_list
+
+    def test_one_build_for_every_thread(self, tmp_path, capsys, monkeypatch):
+        # a cold cache: helpers that each missed it would each build the library
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        self.cpus(monkeypatch, 3)
+        monkeypatch.setattr(solver, "_load", functools.cache(solver._load.__wrapped__))
+        builds, build = [], solver._build
+
+        def counted():
+            builds.append(threading.current_thread())
+            time.sleep(0.1)     # so that threads which both missed the cache would meet here
+            return build()
+
+        monkeypatch.setattr(solver, "_build", counted)
+        assert main(["table", "--scenario", str(small_benchmark(tmp_path)),
+                     "--out", str(tmp_path / "o"), *self.J_LIST]) == 0
+        assert builds == [threading.current_thread()]
 
 
 class TestSweepCommand:
