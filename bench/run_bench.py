@@ -1,6 +1,6 @@
 """March, writer, certify and table benchmark on the shipped scenarios.
 
-    PYTHONPATH=src python bench/run_bench.py [--repeats 5] [--out BENCH_9.json]
+    PYTHONPATH=src python bench/run_bench.py [--repeats 5] --out BENCH_<n>.json
 
 March rows: for each shipped scenario at J = 200, 400, 800 and 1600, the
 rows of the ``table`` command (its other fields as shipped), this times
@@ -35,15 +35,15 @@ exits non-zero when the two wrote different bytes.
 
 The compiled library is built and loaded before the first timed run.  The
 result, with the environment it was measured in, is written as JSON to
-``--out`` (``BENCH_9.json`` at the repository root by default;
-``BENCH_1.json`` to ``BENCH_8.json`` hold those of earlier versions, and
-``BENCH_3.json`` also a ``c_per_cell`` entry that this script no longer
-writes: the compiled kernel with one coefficient column per cell where
-every cell holds the same coefficients).  The environment names the code
-measured by ``git describe`` and by a sha256 over the files of
-``src/hypiss``, which a working tree's uncommitted edits change too, and
-says whether the CPU has AVX-512F and AVX2, which pick the compiled
-march's body.
+``--out``, which has no default, so that no run overwrites a committed
+result: the ``BENCH_<n>.json`` files at the repository root hold those of
+earlier versions, and ``BENCH_3.json`` also a ``c_per_cell`` entry that
+this script no longer writes (the compiled kernel with one coefficient
+column per cell where every cell holds the same coefficients).  The
+environment names the code measured by ``git describe`` and by a sha256
+over the files of ``src/hypiss``, which a working tree's uncommitted
+edits change too, and says whether the CPU has AVX-512F and AVX2, which
+pick the compiled march's body.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def table_rows(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
+    parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if solver._load() is None:
         print("the compiled library could not be built; nothing to compare", file=sys.stderr)

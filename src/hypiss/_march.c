@@ -125,18 +125,6 @@ static inline void update_cells(double *restrict pos, double *restrict neg,
     }
 }
 
-/* update_cells with the stride a constant, so that the constant case
- * streams only the state */
-static inline void update(double *restrict pos, double *restrict neg, const double *restrict old,
-                          const double *restrict r_lam, const double *restrict pi_cols,
-                          long nc, long cs, long c0, long c1, double neg_step)
-{
-    if (cs)
-        update_cells(pos, neg, old, r_lam, pi_cols, nc, 1, c0, c1, neg_step);
-    else
-        update_cells(pos, neg, old, r_lam, pi_cols, nc, 0, c0, c1, neg_step);
-}
-
 /* one march call's step: the interior rows, the coefficients, and old, the
  * copy of the positive row's old values before and in the next chunk */
 struct step {
@@ -165,7 +153,11 @@ static void rows(const struct step *s, long t, long n, double sum[2])
         return;
     }
     const long rest = s->J - t - n;
-    update(s->pos, s->neg, s->old, s->r_lam, s->pi_cols, s->nc, s->cs, t, t + n, s->neg_step);
+    /* the stride a constant, so that the constant case streams only the state */
+    if (s->cs)
+        update_cells(s->pos, s->neg, s->old, s->r_lam, s->pi_cols, s->nc, 1, t, t + n, s->neg_step);
+    else
+        update_cells(s->pos, s->neg, s->old, s->r_lam, s->pi_cols, s->nc, 0, t, t + n, s->neg_step);
     s->old[0] = s->old[n];
     memcpy(s->old + 1, s->pos + t + n, (size_t)(rest < CHUNK ? rest : CHUNK) * sizeof(double));
     sum[0] = pairwise(s->p + t, s->pos + t, n);

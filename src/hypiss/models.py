@@ -8,7 +8,6 @@ certifier and the solver.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -27,8 +26,6 @@ __all__ = [
     "EulerParams",
     "euler_scenario",
 ]
-
-logger = logging.getLogger(__name__)
 
 # A constant state, or a profile taking the (J,) interior centers to (J, k).
 StateProfile = Union[Sequence[float], Callable[[np.ndarray], np.ndarray]]
@@ -179,10 +176,8 @@ def saint_venant_scenario(J: int = 1600, cfl: float = 0.75, T: float = 10.0,
         override = np.asarray(gamma_override, dtype=float)
         dev = float(np.max(np.abs(gamma - override)))
         if dev > 1e-6:
-            msg = (f"source override differs from the sampled formula by up to "
-                   f"{dev:.3g}; using the override")
-            logger.warning(msg)
-            notes.append(msg)
+            notes.append(f"source override differs from the sampled formula by up to "
+                         f"{dev:.3g}; using the override")
         gamma = override
     kappa12, kappa21 = kappa if kappa is not None else (0.5, 1.5 * math.exp(-mu))
     if V0 is None:

@@ -31,15 +31,12 @@ and is the fallback.  The C kernel does the same operations in the same
 order, so the state and ``L`` are bit-identical.  Both sum ``L`` over
 each component row as numpy sums a row (pairwise), then add the row
 sums: numpy's sum of the whole state when J is a multiple of 8 above 64.
-The C kernel updates the state in place, in chunks, with no copy of a
-whole row, and sums each chunk's rows from the state and the weights
-while they are in cache; ``tilde`` and ``acc`` are the NumPy kernel's
-alone.  The library holds the march three times, for AVX-512F, AVX2 and
-the baseline instruction set, and the loader picks one at the first
-call; the three differ in vector width only, and give the same bits.
-:func:`_load`, cached, builds it once per process, at the first 2x2
-:func:`run` or trace or trajectory writer of ``reports`` (the file holds
-their row formatter too): ``cc`` compiles it into
+How the C kernel walks the state in cache, and its builds for each
+instruction set, are told in the header of ``_march.c``; ``tilde`` and
+``acc`` are the NumPy kernel's alone.  :func:`_load`, cached, builds the
+library once per process, at the first 2x2 :func:`run` or trace or
+trajectory writer of ``reports`` (the file holds their row formatter
+too): ``cc`` compiles it into
 ``~/.cache/hypiss/march-<sha256 of source and command>.so``, which later
 processes reuse (:func:`_build` has the cache policy).  :func:`_load`
 returning None, as without a compiler or after a failed build, is the

@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -540,6 +541,25 @@ class TestSweepCommand:
             assert exc.value.code == 2
             assert "argument --xi-range:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+
+def test_override_note_in_the_certificate_alone(tmp_path, capsys, caplog):
+    # stated in certificate.txt and on the stdout of certify and run, never logged
+    raw = json.loads((SCENARIOS / "saint_venant.json").read_text())
+    raw["grid"]["J"] = 50
+    path = tmp_path / "sv.json"
+    path.write_text(json.dumps(raw))
+    note = "  note: source override differs from the sampled formula by up to "
+    for command, extra, notes in (("certify", [], 1), ("run", ["--force"], 1), ("sweep", [], 0),
+                                  ("table", ["--J-list", "50,100"], 0)):
+        out = tmp_path / command
+        with caplog.at_level(logging.WARNING, logger="hypiss"):
+            assert main([command, "--scenario", str(path), "--out", str(out), *extra]) in (0, 1)
+        assert caplog.records == []
+        assert capsys.readouterr().out.count(note) == notes
+        if notes:
+            lines = (out / "certificate.txt").read_text().splitlines()
+            assert sum(line.startswith(note) for line in lines) == 1
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "sweep", "table"])

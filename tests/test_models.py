@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 from hypiss import models
 from hypiss.lambertw import lambert_w_minus1
 from hypiss.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_FILES = sorted([*ROOT.glob("scenarios/*.json"), *ROOT.glob("tests/scenarios/*.json")])
 
 
 class TestLinearBenchmark:
@@ -160,8 +164,7 @@ class TestEuler:
     @pytest.mark.parametrize("J", [0, -3])
     def test_too_few_cells_named(self, J):
         # the library entry points, which no scenario-file check guards
-        spec = load_scenario(str(Path(__file__).resolve().parent.parent
-                                 / "scenarios" / "isothermal_euler.json"))
+        spec = load_scenario(str(ROOT / "scenarios" / "isothermal_euler.json"))
         for build in (models.euler_scenario, spec.build):
             with pytest.raises(ValueError, match=r"^J must be an integer >= 2"):
                 build(J=J)
@@ -246,11 +249,20 @@ def test_lambert_w_used_by_density_is_branch_minus_one():
 def test_builder_defaults_are_the_shipped_file(builder, shipped):
     # one definition of each shipped experiment: the builder's defaults
     built = builder()
-    filed = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios"
-                              / f"{shipped}.json")).build()
+    filed = load_scenario(str(ROOT / "scenarios" / f"{shipped}.json")).build()
     c, fc, w, fw = built.coefficients, filed.coefficients, built.weights, filed.weights
     t = filed.grid.times()
     assert (built.grid, built.xi, w.mu, built.name) == (filed.grid, filed.xi, fw.mu, filed.name)
     for mine, theirs in zip((c.lam, c.pi, c.K, c.M, w.values, built.initial, c.b(t)),
                             (fc.lam, fc.pi, fc.K, fc.M, fw.values, filed.initial, fc.b(t))):
         assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.name)
+def test_building_a_file_logs_nothing(path, caplog):
+    # a scenario's notes reach its certificate; only hypiss.cli writes to the terminal
+    with caplog.at_level(logging.WARNING, logger="hypiss"):
+        notes = load_scenario(str(path)).build(J=50).notes
+    assert caplog.records == []
+    assert [note.startswith("source override differs") for note in notes] == \
+        ([True] if path.name == "saint_venant.json" else [])
