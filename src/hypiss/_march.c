@@ -42,8 +42,8 @@
  * repr prints it: the shortest decimal that rounds back to it, found with
  * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) on
  * 128-bit products, in repr's layout.  One call writes the rows of several
- * blocks, each with its own prefix and its own columns; a row's head is its
- * number or its slice of a buffer of heads made once per file, so the
+ * blocks, each with its own prefix and contiguous columns; a row's head is
+ * its number or its slice of a buffer of heads made once per file, so the
  * trajectory prints each cell's "j,x" once and every snapshot of a chunk in
  * one call.  Its Python twin, _python_rows in reports.py, formats the rows
  * when this library cannot be built, with the same bytes.
@@ -185,14 +185,10 @@ long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
         if (!isfinite(L))
             return n + 1;
         /* the feedback reads (W+_{J-1}, W-_0), columns J and 1, and writes
-         * the ghosts W+_{-1} and W-_J, columns 0 and J+1 */
+         * the ghosts W+_{-1} and W-_J, columns 0 and J+1; 0.0 signs a zero sum */
         const double w0 = W[J], w1 = W[w + 1], *bn = b + 2 * (n + 1);
-        for (long i = 0; i < 2; i++) {
-            double g = 0.0;
-            g += K[2 * i] * w0;
-            g += K[2 * i + 1] * w1;
-            W[i == 0 ? 0 : w + J + 1] = g + M[i] * bn[i];
-        }
+        W[0] = (0.0 + K[0] * w0 + K[1] * w1) + M[0] * bn[0];
+        W[w + J + 1] = (0.0 + K[2] * w0 + K[3] * w1) + M[1] * bn[1];
         lyap[n + 1] = L;
     }
     return -1;
@@ -363,17 +359,17 @@ static char *format_double(char *p, double v, const uint64_t *g)
  * (prefix offset, prefix length, first, count) and has the rows r = first ..
  * first+count-1.  Row r is the prefix (that many bytes of prefixes from that
  * offset), the head, then for each column c a comma and repr of
- * cols[b ncols + c][r * strides[b ncols + c]], or nothing where that pointer
- * is NULL, then a newline.  The head is r in decimal where heads is NULL, and
- * else heads[head_at[r]] .. heads[head_at[r + 1] - 1].  out must hold each
+ * cols[b ncols + c][r], or nothing where that pointer is NULL, then a
+ * newline.  The head is r in decimal where heads is NULL, and else
+ * heads[head_at[r]] .. heads[head_at[r + 1] - 1].  out must hold each
  * row's prefix and head (21 bytes for r) and 1 + 25 ncols bytes more. */
 long hypiss_csv_rows(const uint64_t *g, char *out, long nblocks, const long *blocks,
                      const char *prefixes, long ncols, const double *const *cols,
-                     const long *strides, const char *heads, const long *head_at)
+                     const char *heads, const long *head_at)
 {
     char *p = out;
     for (long b = 0; b < nblocks; b++) {
-        const long *block = blocks + 4 * b, *step = strides + b * ncols;
+        const long *block = blocks + 4 * b;
         const double *const *col = cols + b * ncols;
         for (long r = block[2]; r < block[2] + block[3]; r++) {
             p = put(p, prefixes + block[0], (int)block[1]);
@@ -392,7 +388,7 @@ long hypiss_csv_rows(const uint64_t *g, char *out, long nblocks, const long *blo
             for (long c = 0; c < ncols; c++) {
                 *p++ = ',';
                 if (col[c] != NULL)
-                    p = format_double(p, col[c][r * step[c]], g);
+                    p = format_double(p, col[c][r], g);
             }
             *p++ = '\n';
         }

@@ -202,6 +202,8 @@ def _xi_range(text: str) -> List[float]:
         raise argparse.ArgumentTypeError("must be a:b:steps with numeric a, b")
     if not (0 < a < np.inf and 0 < b < np.inf) or steps < 1:   # nan fails both
         raise argparse.ArgumentTypeError("needs finite positive endpoints and steps >= 1")
+    if steps > 10 ** 6:     # numpy may fail to allocate a larger grid, outside argparse's reach
+        raise argparse.ArgumentTypeError(f"steps must be <= 10^6, got {steps}")
     return [float(x) for x in np.linspace(a, b, steps)]
 
 

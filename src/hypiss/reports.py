@@ -93,16 +93,12 @@ def _python_rows(heads):
 
 
 def _row_formatter(heads):
-    """``_python_rows(heads)``, or when the library loads, ``hypiss_csv_rows``,
-    declared here, with its table and heads bound, returning a view of one
-    reused buffer."""
+    """``_python_rows(heads)``, or when the library loads, ``hypiss_csv_rows``
+    with its table and heads bound, returning a view of one reused buffer."""
     lib = solver._load()
     if lib is None:
         return _python_rows(heads)
-    fn, ptr, long = lib.hypiss_csv_rows, ctypes.c_void_p, ctypes.c_long
-    fn.restype = long
-    fn.argtypes = [ptr, ptr, long, ptr, ctypes.c_char_p, long, ptr, ptr, ctypes.c_char_p, ptr]
-    table, longs = _schubfach_table().ctypes.data, np.dtype(long)
+    fn, table, longs = lib.hypiss_csv_rows, _schubfach_table().ctypes.data, np.dtype(ctypes.c_long)
     if heads is None:
         head_text, head_at, head_len = None, None, 21
     else:
@@ -124,11 +120,9 @@ def _row_formatter(heads):
             addr = buf.ctypes.data
         columns = [c for *_, block in pieces for c in block]
         ptrs = np.array([0 if c is None else c.ctypes.data for c in columns], dtype=np.uintp)
-        steps = np.array([0 if c is None else c.strides[0] // 8 for c in columns], dtype=longs)
         blocks = np.array(blocks, dtype=longs)      # the arrays must outlive the call
-        n = fn(table, addr, len(pieces), blocks.ctypes.data, prefixes, ncols,
-               ptrs.ctypes.data, steps.ctypes.data, head_text,
-               None if head_at is None else head_at.ctypes.data)
+        n = fn(table, addr, len(pieces), blocks.ctypes.data, prefixes, ncols, ptrs.ctypes.data,
+               head_text, None if head_at is None else head_at.ctypes.data)
         return buf[:n]
     return rows
 
@@ -157,12 +151,13 @@ def _write_blocks(path: Path, tag: str, header: Sequence[str],
     ``repr(column[i])``, or only the comma for None.  The head is i, or
     ``heads[i]`` when ``heads`` is given.  The formatter gets at most
     ``_CHUNK`` rows per call, from as many blocks as fit.  Every block is
-    checked before the file is opened, so a bad column, a block with other
-    columns than the first or a row without a head leaves no file behind."""
+    checked before the file is opened, so a bad or non-contiguous column, a
+    block with other columns than the first or a row without a head leaves
+    no file behind."""
     blocks = list(blocks)
     for _, count, columns in blocks:
         if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
-                                  or c.strides[0] % 8) for c in columns):
+                                  or not c.flags.c_contiguous) for c in columns):
             raise ValueError(f"each column must hold {count} float64 values")
         if len(columns) != len(blocks[0][2]) or (heads is not None and len(heads) != count):
             raise ValueError("every block must have the same columns and one head per row")
@@ -192,7 +187,8 @@ def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     """Columns n, t, L, envelope, sup_b_sq; the supremum column holds the
     running sup of |b|^2 over levels strictly before n (what the envelope
     at level n uses)."""
-    columns = [trace.times, trace.L, trace.envelope, trace.sup_b_sq]
+    columns = [None if c is None else np.ascontiguousarray(c)
+               for c in (trace.times, trace.L, trace.envelope, trace.sup_b_sq)]
     _write_blocks(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"),
                   [(b"", trace.times.size, columns)])
 
@@ -204,8 +200,8 @@ def write_trajectory_csv(path: Path, result: SimulationResult,
         raise ValueError("simulation was run without history recording")
     J, k = result.history[0][1].shape
     heads = [f"{j},{x!r}" for j, x in enumerate(centers[1:-1].tolist())]
-    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, list(interior.T))
-              for n, interior in result.history)
+    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, list(np.asfortranarray(snap).T))
+              for n, snap in result.history)
     _write_blocks(path, "trajectory", ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)],
                   blocks, heads)
 
@@ -217,9 +213,7 @@ def write_table(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:
     deviations from them appended to the text report only.
     """
     header = ("J", "sup_gap", "l2_gap", "mu", "eta")
-    _write_csv(csv_path, "convergence-table", header,
-               [(r["J"], r.get("sup_gap"), r.get("l2_gap"), r.get("mu"), r.get("eta"))
-                for r in rows])
+    _write_csv(csv_path, "convergence-table", header, [tuple(map(r.get, header)) for r in rows])
     lines = [f"{'J':>6s} {'sup gap':>12s} {'l2 gap':>12s} {'mu':>8s} {'eta':>10s}"]
     for r in rows:
         if "error" in r:
@@ -244,9 +238,7 @@ def write_table(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:
 
 def write_sweep(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:
     header = ("xi", "kappa12_bound", "kappa21_bound", "nu", "envelope_constant")
-    _write_csv(csv_path, "xi-sweep", header,
-               [(r["xi"], r["kappa12_bound"], r["kappa21_bound"], r["nu"],
-                 r["envelope_constant"]) for r in rows])
+    _write_csv(csv_path, "xi-sweep", header, [tuple(map(r.get, header)) for r in rows])
     lines = [f"{'xi':>10s} {'|k12| bound':>12s} {'|k21| bound':>12s} "
              f"{'nu':>10s} {'env const':>12s}"]
     for r in rows:

@@ -141,16 +141,18 @@ def _build() -> Path:
 @functools.cache
 def _load():
     """The compiled library, built and loaded on the first call, with the
-    signature of ``hypiss_march`` declared (``reports`` declares its other
-    entry point); None when it cannot be built (no compiler, or a failed build)."""
+    signatures of ``hypiss_march`` and ``hypiss_csv_rows`` declared; None
+    when it cannot be built (no compiler, or a failed build)."""
     try:
         path = _build()
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         logger.info("march backend: numpy; the C kernel could not be built or loaded: %s", exc)
         return None
-    fn, long, ptr = lib.hypiss_march, ctypes.c_long, ctypes.c_void_p
-    fn.restype, fn.argtypes = long, [long] + [ptr] * 8 + [ctypes.c_double] * 2 + [long] * 3
+    long, ptr, text = ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p
+    lib.hypiss_march.restype = lib.hypiss_csv_rows.restype = long
+    lib.hypiss_march.argtypes = [long] + [ptr] * 8 + [ctypes.c_double] * 2 + [long] * 3
+    lib.hypiss_csv_rows.argtypes = [ptr, ptr, long, ptr, text, long, ptr, text, ptr]
     logger.info("march backend: c, %s", path)
     return lib
 
@@ -253,7 +255,7 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     stops.discard(0)
     history: Optional[List[Tuple[int, np.ndarray]]] = None
     if stride is not None:
-        history = [(0, inner.T.copy())]
+        history = [(0, inner.T.copy(order="F"))]
     step = grid.dt
     r_lam = (step / dx) * lam_up
     n = 0
@@ -266,6 +268,6 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
             raise BlowupError(blown, times[blown], bool(np.all(np.isfinite(inner))))
         n = end
         if history is not None and (end % stride == 0 or end == N):
-            history.append((end, inner.T.copy()))
+            history.append((end, inner.T.copy(order="F")))
     return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq, final=W.T.copy(),
                             backend="numpy" if lib is None else "c", history=history)

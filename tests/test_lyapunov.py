@@ -6,7 +6,8 @@ import pytest
 
 from hypiss import certifier, core, lyapunov, solver
 from hypiss.models import build_linear_benchmark
-from tests.conftest import evaluate, gronwall_closed_form, run_scenario
+from hypiss.reports import REFERENCE_GAP_NORMS
+from tests.conftest import BENCHMARK_J, evaluate, gronwall_closed_form, run_scenario
 
 
 class TestEvaluate:
@@ -88,6 +89,21 @@ class TestEnvelope:
         trace = lyapunov.LyapunovTrace(times=times, L=L, envelope=L.copy(),
                                        sup_b_sq=np.zeros_like(L), l2_weight=g.dt / g.cfl)
         assert lyapunov.envelope_gap_norms(trace) == (0.0, 0.0)
+
+    def test_unit_courant_rows_match_a_march_at_courant_0_9(self, benchmark_traces):
+        # The cfl-1.0 reference rows are reproduced at Courant 0.9 with the
+        # O(dx) offset of the cfl-0.75 rows against their own references
+        # (+0.167 / +0.400 % at J = 200, halving per doubling), while a
+        # march at unit Courant misses their l2 gaps by more than 5 %.
+        def deviations(trace, cfl_ref, J):
+            got = lyapunov.envelope_gap_norms(trace)
+            return [100 * (g - r) / r for g, r in zip(got, REFERENCE_GAP_NORMS[(cfl_ref, J)])]
+
+        for J in BENCHMARK_J:
+            _, at_09 = run_scenario(build_linear_benchmark(J=J, cfl=0.9))
+            offset = deviations(benchmark_traces[(0.75, J)][1], 0.75, J)
+            assert deviations(at_09, 1.0, J) == pytest.approx(offset, abs=0.01), J
+            assert deviations(benchmark_traces[(1.0, J)][1], 1.0, J)[1] < -5.0, J
 
 
 class TestFitDecayRate:

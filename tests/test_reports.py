@@ -92,7 +92,9 @@ def test_formatter_matches_repr_on_any_float(compiled_rows, values):
 
 
 def test_formatter_rejects_columns_it_cannot_read(tmp_path):
-    for column in (np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros((4, 1))):
+    # the compiled formatter reads each column as a contiguous array
+    for column in (np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros((4, 1)),
+                   np.zeros(8)[::2]):
         with pytest.raises(ValueError, match="4 float64 values"):
             reports._write_blocks(tmp_path / "rows.csv", "rows", ["n", "v"],
                                   [(b"", 4, [column])])
@@ -215,6 +217,29 @@ def test_bad_snapshot_in_the_last_call_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="1000 float64 values"):
         reports.write_trajectory_csv(path, result, centers)
     assert not path.exists()
+
+
+def test_strided_trace_and_c_ordered_snapshots(tmp_path, march_backend):
+    # trace columns that are strided views of one array, and snapshots in C
+    # order, not the solver's F order, write what the generic row writer writes
+    times = np.linspace(0.0, 1.0, reports._CHUNK + 7)
+    table = np.stack([times, np.exp(-times), 2.0 * np.exp(-times), times ** 2], axis=1)
+    trace = lyapunov.LyapunovTrace(times=table[:, 0], L=table[:, 1], envelope=table[:, 2],
+                                   sup_b_sq=table[:, 3], l2_weight=1.0)
+    assert not trace.L.flags.c_contiguous
+    reports.write_trace_csv(tmp_path / "trace.csv", trace)
+    reports._write_csv(tmp_path / "rows.csv", "lyapunov-trace",
+                       ("n", "t", "L", "envelope", "sup_b_sq"),
+                       [(n, *row) for n, row in enumerate(table)])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    result, centers = trajectory(300, 3, 3)
+    assert all(interior.flags.c_contiguous for _, interior in result.history)
+    reports.write_trajectory_csv(tmp_path / "trajectory.csv", result, centers)
+    reports._write_csv(tmp_path / "rows.csv", "trajectory", ["n", "t", "j", "x", "w1", "w2", "w3"],
+                       [(n, result.times[n], j, centers[j + 1], *interior[j])
+                        for n, interior in result.history for j in range(300)])
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_writers_fall_back_without_compiler(compiled_rows, monkeypatch, tmp_path):

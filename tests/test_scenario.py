@@ -48,6 +48,50 @@ disturbance = {kind = "pulsed_sine", amplitude = 0.01, cutoff = 5.0}
 """
 
 
+# ROADMAP item 6: a disturbance that the Saint-Venant and Euler builders drop
+DISTURBANCE_DROPPED = (
+    "the Saint-Venant and Euler builders take no disturbance, so the parser drops "
+    "boundary.disturbance and they run the default pulse; passing it through changes "
+    "sv-trajectory's by-seed final_L in perfbench/golden.json, so it waits for a "
+    "benchmark-defining change")
+PROBED_FILES = [SCENARIOS / f"{name}.json"
+                for name in ("linear_benchmark", "saint_venant", "isothermal_euler")]
+PROBED_FILES += sorted((SCENARIOS.parent / "tests" / "scenarios").glob("*.json"))
+DEAD_LEAVES = {("saint_venant", "boundary.disturbance.amplitude"),
+               ("saint_venant", "boundary.disturbance.cutoff"),
+               ("isothermal_euler", "boundary.disturbance.amplitude"),
+               ("isothermal_euler", "boundary.disturbance.cutoff"),
+               ("saint_venant_physical_gains", "boundary.disturbance.values.0"),
+               ("saint_venant_physical_gains", "boundary.disturbance.values.1")}
+
+
+def _numeric_leaves(node, path=()):
+    """(path, container, key) of every number in a parsed scenario file."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, str(key)))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield ".".join((*path, str(key))), node, key
+
+
+def _leaf_params():
+    for path in PROBED_FILES:
+        for leaf, _, _ in _numeric_leaves(json.loads(path.read_text())):
+            if leaf != "grid.J":
+                marks = ([pytest.mark.xfail(strict=True, reason=DISTURBANCE_DROPPED)]
+                         if (path.stem, leaf) in DEAD_LEAVES else [])
+                yield pytest.param(path, leaf, marks=marks, id=f"{path.stem}:{leaf}")
+
+
+def _built(raw):
+    """What a build at J=50 makes of ``raw``: every array, at every level."""
+    sc = ScenarioSpec(raw=raw).build(J=50)
+    c, w = sc.coefficients, sc.weights
+    return [sc.grid, c.lam, c.pi, c.K, c.M, c.b(sc.grid.times()), w.values, w.mu,
+            sc.initial, sc.xi, sc.notes]
+
+
 class TestLoading:
     def test_shipped_benchmark_builds_and_certifies(self):
         spec = load_scenario(str(SCENARIOS / "linear_benchmark.json"))
@@ -135,17 +179,28 @@ class TestLoading:
         assert sc.name == "isothermal_euler"
         assert not certifier.certify(sc).overall
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the Saint-Venant and Euler builders take no disturbance, so the parser drops "
-        "boundary.disturbance and they run the default pulse; passing it through changes "
-        "sv-trajectory's by-seed final_L in perfbench/golden.json, so it waits for a "
-        "benchmark-defining change"))
+    @pytest.mark.xfail(strict=True, reason=DISTURBANCE_DROPPED)
     @pytest.mark.parametrize("shipped", ["saint_venant", "isothermal_euler"])
     def test_disturbance_reaches_the_coefficients(self, shipped):
         raw = json.loads((SCENARIOS / f"{shipped}.json").read_text())
         raw["boundary"]["disturbance"] = {"kind": "constant", "values": [5.0, -5.0]}
         b = ScenarioSpec(raw=raw).build(J=50).coefficients.b
         assert np.array_equal(b(1.0), [5.0, -5.0])
+
+    @pytest.mark.parametrize("path,leaf", _leaf_params())
+    def test_every_number_reaches_the_build(self, path, leaf):
+        # a field that changes nothing built (or fails the build) is read by nothing;
+        # the step is 3.7 % plus 3.7e-5, as a 1 % step maps -0.1 + 1e-3 back to -0.1
+        raw = json.loads(path.read_text())
+        before = _built(raw)
+        (_, node, key), = [hit for hit in _numeric_leaves(raw) if hit[0] == leaf]
+        node[key] += 0.037 * (abs(node[key]) + 1e-3)
+        try:
+            after = _built(raw)
+        except ValueError:      # a ScenarioError is a ValueError
+            return
+        assert not all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                       for x, y in zip(before, after))
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
