@@ -8,8 +8,14 @@ rows of the ``table`` command (its other fields as shipped), this times
 alternating them in every repeat, and reports the median and the minimum
 over the repeats of the wall time divided by the J * N cell-steps marched.
 
-Writer rows: at the shape of the ``sv-trajectory`` benchmark workload
-(Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it times
+Strided march rows: at the shape of the ``sv-trajectory`` benchmark
+workload (Saint-Venant, J = 400, T = 5, snapshots every 100 steps) it
+times ``hypiss.solver.run`` with that stride under each kernel, alternating
+them in every repeat, and reports the median and the minimum wall time
+and the kernel calls of one run: calls of the compiled ``hypiss_march``,
+or of the NumPy kernel's step loop ``numpy_steps``.
+
+Writer rows: at that shape it times
 ``write_trace_csv`` and ``write_trajectory_csv`` with the compiled
 formatter and with the Python row formatter, alternating them in every repeat,
 and reports the median and minimum wall time and the median ns per float
@@ -61,6 +67,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -131,20 +138,68 @@ def ns_per_cell_step(scenario, backend: str) -> float:
     return elapsed / (scenario.grid.J * result.steps) * 1e9
 
 
-def writer_rows(repeats: int) -> list:
-    """Wall time of each CSV writer under each backend, on one recorded run."""
+def writer_scenario():
     raw = json.loads((ROOT / "scenarios" / f"{WRITER_SHAPE['scenario']}.json").read_text())
     raw["grid"]["T"] = WRITER_SHAPE["T"]
-    scenario = ScenarioSpec(raw).build(J=WRITER_SHAPE["J"])
+    return ScenarioSpec(raw).build(J=WRITER_SHAPE["J"])
+
+
+def kernel_calls(scenario, backend: str) -> int:
+    """Kernel calls of one strided run: of the compiled ``hypiss_march``,
+    through a counting stand-in for the library, or of the NumPy kernel,
+    through a trace function that sees each Python call."""
+    use(backend)
+    calls = []
+    if backend == "c":
+        lib = solver._load()
+        solver._load = lambda: SimpleNamespace(
+            hypiss_march=lambda *args: calls.append(1) or lib.hypiss_march(*args))
+    else:
+        sys.settrace(lambda frame, event, arg: calls.append(1)
+                     if frame.f_code.co_name == "numpy_steps" else None)
+    try:
+        result = solver.run(scenario, WRITER_SHAPE["stride"])
+    finally:
+        sys.settrace(None)
+        use(backend)
+    if result.backend != backend:
+        raise RuntimeError(f"asked for the {backend} kernel, ran {result.backend}")
+    return len(calls)
+
+
+def strided_march_rows(repeats: int) -> list:
+    """Wall time and kernel calls of ``solver.run`` at the writer shape,
+    under each backend."""
+    scenario = writer_scenario()
+    times = {backend: [] for backend in BACKENDS}
+    for _ in range(repeats + 1):    # the first round is the warm-up
+        for backend in BACKENDS:
+            use(backend)
+            start = time.perf_counter()
+            solver.run(scenario, WRITER_SHAPE["stride"])
+            times[backend].append(time.perf_counter() - start)
+    row = {"call": "solver.run", **WRITER_SHAPE, "N": scenario.grid.N,
+           **{backend: {"median_s": statistics.median(t[1:]), "min_s": min(t[1:]),
+                        "kernel_calls": kernel_calls(scenario, backend)}
+              for backend, t in times.items()}}
+    print(f"strided march     c {row['c']['median_s']:.4f} s in {row['c']['kernel_calls']} "
+          f"calls  numpy {row['numpy']['median_s']:.4f} s in "
+          f"{row['numpy']['kernel_calls']} calls", file=sys.stderr)
+    return [row]
+
+
+def writer_rows(repeats: int) -> list:
+    """Wall time of each CSV writer under each backend, on one recorded run."""
+    scenario = writer_scenario()
     use("c")
     result = solver.run(scenario, WRITER_SHAPE["stride"])
     trace = lyapunov.build_trace(result, scenario, certifier.certify(scenario))
-    J, k = result.history[0][1].shape
+    S, k, J = result.snapshots.shape
     writers = {   # name: (call, float values formatted); trajectory.csv formats x once
         "trace.csv": (lambda path: reports.write_trace_csv(path, trace),
                       trace.times.size * (3 + (trace.envelope is not None))),
         "trajectory.csv": (lambda path: reports.write_trajectory_csv(
-            path, result, scenario.grid.centers), len(result.history) * (1 + J * k) + J),
+            path, result, scenario.grid.centers), S * (1 + J * k) + J),
     }
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -280,6 +335,7 @@ def main(argv=None) -> int:
                   f"x{row['speedup_median']:.1f}", file=sys.stderr)
     report = {"benchmark": "march, writers, certify and table", "unit": "ns per cell-step",
               "repeats": args.repeats, "environment": environment(), "rows": rows,
+              "strided_march": strided_march_rows(args.repeats),
               "writers": writer_rows(args.repeats), "certify": certify_rows(args.repeats),
               "table": table_rows(args.repeats)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

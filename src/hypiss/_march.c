@@ -35,8 +35,12 @@
  * multiply-add; then all three give the same bits.  CI checks that the
  * clones are there and that the helpers are inlined into them.
  *
- * lyap[n+1] receives L.  The return value is the first level whose L is
- * not finite, or -1; the state is left at that level.
+ * lyap[n+1] receives L.  The march records its own snapshots: for
+ * stride > 0, each level n+1 that stride divides has its two interior rows
+ * copied to row (n+1)/stride of snaps, shape (levels, 2, J), so that a run
+ * takes one call for its nominal steps whatever its stride.  The return
+ * value is the first level whose L is not finite, or -1; the state is left
+ * at that level.
  *
  * hypiss_csv_rows writes CSV rows with every double printed as Python's
  * repr prints it: the shortest decimal that rounds back to it, found with
@@ -166,12 +170,12 @@ static void rows(const struct step *s, long t, long n, double sum[2])
 
 /* p: (2, J); r_lam: (2, C) and pi_cols: (2, 2, C) with pi_cols[c][a][j] =
  * Pi_j[a][c], where C = J for cs = 1 and C = 1 for cs = 0; K: (2, 2); M: (2);
- * b: (levels, 2). */
+ * b: (levels, 2); snaps: (levels / stride + 1, 2, J), unread for stride 0. */
 CLONES
 long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
                   const double *p, const double *K, const double *M,
-                  const double *b, double *lyap, double step, double dx,
-                  long n0, long n1, long cs)
+                  const double *b, double *lyap, double *snaps, double step, double dx,
+                  long n0, long n1, long stride, long cs)
 {
     const ptrdiff_t w = J + 2;
     double old[CHUNK + 1];
@@ -190,6 +194,10 @@ long hypiss_march(long J, double *W, const double *r_lam, const double *pi_cols,
         W[0] = (0.0 + K[0] * w0 + K[1] * w1) + M[0] * bn[0];
         W[w + J + 1] = (0.0 + K[2] * w0 + K[3] * w1) + M[1] * bn[1];
         lyap[n + 1] = L;
+        if (stride > 0 && (n + 1) % stride == 0) {
+            memcpy(snaps + (n + 1) / stride * 2 * J, s.pos, (size_t)J * sizeof(double));
+            memcpy(snaps + ((n + 1) / stride * 2 + 1) * J, s.neg, (size_t)J * sizeof(double));
+        }
     }
     return -1;
 }

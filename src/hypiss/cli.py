@@ -92,13 +92,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     certifier._require_finite(summary, "summary ")
     reports.write_trace_csv(out / "trace.csv", trace)
-    if result.history is not None:
+    if result.snapshots is not None:
         reports.write_trajectory_csv(out / "trajectory.csv", result,
                                      scenario.grid.centers)
     reports.write_summary(out / "summary.json", summary)
     print(f"final L = {summary['final_L']:.6g} at t = {summary['final_t']:.6g}"
           + (f", max envelope violation = {max_violation:.3g}"
              if max_violation is not None else ""))
+    # freed before the snapshot array: after unmapping a block that large,
+    # glibc keeps up to twice its size of freed heap (1 MB more peak memory here)
+    del trace
     return 0
 
 

@@ -62,8 +62,9 @@ class Grid1D:
     N: int = field(init=False)
 
     def __post_init__(self):
-        if self.l <= 0 or self.T <= 0:
-            raise ValueError("domain length and final time must be positive")
+        for name, value in (("grid.l", self.l), ("grid.T", self.T)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.J < 2:
             raise ValueError(f"need at least two cells, got J={self.J}")
         courant_number(self.cfl)
@@ -257,11 +258,12 @@ class WeightField:
     def implicit(cls, p_plus: Sequence[float], p_minus: Sequence[float],
                  mu: float, grid: Grid1D) -> "WeightField":
         if mu <= 0:
-            raise ValueError("mu must be positive")
+            raise ValueError(f"weights.mu must be positive, got {mu!r}")
         pp = np.asarray(p_plus, dtype=float)
         pm = np.asarray(p_minus, dtype=float)
-        if np.any(pp <= 0) or np.any(pm <= 0):
-            raise ValueError("weight parameters must be strictly positive")
+        for name, values in (("weights.p_plus", pp), ("weights.p_minus", pm)):
+            if np.any(values <= 0):
+                raise ValueError(f"{name} must be strictly positive, got {values.tolist()!r}")
         xs = grid.centers
         with np.errstate(over="ignore"):   # the constructor rejects an infinite weight
             vals = np.hstack([

@@ -45,7 +45,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.xi <= 0:
-            raise ValueError("xi must be positive")
+            raise ValueError(f"xi must be positive, got {self.xi!r}")
         if self.coefficients.J != self.grid.J:
             raise ValueError(f"coefficients are sampled on J={self.coefficients.J} cells, "
                              f"the grid has J={self.grid.J}")

@@ -6,9 +6,10 @@ reruns diff cleanly.
 
 The trace and trajectory writers hand blocks of float columns to
 ``_write_blocks``: the trace one block whose rows are headed by their
-number, the trajectory one block per snapshot whose rows are headed by the
-cell's ``j,x``, formatted once per file.  Its rows come, up to ``_CHUNK``
-rows and as many blocks as fit per call, from the compiled
+number, the trajectory the march's (levels, k, J) snapshot array, one block
+per snapshot whose rows are headed by the cell's ``j,x``, formatted once
+per file.  Its rows come, up to ``_CHUNK`` rows and as many blocks as fit
+per call, from the compiled
 ``hypiss_csv_rows``, which prints each float as ``repr`` does, when
 ``solver._load()`` has the library, and otherwise from ``_python_rows``:
 the same bytes either way.
@@ -77,95 +78,85 @@ def _schubfach_table() -> np.ndarray:
     return np.array(table, dtype=np.uint64)
 
 
-def _python_rows(heads):
-    """``hypiss_csv_rows`` in Python, for the ``heads`` that ``_write_blocks`` takes."""
-    def rows(pieces):
+def _python_rows(data, prefixes, heads, table, block):
+    """``hypiss_csv_rows`` in Python, for the pieces that ``_write_blocks`` makes."""
+    def rows(i0, i1):
         text = []
-        for prefix, first, count, columns in pieces:
+        for (offset, size, first, count), b in zip(table[i0:i1].tolist(), block[i0:i1].tolist()):
             fields = [itertools.repeat("", count) if c is None
-                      else map(repr, c[first:first + count].tolist()) for c in columns]
+                      else map(repr, c[first:first + count].tolist()) for c in data[b]]
             names = (map(str, range(first, first + count)) if heads is None
                      else heads[first:first + count])
-            start = prefix.decode()
+            start = prefixes[offset:offset + size].decode()
             text += (f"{start}{line}\n" for line in map(",".join, zip(names, *fields)))
         return "".join(text).encode()
     return rows
 
 
-def _row_formatter(heads):
-    """``_python_rows(heads)``, or when the library loads, ``hypiss_csv_rows``
-    with its table and heads bound, returning a view of one reused buffer."""
+def _row_formatter(data, prefixes, heads, table, block):
+    """``_python_rows`` of the same arguments, or when the library loads,
+    ``hypiss_csv_rows`` with its table, the pieces and heads bound, returning
+    a view of one buffer that holds a call's rows.  Block b's columns are at
+    block 0's addresses plus b times the stride between ``data``'s blocks:
+    an array's, or none for a list of one block."""
     lib = solver._load()
     if lib is None:
-        return _python_rows(heads)
-    fn, table, longs = lib.hypiss_csv_rows, _schubfach_table().ctypes.data, np.dtype(ctypes.c_long)
+        return _python_rows(data, prefixes, heads, table, block)
+    fn, g = lib.hypiss_csv_rows, _schubfach_table().ctypes.data
     if heads is None:
         head_text, head_at, head_len = None, None, 21
     else:
         head_text, head_len = "".join(heads).encode(), max(map(len, heads), default=0)
-        head_at = np.cumsum([0, *map(len, heads)], dtype=longs)
-    buf, addr = np.empty(0, dtype=np.uint8), 0
+        head_at = np.cumsum([0, *map(len, heads)], dtype=table.dtype)
+    at = np.array([0 if c is None else c.ctypes.data for c in data[0]], dtype=np.intp)
+    ptrs = np.where(at, at + block[:, None] * getattr(data, "strides", (0,))[0], 0)
+    need = table[:, 3] * (table[:, 1] + head_len + 1 + _FIELD * at.size)   # bytes per piece
+    held = [np.empty(0, dtype=np.uint8), table, ptrs, head_at]   # rows holds what it passes
+    out, pieces, columns, head_ptr = (None if a is None else a.ctypes.data for a in held)
 
-    def rows(pieces):
-        nonlocal buf, addr
-        ncols = len(pieces[0][3])
-        prefixes = b"".join(prefix for prefix, *_ in pieces)
-        blocks, at, size = [], 0, 0
-        for prefix, first, count, _ in pieces:
-            blocks += (at, len(prefix), first, count)
-            at += len(prefix)
-            size += count * (len(prefix) + head_len + 1 + _FIELD * ncols)
-        if buf.size < size:
-            buf = np.empty(size, dtype=np.uint8)
-            addr = buf.ctypes.data
-        columns = [c for *_, block in pieces for c in block]
-        ptrs = np.array([0 if c is None else c.ctypes.data for c in columns], dtype=np.uintp)
-        blocks = np.array(blocks, dtype=longs)      # the arrays must outlive the call
-        n = fn(table, addr, len(pieces), blocks.ctypes.data, prefixes, ncols, ptrs.ctypes.data,
-               head_text, None if head_at is None else head_at.ctypes.data)
-        return buf[:n]
+    def rows(i0, i1):
+        nonlocal out
+        size = need[i0:i1].sum()
+        if held[0].size < size:
+            held[0] = np.empty(size, dtype=np.uint8)
+            out = held[0].ctypes.data
+        n = fn(g, out, i1 - i0, pieces + i0 * table.strides[0], prefixes, at.size,
+               columns + i0 * ptrs.strides[0], head_text, head_ptr)
+        return held[0][:n]
     return rows
 
 
-def _calls(blocks):
-    """The rows of ``blocks`` as lists of pieces ``(prefix, first, count,
-    columns)``, each list at most ``_CHUNK`` rows: one list per formatter call."""
-    call, room = [], _CHUNK
-    for prefix, count, columns in blocks:
-        first = 0
-        while first < count:
-            take = min(room, count - first)
-            call.append((prefix, first, take, columns))
-            first, room = first + take, room - take
-            if room == 0:
-                yield call
-                call, room = [], _CHUNK
-    if call:
-        yield call
-
-
-def _write_blocks(path: Path, tag: str, header: Sequence[str],
-                  blocks: Iterable[tuple], heads: Optional[List[str]] = None) -> None:
-    """Tag line, header, then for each block ``(prefix, count, columns)``
-    and i < count the row ``prefix``, the head, and per column a comma and
-    ``repr(column[i])``, or only the comma for None.  The head is i, or
-    ``heads[i]`` when ``heads`` is given.  The formatter gets at most
-    ``_CHUNK`` rows per call, from as many blocks as fit.  Every block is
-    checked before the file is opened, so a bad or non-contiguous column, a
-    block with other columns than the first or a row without a head leaves
-    no file behind."""
-    blocks = list(blocks)
-    for _, count, columns in blocks:
-        if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
-                                  or not c.flags.c_contiguous) for c in columns):
-            raise ValueError(f"each column must hold {count} float64 values")
-        if len(columns) != len(blocks[0][2]) or (heads is not None and len(heads) != count):
-            raise ValueError("every block must have the same columns and one head per row")
-    rows = _row_formatter(heads)
+def _write_blocks(path: Path, tag: str, header: Sequence[str], data, count: int,
+                  prefixes: Sequence[bytes] = (b"",), heads: Optional[List[str]] = None) -> None:
+    """Tag line, header, then for each block b of ``data`` and i < count the
+    row ``prefixes[b]``, the head, and per column c a comma and
+    ``repr(data[b][c][i])``, or only the comma where that column is None.
+    The head is i, or ``heads[i]`` when ``heads`` is given.  ``data`` is a
+    (blocks, columns, count) array, or a list of one block's columns.  The
+    formatter gets at most ``_CHUNK`` rows per call, from as many blocks as
+    fit, as pieces (block, first row, rows) made by array arithmetic.  Block
+    0's columns are checked before the file is opened, and the others share
+    their layout, so a bad or non-contiguous column, or a row without a
+    head, leaves no file behind."""
+    if any(c is not None and (c.dtype != np.float64 or c.shape != (count,)
+                              or not c.flags.c_contiguous) for c in data[0]):
+        raise ValueError(f"each column must hold {count} float64 values, contiguous")
+    if heads is not None and len(heads) != count:
+        raise ValueError(f"{len(heads)} heads for {count} rows: there must be one head per row")
+    total = len(data) * count
+    # each row where a block or a call starts, once (np.unique would import numpy.ma)
+    first = np.sort(np.concatenate([np.arange(0, total, count), np.arange(0, total, _CHUNK)]))
+    first = first[np.diff(first, prepend=-1) > 0]
+    block = first // count
+    start = np.cumsum([0, *map(len, prefixes)])
+    table = np.column_stack([start[block], np.diff(start)[block], first - block * count,
+                             np.diff(first, append=total)]).astype(ctypes.c_long)
+    calls = [*np.flatnonzero(first % _CHUNK == 0).tolist(), block.size]
+    rows = _row_formatter(data, b"".join(prefixes), heads, table, block)
     with path.open("wb") as fh:
         fh.write(f"# hypiss-v1 {tag}\n{','.join(header)}\n".encode())
-        for call in _calls(blocks):
-            fh.write(rows(call))
+        for i0, i1 in zip(calls, calls[1:]):
+            fh.write(rows(i0, i1))
 
 
 def _fmt(value) -> str:
@@ -190,20 +181,21 @@ def write_trace_csv(path: Path, trace: LyapunovTrace) -> None:
     columns = [None if c is None else np.ascontiguousarray(c)
                for c in (trace.times, trace.L, trace.envelope, trace.sup_b_sq)]
     _write_blocks(path, "lyapunov-trace", ("n", "t", "L", "envelope", "sup_b_sq"),
-                  [(b"", trace.times.size, columns)])
+                  [columns], trace.times.size)
 
 
 def write_trajectory_csv(path: Path, result: SimulationResult,
                          centers: np.ndarray) -> None:
-    """Recorded interior snapshots, one row per (level, cell)."""
-    if result.history is None:
-        raise ValueError("simulation was run without history recording")
-    J, k = result.history[0][1].shape
+    """Recorded interior snapshots, one row per (level, cell), written
+    straight from ``result.snapshots``."""
+    if result.snapshots is None:
+        raise ValueError("simulation was run without snapshot recording")
+    _, k, J = result.snapshots.shape
     heads = [f"{j},{x!r}" for j, x in enumerate(centers[1:-1].tolist())]
-    blocks = ((f"{n},{result.times[n].item()!r},".encode(), J, list(np.asfortranarray(snap).T))
-              for n, snap in result.history)
+    levels = result.levels.tolist()
+    prefixes = [f"{n},{t!r},".encode() for n, t in zip(levels, result.times[levels].tolist())]
     _write_blocks(path, "trajectory", ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)],
-                  blocks, heads)
+                  result.snapshots, J, prefixes, heads)
 
 
 def write_table(csv_path: Path, txt_path: Path, rows: List[dict]) -> str:

@@ -15,13 +15,16 @@ buffers allocated once per run:
 
 Both sub-steps use the same step size ``dt_n``: the nominal ``dt``, and
 ``T - t^{N-1}`` on the possibly shortened final step, for which
-``r lam_up`` is computed once more.  Initial ghosts come from the discrete
-compatibility condition, which carries no disturbance term.  The state is
-held component-major, shape (k, J+2), so every update runs on contiguous
-rows.  When the speeds and the source matrices are the same, bit for
-bit, at every sample (:func:`hypiss.core.same_in_every_cell`), as in the
-shipped benchmark and Saint-Venant scenarios, only cell 0's upwind speeds
-and ``Pi`` are laid out, as one column, once per run: NumPy broadcasts
+``r lam_up`` is computed once more: a run is two kernel calls, one for
+the nominal steps and one for the last, whatever its snapshot stride, as
+both kernels copy each snapshot into one array as they march.  Initial
+ghosts come from the discrete compatibility condition, which carries no
+disturbance term.  The state is held component-major, shape (k, J+2), so
+every update runs on contiguous rows.  When the speeds and the source
+matrices are the same, bit for bit, at every sample
+(:func:`hypiss.core.same_in_every_cell`), as in the shipped benchmark and
+Saint-Venant scenarios, only cell 0's upwind speeds and ``Pi`` are laid
+out, as one column, once per run: NumPy broadcasts
 that (k, 1) column, and the C kernel marches it with a coefficient column
 stride of 0 (1 otherwise).
 
@@ -96,11 +99,19 @@ class SimulationResult:
     b_sq: np.ndarray                  # |b(t^n)|^2 at each level
     final: np.ndarray                 # state at t^N, (J+2, k) with ghosts
     backend: str                      # "c" or "numpy": the kernel that marched
-    history: Optional[List[Tuple[int, np.ndarray]]] = None   # (n, interior) snapshots
+    levels: Optional[np.ndarray] = None      # the recorded levels n, with a stride
+    snapshots: Optional[np.ndarray] = None   # (levels, k, J): the interior at each
 
     @property
     def steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def history(self) -> Optional[List[Tuple[int, np.ndarray]]]:
+        """The snapshots as (n, interior) pairs, each interior a (J, k) view."""
+        if self.snapshots is None:
+            return None
+        return [(n, snap.T) for n, snap in zip(self.levels.tolist(), self.snapshots)]
 
 
 def _build() -> Path:
@@ -151,7 +162,7 @@ def _load():
         return None
     long, ptr, text = ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p
     lib.hypiss_march.restype = lib.hypiss_csv_rows.restype = long
-    lib.hypiss_march.argtypes = [long] + [ptr] * 8 + [ctypes.c_double] * 2 + [long] * 3
+    lib.hypiss_march.argtypes = [long] + [ptr] * 9 + [ctypes.c_double] * 2 + [long] * 4
     lib.hypiss_csv_rows.argtypes = [ptr, ptr, long, ptr, text, long, ptr, text, ptr]
     logger.info("march backend: c, %s", path)
     return lib
@@ -162,7 +173,8 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
 
     ``L^n`` (with the scenario's weights) and ``|b(t^n)|^2`` are recorded at
     every level; ``stride`` adds interior snapshots every that many steps
-    (first and last level always included).  Per step: transport -> source
+    (first and last level always included), which the kernel copies into
+    one (levels, k, J) array as it marches.  Per step: transport -> source
     -> functional -> boundary update with b(t^{n+1}).  Aborts with
     :class:`BlowupError` at the first level whose ``L`` is not finite,
     level 0 included, whether or not the state is; only then is the
@@ -218,6 +230,13 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     if not math.isfinite(lyap[0]):
         raise BlowupError(0, times[0], bool(np.all(np.isfinite(inner))))
 
+    levels = snapshots = None
+    every = stride or 0     # the kernels' stride: 0 records nothing
+    if stride is not None:
+        levels = np.append(np.arange(0, N, stride), N)
+        snapshots = np.empty((levels.size, k, J))
+        snapshots[0] = inner
+
     def numpy_steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
         """Levels n0 -> n1; returns the first level whose L is not finite, or -1."""
         with np.errstate(over="ignore", invalid="ignore"):   # BlowupError names the level
@@ -237,6 +256,8 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
                     return n + 1
                 W[comp, cell_out] = K @ W[comp, cell_in] + M * b[n + 1]
                 lyap[n + 1] = L
+                if every and (n + 1) % every == 0:
+                    snapshots[(n + 1) // every] = inner
         return -1
 
     lib = _load() if (k, m) == (2, 1) else None
@@ -245,29 +266,21 @@ def run(scenario: Scenario, stride: Optional[int] = None) -> SimulationResult:
     else:
         kernel = lib.hypiss_march
         buffers = [a.ctypes.data for a in (pi_cols, p, K, M, b, lyap)]
+        buffers.append(None if snapshots is None else snapshots.ctypes.data)
 
         def steps(n0: int, n1: int, step: float, r_lam: np.ndarray) -> int:
-            return kernel(J, W.ctypes.data, r_lam.ctypes.data, *buffers, step, dx, n0, n1, cs)
+            return kernel(J, W.ctypes.data, r_lam.ctypes.data, *buffers, step, dx, n0, n1,
+                          every, cs)
 
-    # one call per stretch of equal step size between snapshot levels; the
-    # final step, possibly shortened to land on T, is a stretch of its own
-    stops = {N - 1, N} | (set(range(stride, N, stride)) if stride else set())
-    stops.discard(0)
-    history: Optional[List[Tuple[int, np.ndarray]]] = None
-    if stride is not None:
-        history = [(0, inner.T.copy(order="F"))]
-    step = grid.dt
-    r_lam = (step / dx) * lam_up
-    n = 0
-    for end in sorted(stops):
-        if end == N:
-            step = times[N] - times[N - 1]
-            r_lam = (step / dx) * lam_up
-        blown = steps(n, end, step, r_lam)
-        if blown >= 0:
-            raise BlowupError(blown, times[blown], bool(np.all(np.isfinite(inner))))
-        n = end
-        if history is not None and (end % stride == 0 or end == N):
-            history.append((end, inner.T.copy(order="F")))
+    # one call for the nominal steps and one for the last, possibly shortened
+    # to land on T; with N = 1 the last is the only one
+    for n0, n1, step in ((0, N - 1, grid.dt), (N - 1, N, times[N] - times[N - 1])):
+        if n1 > n0:
+            blown = steps(n0, n1, step, (step / dx) * lam_up)
+            if blown >= 0:
+                raise BlowupError(blown, times[blown], bool(np.all(np.isfinite(inner))))
+    if every and N % every:
+        snapshots[-1] = inner
     return SimulationResult(times=times, lyapunov=lyap, b_sq=b_sq, final=W.T.copy(),
-                            backend="numpy" if lib is None else "c", history=history)
+                            backend="numpy" if lib is None else "c",
+                            levels=levels, snapshots=snapshots)

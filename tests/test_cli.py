@@ -542,6 +542,19 @@ class TestSweepCommand:
             assert "argument --xi-range:" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    def test_range_cap_refuses_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 10^6 steps is the most a grid may have; one more exits 2 without
+        # asking numpy for the grid
+        assert len(cli._xi_range("0.05:1.0:1000000")) == 10 ** 6
+        path = small_benchmark(tmp_path)
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("grid allocated"))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                  "--xi-range", "0.05:1.0:1000001"])
+        assert exc.value.code == 2
+        assert "steps must be <= 10^6, got 1000001" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def test_override_note_in_the_certificate_alone(tmp_path, capsys, caplog):
     # stated in certificate.txt and on the stdout of certify and run, never logged

@@ -3,6 +3,7 @@ library, against the generic row writer ``reports._write_csv``, which
 formats each value of a row tuple; and the compiled row formatter against
 ``reports._python_rows``, whose ``repr`` is its oracle."""
 
+import ctypes
 import functools
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypiss import certifier, load_scenario, lyapunov, reports, solver
 from hypiss.core import DisturbanceSignal
 from hypiss.models import build_linear_benchmark
+from hypiss.scenario import ScenarioSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,17 +48,19 @@ def test_streamed_writers_match_row_writer(tmp_path, march_backend):
 
 @pytest.fixture(scope="module")
 def compiled_rows():
-    """The compiled library's row formatter; skipped when it cannot be built."""
+    """The maker of the compiled library's row formatter; skipped when it
+    cannot be built."""
     if solver._load() is None:
         pytest.skip("the compiled library could not be built")
-    return reports._row_formatter(None)
+    return reports._row_formatter
 
 
-def formatted(rows_fn, values):
-    """The compiled formatter's text for each value, through one column."""
+def formatted(make_rows, values):
+    """The compiled formatter's text for each value, through one column in one call."""
     column = np.asarray(values, dtype=np.float64)
-    text = bytes(rows_fn([(b"", 0, column.size, [column])])).decode()
-    return [line.split(",", 1)[1] for line in text.splitlines()]
+    table = np.array([[0, 0, 0, column.size]], dtype=ctypes.c_long)
+    rows = make_rows([[column]], b"", None, table, np.zeros(1, dtype=np.intp))
+    return [line.split(",", 1)[1] for line in bytes(rows(0, 1)).decode().splitlines()]
 
 
 def edge_values():
@@ -93,28 +97,30 @@ def test_formatter_matches_repr_on_any_float(compiled_rows, values):
 
 def test_formatter_rejects_columns_it_cannot_read(tmp_path):
     # the compiled formatter reads each column as a contiguous array
+    path = tmp_path / "rows.csv"
     for column in (np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros((4, 1)),
                    np.zeros(8)[::2]):
         with pytest.raises(ValueError, match="4 float64 values"):
-            reports._write_blocks(tmp_path / "rows.csv", "rows", ["n", "v"],
-                                  [(b"", 4, [column])])
-
-
-def test_bad_column_in_a_later_block_leaves_no_file(tmp_path):
-    path = tmp_path / "rows.csv"
-    with pytest.raises(ValueError, match="4 float64 values"):
-        reports._write_blocks(path, "rows", ["n", "v"],
-                              [(b"", 2, [np.arange(2.0)]), (b"", 4, [np.zeros(3)])])
-    assert not path.exists()
-
-
-def test_blocks_that_do_not_match_leave_no_file(tmp_path):
-    path = tmp_path / "rows.csv"
-    for blocks, heads in (([(b"", 2, [np.zeros(2)]), (b"", 2, [np.zeros(2), None])], None),
-                          ([(b"", 2, [np.zeros(2)])], ["0,0.0"])):
-        with pytest.raises(ValueError, match="same columns and one head per row"):
-            reports._write_blocks(path, "rows", ["n", "v"], blocks, heads)
+            reports._write_blocks(path, "rows", ["n", "v"], [[column]], 4)
         assert not path.exists()
+
+
+def test_bad_block_array_leaves_no_file(tmp_path):
+    # one array of blocks is checked once, through its first block, whose
+    # layout every other block shares
+    path = tmp_path / "rows.csv"
+    for data in (np.zeros((3, 2, 4), dtype=np.float32), np.zeros((3, 2, 8))[:, :, ::2],
+                 np.zeros((3, 4, 2)).transpose(0, 2, 1), np.zeros((3, 5)), np.zeros((3, 2, 3))):
+        with pytest.raises(ValueError, match="4 float64 values"):
+            reports._write_blocks(path, "rows", ["n", "v", "w"], data, 4, [b""] * 3)
+        assert not path.exists()
+
+
+def test_rows_without_a_head_leave_no_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="one head per row"):
+        reports._write_blocks(path, "rows", ["n", "v"], [[np.zeros(2)]], 2, heads=["0,0.0"])
+    assert not path.exists()
     result, centers = trajectory(10, 2, 2)
     with pytest.raises(ValueError, match="one head per row"):
         reports.write_trajectory_csv(path, result, centers[:-1])
@@ -160,13 +166,15 @@ def test_writers_same_bytes_each_backend(compiled_rows, monkeypatch, tmp_path, n
 
 def trajectory(J, k, levels, seed=3):
     """A recorded run of ``levels`` snapshots of J cells and k components,
-    with values of every kind, and its cell centres."""
+    at levels 0 .. levels-1, with values of every kind, and its cell centres."""
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, levels + 1)
-    history = [(n, rng.normal(scale=10.0 ** n, size=(J, k))) for n in range(levels)]
-    history[1][1][:6, 0] = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
+    snapshots = np.ascontiguousarray([rng.normal(scale=10.0 ** n, size=(J, k)).T
+                                      for n in range(levels)])
+    snapshots[1, 0, :6] = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
     result = solver.SimulationResult(times=times, lyapunov=times, b_sq=times,
-                                     final=history[-1][1], backend="numpy", history=history)
+                                     final=snapshots[-1].T, backend="numpy",
+                                     levels=np.arange(levels), snapshots=snapshots)
     return result, np.linspace(-0.5, J + 0.5, J + 2) / J
 
 
@@ -187,15 +195,40 @@ def test_trajectory_across_calls_same_bytes_each_backend(compiled_rows, monkeypa
     # snapshot and the start of the next, and the bytes are the generic writer's
     J = 1000
     result, centers = trajectory(J, k, 6)
-    assert reports._CHUNK % J and len(list(reports._calls(
-        (b"", J, []) for _ in result.history))) == math.ceil(6 * J / reports._CHUNK)
+    calls, make = [], reports._row_formatter
+
+    def counted(data, prefixes, heads, table, block):
+        rows = make(data, prefixes, heads, table, block)
+        return lambda i0, i1: calls.append(int(table[i0:i1, 3].sum())) or rows(i0, i1)
+    monkeypatch.setattr(reports, "_row_formatter", counted)
     got = backend_bytes(monkeypatch, tmp_path, lambda p: reports.write_trajectory_csv(
         p, result, centers))
     assert got["c"] == got["numpy"]
+    # the rows of each call, under each backend: full calls, then the rest
+    assert reports._CHUNK % J and calls == 2 * [reports._CHUNK, 6 * J - reports._CHUNK]
     rows = [(n, result.times[n], j, centers[j + 1], *interior[j])
             for n, interior in result.history for j in range(J)]
     reports._write_csv(tmp_path / "rows.csv", "trajectory",
                        ["n", "t", "j", "x"] + [f"w{i + 1}" for i in range(k)], rows)
+    assert got["c"] == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("J", [1000, reports._CHUNK + 5])
+def test_marched_trajectory_across_calls_same_bytes_each_backend(compiled_rows, monkeypatch,
+                                                                 tmp_path, J):
+    # the march's own snapshot array, with J not dividing the rows per call
+    # or above them, written by each formatter as the generic writer writes it
+    raw = load_scenario(str(SCENARIOS / "isothermal_euler.json")).raw
+    raw["grid"]["T"] = 4.5 * ScenarioSpec(raw=raw).build(J=J).grid.dt
+    sc = ScenarioSpec(raw=raw).build(J=J)
+    result = solver.run(sc, stride=2)
+    assert result.levels.tolist() == [0, 2, 4, 5]
+    got = backend_bytes(monkeypatch, tmp_path, lambda p: reports.write_trajectory_csv(
+        p, result, sc.grid.centers))
+    assert got["c"] == got["numpy"]
+    reports._write_csv(tmp_path / "rows.csv", "trajectory", ["n", "t", "j", "x", "w1", "w2"],
+                       [(n, result.times[n], j, sc.grid.centers[j + 1], *interior[j])
+                        for n, interior in result.history for j in range(J)])
     assert got["c"] == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -210,18 +243,24 @@ def test_trace_without_envelope_writes_an_empty_field(compiled_rows, monkeypatch
     assert all(line.split(",")[3] == "" and len(line.split(",")) == 5 for line in lines)
 
 
-def test_bad_snapshot_in_the_last_call_leaves_no_file(tmp_path):
+def test_bad_snapshots_leave_no_file(tmp_path):
     result, centers = trajectory(1000, 2, 6)
-    result.history[-1] = (5, result.history[-1][1].astype(np.float32))
     path = tmp_path / "trajectory.csv"
-    with pytest.raises(ValueError, match="1000 float64 values"):
+    snapshots = result.snapshots
+    for bad in (snapshots.astype(np.float32), np.asfortranarray(snapshots)):
+        result.snapshots = bad
+        with pytest.raises(ValueError, match="1000 float64 values"):
+            reports.write_trajectory_csv(path, result, centers)
+        assert not path.exists()
+    result.snapshots = None
+    with pytest.raises(ValueError, match="without snapshot recording"):
         reports.write_trajectory_csv(path, result, centers)
     assert not path.exists()
 
 
-def test_strided_trace_and_c_ordered_snapshots(tmp_path, march_backend):
-    # trace columns that are strided views of one array, and snapshots in C
-    # order, not the solver's F order, write what the generic row writer writes
+def test_strided_trace_and_strided_snapshots(tmp_path, march_backend):
+    # trace columns that are strided views of one array, and every other
+    # snapshot of an array, in either order, write what the generic row writer writes
     times = np.linspace(0.0, 1.0, reports._CHUNK + 7)
     table = np.stack([times, np.exp(-times), 2.0 * np.exp(-times), times ** 2], axis=1)
     trace = lyapunov.LyapunovTrace(times=table[:, 0], L=table[:, 1], envelope=table[:, 2],
@@ -233,13 +272,16 @@ def test_strided_trace_and_c_ordered_snapshots(tmp_path, march_backend):
                        [(n, *row) for n, row in enumerate(table)])
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    result, centers = trajectory(300, 3, 3)
-    assert all(interior.flags.c_contiguous for _, interior in result.history)
-    reports.write_trajectory_csv(tmp_path / "trajectory.csv", result, centers)
-    reports._write_csv(tmp_path / "rows.csv", "trajectory", ["n", "t", "j", "x", "w1", "w2", "w3"],
-                       [(n, result.times[n], j, centers[j + 1], *interior[j])
-                        for n, interior in result.history for j in range(300)])
-    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    result, centers = trajectory(300, 3, 5)
+    for step in (2, -2):
+        result = replace(result, levels=result.levels[::step], snapshots=result.snapshots[::step])
+        assert all(interior.flags.f_contiguous for _, interior in result.history)
+        reports.write_trajectory_csv(tmp_path / "trajectory.csv", result, centers)
+        reports._write_csv(tmp_path / "rows.csv", "trajectory",
+                           ["n", "t", "j", "x", "w1", "w2", "w3"],
+                           [(n, result.times[n], j, centers[j + 1], *interior[j])
+                            for n, interior in result.history for j in range(300)])
+        assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_writers_fall_back_without_compiler(compiled_rows, monkeypatch, tmp_path):

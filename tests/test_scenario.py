@@ -409,6 +409,14 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
                                       "frequency": 1e308}, ("initial data is not finite",)),
     ("isothermal_euler", "model.q_star", 5.0, ("rho0", "q_star", "branch point")),
     ("isothermal_euler", "model.rho0", 5.4, ("rho0", "q_star", "too close to 0")),
+    ("linear_benchmark", "grid.T", -1.0, ("grid.T must be positive, got -1.0",)),
+    ("linear_benchmark", "grid.l", 0.0, ("grid.l must be positive, got 0.0",)),
+    ("linear_benchmark", "weights.mu", -0.5, ("weights.mu must be positive, got -0.5",)),
+    ("linear_benchmark", "weights.p_plus", [-1.0], ("weights.p_plus", "[-1.0]")),
+    ("linear_benchmark", "weights.p_minus", [0.0], ("weights.p_minus", "[0.0]")),
+    ("saint_venant", "weights.p_minus", [0.0], ("weights.p_minus", "[0.0]")),
+    ("linear_benchmark", "xi", -0.1, ("xi must be positive, got -0.1",)),
+    ("isothermal_euler", "xi", 0.0, ("xi must be positive, got 0.0",)),
 ])
 def test_unbuildable_values_fail_with_one_error_line(tmp_path, capsys, shipped, path, value,
                                                      fields):

@@ -242,6 +242,18 @@ class TestRun:
         assert exc.value.step == 67
         assert "non-finite L, state finite" in str(exc.value)
 
+    def test_cfl_slack(self):
+        # a Courant number above 1 by more than rounding is refused
+        g = core.Grid1D(1.0, 8, 0.5, 1.0, 1.0)
+        assert g.dt / g.dx == 1.0
+        for over in (1e-6, 2e-9):
+            sim = scenario(g, make_coeffs(g, lam=(1.0 + over, -1.0)), np.zeros((8, 2)))
+            with pytest.raises(ValueError, match="CFL violated"):
+                solver.run(sim)
+        for over in (1e-12, 5e-10):
+            sim = scenario(g, make_coeffs(g, lam=(1.0, -1.0 - over)), np.zeros((8, 2)))
+            assert solver.run(sim).steps == g.N
+
     def test_shapes_checked_against_grid_and_system(self):
         g = core.Grid1D(1.0, 8, 1.0, 1.0, 1.0)
         c = make_coeffs(g)
@@ -420,8 +432,8 @@ class TestConstantCoefficients:
         assert strides and set(strides) == {stride}
 
     def test_decided_once_per_run(self, monkeypatch):
-        # a snapshot every step makes one kernel call per step; the
-        # coefficients are still scanned once, before the first
+        # a snapshot every step still takes two kernel calls, the nominal
+        # steps and the last; the coefficients are scanned once, before the first
         sc = load_scenario(str(SCENARIOS / "linear_benchmark.json")).build(J=40)
         scans = []
         same = solver.same_in_every_cell
@@ -429,7 +441,7 @@ class TestConstantCoefficients:
                             lambda *arrays: scans.append(1) or same(*arrays))
         strides = spy_strides(monkeypatch)
         res = solver.run(sc, stride=1)
-        assert len(strides) == res.steps > 1
+        assert len(strides) == 2 and res.steps > 2
         assert set(strides) == {0} and len(scans) == 1
 
     def test_one_ulp_in_one_speed_sample(self, monkeypatch):
@@ -446,6 +458,107 @@ class TestConstantCoefficients:
         strides = spy_strides(monkeypatch)
         solver.run(sc)
         assert strides and set(strides) == {1}
+
+    def test_bit_rules_pick_the_stride(self, monkeypatch):
+        # -0.0 against 0.0 is a differing cell, so the march takes one column
+        # per cell; a NaN with the same bits in every cell is one column
+        assert not core.same_in_every_cell(np.array([0.0, 0.0, -0.0]))
+        assert core.same_in_every_cell(np.full(3, np.nan), np.zeros((3, 2)))
+        g = core.Grid1D(l=1.0, J=self.J, T=0.5, cfl=0.9, lambda_max=2.0)
+        strides = spy_strides(monkeypatch)
+        c = make_coeffs(g)
+        c.pi[4, 0, 1] = -0.0
+        solver.run(scenario(g, c, np.ones((self.J, 2))))
+        assert strides and set(strides) == {1}
+        strides.clear()
+        c = make_coeffs(g, gamma=np.full((2, 2), np.nan))
+        with pytest.raises(solver.BlowupError, match="n=1,"):
+            solver.run(scenario(g, c, np.ones((self.J, 2))))
+        assert strides == [0]
+
+
+class TestSnapshots:
+    """Both kernels copy each recorded level into one (levels, k, J) array
+    as they march: a run is one kernel call for its nominal steps and one
+    for its last, whatever the stride."""
+
+    def scenario(self, J, steps, name="isothermal_euler"):
+        """A shipped scenario at J cells, marched over ``steps`` nominal
+        steps; a fractional count ends on a shortened step."""
+        raw = load_scenario(str(SCENARIOS / f"{name}.json")).raw
+        raw["grid"]["T"] = steps * ScenarioSpec(raw=raw).build(J=J).grid.dt
+        sc = ScenarioSpec(raw=raw).build(J=J)
+        assert sc.grid.N == np.ceil(steps)
+        return sc
+
+    @pytest.mark.parametrize("J, steps, stride", [
+        (9, 1, 1), (9, 1, 3), (9, 0.5, 1), (9, 6, 1), (9, 6, 3), (9, 6, 4), (9, 6, 6),
+        (9, 6, 7), (9, 20.5, 4), (9, 20.5, 7), (9, 20.5, 21), (9, 20.5, 50),
+        (1000, 3.5, 2), (4101, 2.5, 1)])
+    def test_levels_and_bits_each_kernel(self, monkeypatch, J, steps, stride):
+        # Euler's coefficients differ per cell; every recorded level holds the
+        # bits of that level of a run that records every level, under both kernels
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        sc = self.scenario(J, steps)
+        N = sc.grid.N
+        every = solver.run(sc, stride=1)
+        runs = {"c": solver.run(sc, stride)}
+        monkeypatch.setattr(solver, "_load", lambda: None)
+        runs["numpy"] = solver.run(sc, stride)
+        levels = sorted({*range(0, N + 1, stride), N})
+        assert every.levels.tolist() == list(range(N + 1))
+        for backend, res in runs.items():
+            assert res.backend == backend and res.levels.tolist() == levels
+            assert res.snapshots.shape == (len(levels), 2, J) and res.snapshots.flags.c_contiguous
+            assert [n for n, _ in res.history] == levels
+            for n, interior in res.history:
+                assert interior.shape == (J, 2) and interior.flags.f_contiguous
+                want = every.snapshots[n].view(np.uint64)
+                assert np.array_equal(interior.T.view(np.uint64), want), f"{backend} level {n}"
+            assert np.array_equal(res.snapshots[-1].T.view(np.uint64),
+                                  res.final[1:-1].view(np.uint64))
+            assert np.array_equal(res.lyapunov.view(np.uint64), every.lyapunov.view(np.uint64))
+
+    @pytest.mark.parametrize("steps, calls", [(1, 1), (0.5, 1), (2, 2), (20.5, 2)])
+    def test_at_most_two_kernel_calls(self, monkeypatch, steps, calls):
+        sc = self.scenario(9, steps, "linear_benchmark")
+        strides = spy_strides(monkeypatch)
+        for stride in (None, 1, 2, 5, sc.grid.N, sc.grid.N + 1):
+            strides.clear()
+            res = solver.run(sc, stride)
+            assert len(strides) == calls, f"stride {stride}"
+            assert (res.snapshots is None) == (stride is None)
+
+    @pytest.mark.parametrize("stride", [1, 10, 66, 67, 1000])
+    def test_blowup_names_the_level_with_snapshots(self, march_backend, stride):
+        # the level whose L first overflows, mid-way through the nominal call
+        gamma = np.array([[-1e4, 0.0], [0.0, -1e4]])
+        sim, g, _ = TestRun().small_sim(T=50.0, gamma=gamma, initial=np.ones((24, 2)))
+        with pytest.raises(solver.BlowupError) as exc:
+            solver.run(sim, stride)
+        assert exc.value.step == 67 < g.N - 1
+
+    def test_signed_zeros_same_bits_each_kernel(self, monkeypatch):
+        # initial data, gains, M and tabulated b of 0.0 and -0.0: the ghosts'
+        # sums start from 0.0 in both kernels, so every sign of zero agrees
+        if solver._load() is None:
+            pytest.skip("the compiled step kernel could not be built")
+        rng = np.random.default_rng(3535)
+        zeros = np.array([0.0, -0.0])
+        g = core.Grid1D(l=1.0, J=6, T=1.0, cfl=0.9, lambda_max=1.0)
+        for draw in range(40):
+            K = rng.choice(zeros, (2, 2))
+            b = core.DisturbanceSignal.tabulated([0.0, 0.5, 1.0], rng.choice(zeros, (3, 2)))
+            c = make_coeffs(g, gamma=rng.choice(zeros, (2, 2)), K=K, M=rng.choice(zeros, 2), b=b)
+            sc = scenario(g, c, rng.choice(zeros, (6, 2)))
+            got = solver.run(sc, stride=1)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_load", lambda: None)
+                want = solver.run(sc, stride=1)
+            assert (got.backend, want.backend) == ("c", "numpy")
+            assert np.array_equal(got.snapshots.view(np.uint64), want.snapshots.view(np.uint64))
+            assert np.array_equal(got.final.view(np.uint64), want.final.view(np.uint64)), draw
 
 
 class TestBackends:
@@ -574,7 +687,8 @@ class TestBackends:
         # replacing the loader switches both the march and the row formatter
         monkeypatch.setattr(solver, "_load", lambda: None)
         assert solver.run(sc).backend == "numpy"
-        assert reports._row_formatter(None).__code__ is reports._python_rows(None).__code__
+        pieces = ([[np.zeros(1)]], b"", None, np.zeros((1, 4), dtype=int), np.zeros(1, dtype=int))
+        assert reports._row_formatter(*pieces).__code__ is reports._python_rows(*pieces).__code__
 
     def test_build_is_cached_per_source_and_command(self, monkeypatch, tmp_path):
         if shutil.which(solver._CC[0]) is None:
